@@ -12,7 +12,6 @@ from pathlib import Path
 from videoseq.metrics import (
     PredictionSet,
     gap_at_k,
-    gap_oracle,
     read_prediction_file,
     write_prediction_file,
 )
@@ -31,7 +30,6 @@ preds = PredictionSet(
 )
 result = gap_at_k(preds)
 print(f"gap = {result.gap:.6f}  (5/6 = {5 / 6:.6f})")
-print("naive oracle agrees exactly:", gap_oracle(preds) == result)
 
 # Ties are broken deterministically: ascending video order, then ascending
 # class index, so identical scores always evaluate the same way.

@@ -15,7 +15,6 @@ from .autodiff import (
     activation,
     backward,
     batchnorm_time,
-    check_gradients,
     clip,
     concat,
     concat_channels,
@@ -49,11 +48,11 @@ from .metrics import (
     GapResult,
     PredictionSet,
     gap_at_k,
-    gap_oracle,
     read_prediction_file,
     topk_predictions,
     write_prediction_file,
 )
+from .gradcheck import check_gradients
 from .models import (
     ModelOutput,
     ModelSpec,

@@ -53,7 +53,6 @@ __all__ = [
     "softmax_masked",
     "masked_mean_time",
     "numerical_gradient",
-    "check_gradients",
     "relative_error",
 ]
 
@@ -811,38 +810,3 @@ def numerical_gradient(f, tensor: Tensor, step: float = 1e-5, indices=None) -> n
 
 def relative_error(analytic: float, numeric: float, floor: float = 1e-5) -> float:
     return abs(analytic - numeric) / max(abs(analytic), abs(numeric), floor)
-
-
-def check_gradients(
-    f,
-    named_params,
-    step: float = 1e-4,
-    samples_per_block: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> dict:
-    """Compare analytic and numeric gradients for each parameter block.
-
-    ``f`` rebuilds the forward pass and returns the scalar loss tensor.
-    Returns ``{name: worst relative error}`` over the sampled coordinates
-    of each block (all coordinates when ``samples_per_block`` is None).
-    """
-    named_params = list(named_params)
-    for _, p in named_params:
-        p.zero_grad()
-    loss = f()
-    backward(loss)
-    analytic = {name: (p.grad.copy() if p.grad is not None else np.zeros(p.data.shape))
-                for name, p in named_params}
-    rng = rng or np.random.default_rng(0)
-    worst: dict[str, float] = {}
-    for name, p in named_params:
-        n = p.data.size
-        if samples_per_block is None or samples_per_block >= n:
-            idx = np.arange(n)
-        else:
-            idx = rng.choice(n, size=samples_per_block, replace=False)
-        numeric = numerical_gradient(lambda: f().data, p, step=step, indices=idx)
-        a = analytic[name].reshape(-1)
-        nm = numeric.reshape(-1)
-        worst[name] = max(relative_error(a[i], nm[i]) for i in idx)
-    return worst

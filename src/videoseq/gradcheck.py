@@ -1,4 +1,8 @@
-"""Model-level gradient verification against central finite differences."""
+"""Gradient verification against central finite differences.
+
+One engine serves both entry points: ``check_gradients`` for any loss
+closure over named tensors, and ``grad_check`` for a whole model.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, TimeMask, backward, numerical_gradient, relative_error
-from .models import ModelSpec, build_model
+from .models import DEEP_STACK_KINDS, ModelSpec, build_model
 from .training import bce_loss
 
 FD_STEP = 1e-4
@@ -42,9 +46,64 @@ class GradCheckReport:
             yield f"{b.name}\t{b.worst_error:.3e}\t{'ok' if b.passed else 'FAIL'}"
 
 
+def _worst_errors(f, named_params, step, samples_per_block, rng, tolerance=0.0, refine_steps=()):
+    """``{name: worst relative error}`` of analytic against numeric gradients.
+
+    ``f`` rebuilds the forward pass and returns the scalar loss tensor. Each
+    block is differenced at ``samples_per_block`` coordinates drawn from
+    ``rng`` (all of them when None or not fewer than the block size). A
+    coordinate whose error is not below ``tolerance`` is retried at each
+    step of ``refine_steps`` in turn and keeps its smallest error.
+    """
+    named_params = list(named_params)
+    for _, p in named_params:
+        p.zero_grad()
+    backward(f())
+    analytic = {
+        name: (p.grad.copy() if p.grad is not None else np.zeros(p.data.shape))
+        for name, p in named_params
+    }
+    worst = {}
+    for name, p in named_params:
+        n = p.data.size
+        if samples_per_block is None or samples_per_block >= n:
+            idx = np.arange(n)
+        else:
+            idx = rng.choice(n, size=samples_per_block, replace=False)
+        a = analytic[name].reshape(-1)
+        numeric = numerical_gradient(lambda: f().data, p, step=step, indices=idx).reshape(-1)
+        errors = []
+        for i in idx:
+            err = relative_error(a[i], numeric[i])
+            for fine in refine_steps:
+                if err < tolerance:
+                    break
+                refined = numerical_gradient(lambda: f().data, p, step=fine, indices=[i])
+                err = min(err, relative_error(a[i], refined.reshape(-1)[i]))
+            errors.append(err)
+        worst[name] = max(errors)
+    return worst
+
+
+def check_gradients(
+    f,
+    named_params,
+    step: float = 1e-4,
+    samples_per_block: int | None = None,
+    rng: np.random.Generator | None = None,
+) -> dict:
+    """Compare analytic and numeric gradients for each parameter block.
+
+    ``f`` rebuilds the forward pass and returns the scalar loss tensor.
+    Returns ``{name: worst relative error}`` over the sampled coordinates
+    of each block (all coordinates when ``samples_per_block`` is None).
+    """
+    return _worst_errors(f, named_params, step, samples_per_block, rng or np.random.default_rng(0))
+
+
 def toy_spec(kind: str, seed: int = 0) -> ModelSpec:
     """A spec small enough for finite differencing in seconds."""
-    depth = 3 if kind in ("ff_lstm", "ff_gru", "stacked_lstm") else 1
+    depth = 3 if kind in DEEP_STACK_KINDS else 1
     return ModelSpec(
         kind=kind,
         vocab_size=5,
@@ -91,32 +150,8 @@ def grad_check(
         out = model.forward(visual, audio, mask, train=True)
         return bce_loss(out.probabilities, targets)
 
-    model.zero_grad()
-    backward(loss_fn())
-    analytic = {
-        name: (p.grad.copy() if p.grad is not None else np.zeros(p.data.shape))
-        for name, p in model.named_parameters()
-    }
-    blocks = []
-    for name, p in model.named_parameters():
-        n = p.data.size
-        if sample_count >= n:
-            idx = np.arange(n)
-        else:
-            idx = rng.choice(n, size=sample_count, replace=False)
-        numeric = numerical_gradient(lambda: loss_fn().data, p, step=FD_STEP, indices=idx)
-        a = analytic[name].reshape(-1)
-        m = numeric.reshape(-1)
-        errors = {int(i): relative_error(a[i], m[i]) for i in idx}
-        for i, err in errors.items():
-            for step in FD_REFINE_STEPS:
-                if err < tolerance:
-                    break
-                refined = numerical_gradient(
-                    lambda: loss_fn().data, p, step=step, indices=[i]
-                ).reshape(-1)[i]
-                err = min(err, relative_error(a[i], refined))
-            errors[i] = err
-        worst = max(errors.values())
-        blocks.append(BlockReport(name, worst, worst < tolerance))
+    worst = _worst_errors(
+        loss_fn, model.named_parameters(), FD_STEP, sample_count, rng, tolerance, FD_REFINE_STEPS
+    )
+    blocks = [BlockReport(name, err, err < tolerance) for name, err in worst.items()]
     return GradCheckReport(blocks, tolerance)

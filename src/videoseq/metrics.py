@@ -81,26 +81,6 @@ def gap_at_k(preds: PredictionSet, k: int = TOP_K) -> GapResult:
     return GapResult(ap_sum / total_positives, len(pooled), total_positives)
 
 
-def gap_oracle(preds: PredictionSet, k: int = TOP_K) -> GapResult:
-    """Naive reference: recounts hits from scratch at every position.
-
-    Test-only; limited to small instances.
-    """
-    if k < 1:
-        raise ConfigurationError(f"k must be >= 1, got {k}")
-    if len(preds.predictions) > 100:
-        raise PreconditionError("oracle is limited to <= 100 videos")
-    pooled, total_positives = _pooled_pairs(preds, k)
-    if total_positives == 0:
-        return GapResult(0.0, len(pooled), 0)
-    flags = [is_positive for (_, _, _, is_positive) in pooled]
-    ap_sum = 0.0
-    for i, flag in enumerate(flags):
-        if flag:
-            ap_sum += sum(flags[: i + 1]) / (i + 1)
-    return GapResult(ap_sum / total_positives, len(pooled), total_positives)
-
-
 def topk_predictions(probabilities, k: int, video_ids) -> PredictionSet:
     """Top-k classes per video by probability, ties to the lower class index."""
     probs = np.asarray(getattr(probabilities, "data", probabilities), dtype=np.float64)

@@ -1,7 +1,7 @@
 """The classifier architectures, assembled from the autodiff primitives.
 
 Seven trainable kinds plus a naive deep stack used for side-by-side
-comparisons:
+comparisons; every kind trains and predicts through ``forward``:
 
 - ``video_level``: masked mean over frames -> MLP head
 - ``vlad_mlp``: VLAD encoding against a fitted codebook -> MLP head
@@ -12,8 +12,8 @@ comparisons:
   per-step fully-connected fast-forward connection
 - ``temporal_resnet``: residual temporal convolution blocks feeding a
   bidirectional LSTM with attention
-- ``stacked_lstm``: plain deep bidirectional LSTM stack, no fast-forward
-  connections
+- ``stacked_lstm``: ``ff_lstm`` with the fast-forward FC off, so each layer
+  feeds its bidirectional states straight to the next
 
 Every model ends in a per-class sigmoid and masks its raw inputs up front,
 so values stored at padded frame positions can never influence the output.
@@ -43,6 +43,8 @@ MODEL_KINDS = (
     "temporal_resnet",
     "stacked_lstm",
 )
+# the deep bidirectional stacks: the default clip rule and the gradcheck toy depth read this
+DEEP_STACK_KINDS = ("ff_lstm", "ff_gru", "stacked_lstm")
 
 
 @dataclass
@@ -290,12 +292,15 @@ class FastForwardModel(_Model):
     Layer i runs a bidirectional cell pair over the previous fast-forward
     embedding f_{i-1} (f_0 is the raw feature sequence), then embeds
     [f_{i-1}; h_i] back to the fast-forward width with one per-step FC and
-    a ReLU. The classifier head attends over the last embedding.
+    a ReLU. The classifier head attends over the last embedding. With
+    ``fast_forward`` off the FC is absent and f_i is h_i itself.
     """
+
+    fast_forward = True
 
     def __init__(self, spec: ModelSpec):
         super().__init__(spec)
-        cell = "lstm" if spec.kind == "ff_lstm" else "gru"
+        cell = "gru" if spec.kind == "ff_gru" else "lstm"
         rng = np.random.default_rng(spec.seed)
         h = spec.hidden_size
         self.ff_width = 2 * h
@@ -304,11 +309,13 @@ class FastForwardModel(_Model):
         for i in range(spec.depth):
             fwd = RecurrentCellParams.create(cell, in_dim, h, rng)
             bwd = RecurrentCellParams.create(cell, in_dim, h, rng)
-            ff_k, ff_b = _conv_params(self.ff_width, in_dim + 2 * h, 1, rng)
-            self.layers.append((fwd, bwd, ff_k, ff_b))
             self._register(fwd.parameters(f"layer{i}.fwd"))
             self._register(bwd.parameters(f"layer{i}.bwd"))
-            self._register([(f"layer{i}.ff_weight", ff_k), (f"layer{i}.ff_bias", ff_b)])
+            ff_k = ff_b = None
+            if self.fast_forward:
+                ff_k, ff_b = _conv_params(self.ff_width, in_dim + 2 * h, 1, rng)
+                self._register([(f"layer{i}.ff_weight", ff_k), (f"layer{i}.ff_bias", ff_b)])
+            self.layers.append((fwd, bwd, ff_k, ff_b))
             in_dim = self.ff_width
         self.attn = AttentionParams.create(self.ff_width, h, rng)
         self._register(self.attn.parameters("attn"))
@@ -320,39 +327,18 @@ class FastForwardModel(_Model):
         f = _masked_features(visual, audio, mask)
         for fwd, bwd, ff_k, ff_b in self.layers:
             states = run_bidirectional(fwd, bwd, f, mask)
-            f = ad.relu(ad.conv1d_same(ad.concat_channels([f, states]), ff_k, ff_b))
+            if ff_k is None:
+                f = states
+            else:
+                f = ad.relu(ad.conv1d_same(ad.concat_channels([f, states]), ff_k, ff_b))
         pooled = attention_pool(self.attn, f, mask)
         return mlp_classify(self.head, pooled)
 
 
-class StackedModel(_Model):
-    """Plain deep bidirectional LSTM stack (no fast-forward connections)."""
+class StackedModel(FastForwardModel):
+    """The naive deep stack: the fast-forward LSTM with its FC off."""
 
-    def __init__(self, spec: ModelSpec):
-        super().__init__(spec)
-        rng = np.random.default_rng(spec.seed)
-        h = spec.hidden_size
-        self.layers = []
-        in_dim = spec.feature_dim
-        for i in range(spec.depth):
-            fwd = RecurrentCellParams.create("lstm", in_dim, h, rng)
-            bwd = RecurrentCellParams.create("lstm", in_dim, h, rng)
-            self.layers.append((fwd, bwd))
-            self._register(fwd.parameters(f"layer{i}.fwd"))
-            self._register(bwd.parameters(f"layer{i}.bwd"))
-            in_dim = 2 * h
-        self.attn = AttentionParams.create(2 * h, h, rng)
-        self._register(self.attn.parameters("attn"))
-        self.head = MlpHead(2 * h, spec.fc_sizes, rng)
-        self._register(self.head.parameters("head"))
-
-    def forward(self, visual, audio, mask, train=False):
-        self._check_inputs(visual, audio, mask)
-        x = _masked_features(visual, audio, mask)
-        for fwd, bwd in self.layers:
-            x = run_bidirectional(fwd, bwd, x, mask)
-        pooled = attention_pool(self.attn, x, mask)
-        return mlp_classify(self.head, pooled)
+    fast_forward = False
 
 
 class TemporalResnetModel(_Model):

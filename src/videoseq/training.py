@@ -29,12 +29,11 @@ from .metrics import (
     topk_predictions,
     write_prediction_file,
 )
-from .models import ModelSpec, build_model, load_checkpoint, mlp_classify, save_checkpoint
+from .models import DEEP_STACK_KINDS, ModelSpec, build_model, load_checkpoint, save_checkpoint
 from .vlad import kmeans_fit
 
 CODEBOOK_SAMPLE_CAP = 100_000
 DEEP_STACK_CLIP_NORM = 5.0
-_RECURRENT_STACK_KINDS = ("ff_lstm", "ff_gru", "stacked_lstm")
 
 
 @dataclass
@@ -64,7 +63,7 @@ class TrainConfig:
     def resolved_clip_norm(self) -> float | None:
         """Deep recurrent stacks get a default global-norm clip of 5.0."""
         if self.clip_norm is None:
-            if self.model.kind in _RECURRENT_STACK_KINDS and self.model.depth >= 4:
+            if self.model.kind in DEEP_STACK_KINDS and self.model.depth >= 4:
                 return DEEP_STACK_CLIP_NORM
             return None
         return self.clip_norm if self.clip_norm > 0 else None
@@ -200,6 +199,12 @@ class TrainResult:
     checkpoint_path: str
 
 
+def _batch_loss(model, batch, header) -> Tensor:
+    """Train-mode loss of one batch; the padded inputs live only as long as the tape needs them."""
+    visual, audio, mask, targets = pad_batch(batch, header)
+    return bce_loss(model.forward(visual, audio, mask, train=True).probabilities, targets)
+
+
 def train(config: TrainConfig) -> TrainResult:
     """Seeded epochs over shuffled batches; keeps the best-GAP checkpoint.
 
@@ -215,15 +220,8 @@ def train(config: TrainConfig) -> TrainResult:
         val_header, val_records = header, records
 
     model = build_model(config.model)
-    vlad_encodings = None
     if config.model.kind == "vlad_mlp":
         model.set_codebook(fit_vlad_codebook(records, config.model, config.seed))
-        rows = []
-        for start in range(0, len(records), config.batch_size):
-            batch = records[start : start + config.batch_size]
-            visual, audio, mask, _ = pad_batch(batch, header)
-            rows.append(model.encode_batch(visual, audio, mask))
-        vlad_encodings = np.concatenate(rows, axis=0)
 
     optimizer = Adam(
         model.named_parameters(),
@@ -235,9 +233,6 @@ def train(config: TrainConfig) -> TrainResult:
     )
     rng = np.random.default_rng(config.seed)
     n = len(records)
-    all_targets = np.zeros((n, header.vocab_size))
-    for i, r in enumerate(records):
-        all_targets[i, r.labels] = 1.0
 
     log_lines, epoch_losses, val_gaps, grad_norms = [], [], [], []
     best_gap, best_epoch = -1.0, -1
@@ -246,14 +241,7 @@ def train(config: TrainConfig) -> TrainResult:
         total_loss, total_items = 0.0, 0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            targets = all_targets[idx]
-            if vlad_encodings is not None:
-                out = mlp_classify(model.head, Tensor(vlad_encodings[idx]))
-            else:
-                batch = [records[i] for i in idx]
-                visual, audio, mask, _ = pad_batch(batch, header)
-                out = model.forward(visual, audio, mask, train=True)
-            loss = bce_loss(out.probabilities, targets)
+            loss = _batch_loss(model, [records[i] for i in idx], header)
             optimizer.zero_grad()
             ad.backward(loss)
             grad_norms.append(optimizer.step())

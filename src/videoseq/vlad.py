@@ -130,7 +130,8 @@ def vlad_encode(codebook: Codebook, frames: np.ndarray) -> VladEncoding:
         raise PreconditionError("need at least one frame to encode")
     assignments = _squared_distances(frames, codebook.centers).argmin(axis=1)
     residuals = np.zeros_like(codebook.centers)
-    np.add.at(residuals, assignments, frames - codebook.centers[assignments])
+    for c in np.unique(assignments):
+        residuals[c] = (frames[assignments == c] - codebook.centers[c]).sum(axis=0)
     flat = residuals.reshape(-1)
     flat = np.sign(flat) * np.sqrt(np.abs(flat))
     norm = np.linalg.norm(flat)

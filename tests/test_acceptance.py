@@ -31,12 +31,13 @@ from videoseq.gradcheck import grad_check, toy_spec
 from videoseq.metrics import (
     PredictionSet,
     gap_at_k,
-    gap_oracle,
     read_prediction_file,
     write_prediction_file,
 )
 from videoseq.training import TrainConfig, ensemble_average, train
 from videoseq.vlad import load_codebook, save_codebook
+
+from oracles import gap_oracle
 
 SEVEN_KINDS = (
     "video_level",

@@ -7,11 +7,12 @@ from videoseq import (
     ConfigurationError,
     PredictionSet,
     gap_at_k,
-    gap_oracle,
     read_prediction_file,
     topk_predictions,
     write_prediction_file,
 )
+
+from oracles import gap_oracle
 
 
 def random_instance(rng, max_videos=5, max_classes=10):

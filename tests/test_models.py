@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,21 @@ class TestFastForward:
             if block.name.startswith("layer"):
                 per_layer.setdefault(block.name.split(".")[0], []).append(block)
         assert set(per_layer) == {"layer0", "layer1", "layer2"}
+
+
+class TestStackedLstm:
+    def test_is_ff_lstm_without_fast_forward_fc(self):
+        stacked = build_model(tiny_spec("stacked_lstm", depth=3))
+        ff = build_model(tiny_spec("ff_lstm", depth=3))
+        ff_params = dict(ff.named_parameters())
+        stacked_params = dict(stacked.named_parameters())
+        assert list(stacked_params) == [
+            name for name in ff_params if not re.match(r"layer\d+\.ff_", name)
+        ]
+        for name, tensor in stacked_params.items():
+            assert tensor.shape == ff_params[name].shape
+            if name.startswith("layer0."):
+                assert np.array_equal(tensor.data, ff_params[name].data)
 
 
 class TestTemporalResnet:

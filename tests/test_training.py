@@ -12,7 +12,7 @@ from videoseq import (
     check_gradients,
     generate_synthetic,
 )
-from videoseq.metrics import PredictionSet, gap_oracle, read_prediction_file, write_prediction_file
+from videoseq.metrics import PredictionSet, read_prediction_file, write_prediction_file
 from videoseq.training import (
     Adam,
     TrainConfig,
@@ -22,6 +22,8 @@ from videoseq.training import (
     predict,
     train,
 )
+
+from oracles import gap_oracle
 
 
 def spec_for(kind, vocab=6, **overrides):

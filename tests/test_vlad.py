@@ -13,6 +13,8 @@ from videoseq import (
     vlad_encode,
 )
 
+from oracles import vlad_encode_oracle
+
 
 class TestKmeansFit:
     def test_one_point_per_cluster(self):
@@ -125,6 +127,33 @@ class TestVladEncode:
         base = vlad_encode(Codebook(centers), frames).vector
         scaled = vlad_encode(Codebook(centers * scale), frames * scale).vector
         assert np.allclose(base, scaled, atol=1e-9)
+
+
+class TestVladMatchesAddAtOracle:
+    def check(self, centers, frames):
+        cb = Codebook(centers)
+        got = vlad_encode(cb, frames).vector
+        want = vlad_encode_oracle(cb, frames)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_empty_clusters(self):
+        rng = np.random.default_rng(30)
+        centers = rng.normal(size=(8, 5))
+        # every frame sits next to center 2 or 5; the other six stay empty
+        frames = centers[rng.choice([2, 5], size=12)] + rng.normal(size=(12, 5)) * 0.01
+        self.check(centers, frames)
+
+    def test_one_frame(self):
+        rng = np.random.default_rng(31)
+        self.check(rng.normal(size=(4, 6)), rng.normal(size=(1, 6)))
+
+    def test_300_frames_at_paper_width(self):
+        rng = np.random.default_rng(32)
+        self.check(rng.normal(size=(32, 1152)), rng.normal(size=(300, 1152)))
+
+    def test_256_clusters(self):
+        rng = np.random.default_rng(33)
+        self.check(rng.normal(size=(256, 24)), rng.normal(size=(300, 24)))
 
 
 class TestCodebookFile:
