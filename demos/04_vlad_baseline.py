@@ -56,16 +56,17 @@ print("odd symmetry    :", bool(np.allclose(
 # During training the harness fits the codebook on the training frames,
 # encodes every video once, and trains only the MLP head on the encodings.
 
-work = Path(tempfile.mkdtemp(prefix="videoseq_vlad_"))
-data = work / "data.bin"
-generate_synthetic(str(data), vocab_size=6, video_count=48, seed=9,
-                   noise_sigma=0.25, visual_dim=16, audio_dim=6, max_frames=30)
+with tempfile.TemporaryDirectory(prefix="videoseq_vlad_") as tmp:
+    work = Path(tmp)
+    data = work / "data.bin"
+    generate_synthetic(str(data), vocab_size=6, video_count=48, seed=9,
+                       noise_sigma=0.25, visual_dim=16, audio_dim=6, max_frames=30)
 
-spec = ModelSpec(kind="vlad_mlp", vocab_size=6, visual_dim=16, audio_dim=6,
-                 vlad_clusters=8, fc_sizes=(24, 6), seed=4)
-result = train(TrainConfig(
-    model=spec, learning_rate=1e-2, batch_size=16, epochs=20, seed=5,
-    train_data=str(data), checkpoint_path=str(work / "vlad.ckpt"),
-))
-print(f"\nvlad_mlp: loss {result.epoch_losses[0]:.3f} -> "
-      f"{result.epoch_losses[-1]:.3f}, best GAP@20 {result.best_gap:.4f}")
+    spec = ModelSpec(kind="vlad_mlp", vocab_size=6, visual_dim=16, audio_dim=6,
+                     vlad_clusters=8, fc_sizes=(24, 6), seed=4)
+    result = train(TrainConfig(
+        model=spec, learning_rate=1e-2, batch_size=16, epochs=20, seed=5,
+        train_data=str(data), checkpoint_path=str(work / "vlad.ckpt"),
+    ))
+    print(f"\nvlad_mlp: loss {result.epoch_losses[0]:.3f} -> "
+          f"{result.epoch_losses[-1]:.3f}, best GAP@20 {result.best_gap:.4f}")

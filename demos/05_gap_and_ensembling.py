@@ -43,31 +43,32 @@ print("tied-score gap:", f"{gap_at_k(tied).gap:.6f}", "(reproducible)")
 # Model A is confident and right on v1 but wrong on v2; model B is the
 # mirror image. Their per-class mean ranks both videos correctly.
 
-work = Path(tempfile.mkdtemp(prefix="videoseq_ens_"))
 labels = {"v1": frozenset({0}), "v2": frozenset({1})}
-
-rows_a = [("v1", [(0, 0.9), (1, 0.1)]), ("v2", [(0, 0.6), (1, 0.4)])]
-rows_b = [("v1", [(1, 0.6), (0, 0.4)]), ("v2", [(1, 0.9), (0, 0.1)])]
-file_a, file_b = work / "a.txt", work / "b.txt"
-write_prediction_file(str(file_a), rows_a)
-write_prediction_file(str(file_b), rows_b)
-
-merged_path = work / "mean.txt"
-ensemble_average([str(file_a), str(file_b)], str(merged_path))
-merged = read_prediction_file(str(merged_path))
 
 
 def gap_of(rows):
     return gap_at_k(PredictionSet(rows, labels), k=2).gap
 
 
-print(f"\nmodel A gap: {gap_of(rows_a):.4f}")
-print(f"model B gap: {gap_of(rows_b):.4f}")
-print(f"ensemble gap: {gap_of(merged):.4f}")
+with tempfile.TemporaryDirectory(prefix="videoseq_ens_") as tmp:
+    work = Path(tmp)
+    rows_a = [("v1", [(0, 0.9), (1, 0.1)]), ("v2", [(0, 0.6), (1, 0.4)])]
+    rows_b = [("v1", [(1, 0.6), (0, 0.4)]), ("v2", [(1, 0.9), (0, 0.1)])]
+    file_a, file_b = work / "a.txt", work / "b.txt"
+    write_prediction_file(str(file_a), rows_a)
+    write_prediction_file(str(file_b), rows_b)
 
-# Weighted averaging normalizes by the weight sum, so weights (1, 0)
-# reproduce the first file byte for byte.
-first_only = work / "first.txt"
-ensemble_average([str(file_a), str(file_b)], str(first_only), weights=[1.0, 0.0])
-print("weights (1,0) reproduce file A exactly:",
-      file_a.read_bytes() == first_only.read_bytes())
+    merged_path = work / "mean.txt"
+    ensemble_average([str(file_a), str(file_b)], str(merged_path))
+    merged = read_prediction_file(str(merged_path))
+
+    print(f"\nmodel A gap: {gap_of(rows_a):.4f}")
+    print(f"model B gap: {gap_of(rows_b):.4f}")
+    print(f"ensemble gap: {gap_of(merged):.4f}")
+
+    # Weighted averaging normalizes by the weight sum, so weights (1, 0)
+    # reproduce the first file byte for byte.
+    first_only = work / "first.txt"
+    ensemble_average([str(file_a), str(file_b)], str(first_only), weights=[1.0, 0.0])
+    print("weights (1,0) reproduce file A exactly:",
+          file_a.read_bytes() == first_only.read_bytes())

@@ -5,30 +5,24 @@ u32, visual_dim u32, audio_dim u32, max_frames u32, video_count u64; then
 per video: id_len u16, id bytes (UTF-8), num_frames u16, num_labels u16,
 labels u32 each (strictly increasing), features f32 per frame with the
 visual block before the audio block. Features are stored as 32-bit floats
-and promoted to 64-bit when batched for compute.
+and promoted to 64-bit when batched for compute. The framing (magic,
+version, strings, bounded reads, atomic writes) lives in ``container``.
 """
 
 from __future__ import annotations
 
-import os
 import struct
-import tempfile
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
+from . import container
 from .autodiff import Tensor, TimeMask
-from .errors import (
-    ConfigurationError,
-    CorruptionError,
-    FormatError,
-    PreconditionError,
-    ValidationError,
-)
+from .errors import ConfigurationError, PreconditionError, ValidationError
 
 MAGIC = b"FLVR"
 VERSION = 1
-_HEADER_STRUCT = struct.Struct("<4sIIIIIQ")
+_HEADER_STRUCT = struct.Struct("<IIIIQ")  # the DatasetHeader fields before version, in order
 
 
 @dataclass
@@ -82,7 +76,7 @@ def _validate_record(record: VideoRecord, header: DatasetHeader) -> None:
 
 
 def write_records(path: str, header: DatasetHeader, records) -> int:
-    """Write a record file atomically (temp file + rename); returns byte count.
+    """Write a record file atomically; returns byte count.
 
     Every record is validated against the header before any byte is written.
     """
@@ -93,45 +87,17 @@ def write_records(path: str, header: DatasetHeader, records) -> int:
         )
     for record in records:
         _validate_record(record, header)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp_records_")
-    written = 0
-    try:
-        with os.fdopen(fd, "wb") as f:
-            written += f.write(
-                _HEADER_STRUCT.pack(
-                    MAGIC,
-                    header.version,
-                    header.vocab_size,
-                    header.visual_dim,
-                    header.audio_dim,
-                    header.max_frames,
-                    len(records),
-                )
-            )
-            for record in records:
-                encoded = record.id.encode("utf-8")
-                written += f.write(struct.pack("<H", len(encoded)))
-                written += f.write(encoded)
-                written += f.write(struct.pack("<HH", record.frames.shape[0], len(record.labels)))
-                if record.labels:
-                    written += f.write(struct.pack(f"<{len(record.labels)}I", *record.labels))
-                written += f.write(record.frames.astype("<f4", copy=False).tobytes())
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+    with container.atomic_write(path) as f:
+        f.write(container.header(MAGIC, header.version))
+        f.write(_HEADER_STRUCT.pack(*astuple(header)[:5]))
+        for record in records:
+            f.write(container.string(record.id))
+            f.write(struct.pack("<HH", record.frames.shape[0], len(record.labels)))
+            if record.labels:
+                f.write(struct.pack(f"<{len(record.labels)}I", *record.labels))
+            f.write(record.frames.astype("<f4", copy=False).tobytes())
+        written = f.tell()
     return written
-
-
-def _read_exact(f, n: int, what: str):
-    data = f.read(n)
-    if len(data) != n:
-        raise CorruptionError(
-            f"file truncated at byte {f.tell() - len(data)} while reading {what}"
-        )
-    return data
 
 
 def read_records(path: str):
@@ -141,59 +107,26 @@ def read_records(path: str):
     with per-record bound checks. Truncation raises a corruption error
     naming the byte offset; records already yielded stay valid.
     """
-    f = open(path, "rb")
+    reader = container.Reader(path, MAGIC, VERSION, "record")
     try:
-        raw = f.read(_HEADER_STRUCT.size)
-        if len(raw) < 4 or raw[:4] != MAGIC:
-            raise FormatError(f"{path}: not a record file (bad magic)")
-        if len(raw) != _HEADER_STRUCT.size:
-            raise CorruptionError(f"file truncated at byte {len(raw)} while reading header")
-        _, version, vocab, visual, audio, max_frames, count = _HEADER_STRUCT.unpack(raw)
-        if version != VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        header = DatasetHeader(
-            vocab_size=vocab,
-            visual_dim=visual,
-            audio_dim=audio,
-            max_frames=max_frames,
-            video_count=count,
-            version=version,
-        )
+        header = DatasetHeader(*reader.unpack(_HEADER_STRUCT.format, "header"))
     except BaseException:
-        f.close()
+        reader.close()
         raise
 
     def stream():
         try:
-            for _ in range(count):
-                (id_len,) = struct.unpack("<H", _read_exact(f, 2, "video id length"))
-                video_id = _read_exact(f, id_len, "video id").decode("utf-8")
-                num_frames, num_labels = struct.unpack(
-                    "<HH", _read_exact(f, 4, "frame/label counts")
-                )
-                labels = list(
-                    struct.unpack(
-                        f"<{num_labels}I", _read_exact(f, 4 * num_labels, "labels")
-                    )
-                )
-                feat_bytes = _read_exact(
-                    f, 4 * num_frames * header.feature_dim, "features"
-                )
-                frames = (
-                    np.frombuffer(feat_bytes, dtype="<f4")
-                    .reshape(num_frames, header.feature_dim)
-                    .copy()
-                )
+            for _ in range(header.video_count):
+                video_id = reader.string("video id")
+                num_frames, num_labels = reader.unpack("<HH", "frame/label counts")
+                labels = list(reader.unpack(f"<{num_labels}I", "labels"))
+                frames = reader.array((num_frames, header.feature_dim), "<f4", "features")
                 record = VideoRecord(video_id, frames, labels)
                 _validate_record(record, header)
                 yield record
-            trailing = f.read(1)
-            if trailing:
-                raise CorruptionError(
-                    f"file has trailing data at byte {f.tell() - 1}"
-                )
+            reader.finish()
         finally:
-            f.close()
+            reader.close()
 
     return header, stream()
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .container import atomic_write
 from .errors import ConfigurationError, FormatError, PreconditionError
 
 TOP_K = 20
@@ -108,8 +109,8 @@ def topk_predictions(probabilities, k: int, video_ids) -> PredictionSet:
 
 
 def write_prediction_file(path: str, predictions) -> None:
-    """Scores are serialized with 6 decimal digits."""
-    with open(path, "w", encoding="utf-8") as f:
+    """Scores are serialized with 6 decimal digits; the file is written atomically."""
+    with atomic_write(path, "w") as f:
         for video_id, items in predictions:
             pairs = " ".join(f"{cls}:{score:.6f}" for cls, score in items)
             f.write(f"{video_id} {pairs}\n" if pairs else f"{video_id}\n")
@@ -117,8 +118,12 @@ def write_prediction_file(path: str, predictions) -> None:
 
 def read_prediction_file(path: str):
     predictions = []
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for line_no, line in enumerate(f, start=1):
+            try:
+                line.encode("utf-8")  # undecodable bytes became lone surrogates
+            except UnicodeEncodeError:
+                raise FormatError(f"{path}:{line_no}: line is not UTF-8") from None
             line = line.strip()
             if not line:
                 continue

@@ -17,7 +17,10 @@ comparisons; every kind trains and predicts through ``forward``:
 
 Every model ends in a per-class sigmoid and masks its raw inputs up front,
 so values stored at padded frame positions can never influence the output.
-All parameters are drawn deterministically from the spec seed.
+All parameters are drawn deterministically from the spec seed. Checkpoints
+(``FLCK``) are read and written at the end of this module; their framing
+(magic, version, strings, bounded reads, atomic writes) lives in
+``container``.
 """
 
 from __future__ import annotations
@@ -28,8 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import container
 from .autodiff import BatchNormState, Tensor, TimeMask
-from .errors import ConfigurationError, CorruptionError, DimensionError, FormatError
+from .errors import ConfigurationError, DimensionError, FormatError
 from .recurrent import AttentionParams, RecurrentCellParams, attention_pool, run_bidirectional
 from .vlad import Codebook, vlad_encode
 
@@ -160,8 +164,7 @@ class _Model:
         return []
 
     def _load_extra_state(self, arrays: dict):
-        if arrays:
-            raise FormatError(f"unexpected state arrays in checkpoint: {sorted(arrays)}")
+        """Restore ``_extra_state`` from arrays already checked against its names and shapes."""
 
     def _check_inputs(self, visual: Tensor, audio: Tensor, mask: TimeMask):
         spec = self.spec
@@ -252,7 +255,6 @@ class VladMlpModel(_Model):
 
     def _load_extra_state(self, arrays):
         self.codebook = Codebook(arrays.pop("codebook.centers"))
-        super()._load_extra_state(arrays)
 
 
 class TwoStreamModel(_Model):
@@ -415,7 +417,6 @@ class TemporalResnetModel(_Model):
             state.running_mean = arrays.pop(f"{name}.running_mean")
             state.running_var = arrays.pop(f"{name}.running_var")
             state.initialized = bool(arrays.pop(f"{name}.initialized")[0])
-        super()._load_extra_state(arrays)
 
 
 _BUILDERS = {
@@ -440,56 +441,26 @@ def build_model(spec: ModelSpec) -> _Model:
 
 _CKPT_MAGIC = b"FLCK"
 _CKPT_VERSION = 1
+# the spec record after the kind string: struct format per field, in file order
+_SPEC_FIELDS = dict(vocab_size="<I", visual_dim="<I", audio_dim="<I", hidden_size="<I",
+                    depth="<I", trb_count="<I", trb_filters="<I", fc_sizes="<2I",
+                    vlad_clusters="<I", seed="<q")
 
 
 def _spec_to_bytes(spec: ModelSpec) -> bytes:
-    kind = spec.kind.encode("utf-8")
-    parts = [struct.pack("<H", len(kind)), kind]
-    parts.append(
-        struct.pack(
-            "<10Iq",
-            spec.vocab_size,
-            spec.visual_dim,
-            spec.audio_dim,
-            spec.hidden_size,
-            spec.depth,
-            spec.trb_count,
-            spec.trb_filters,
-            spec.fc_sizes[0],
-            spec.fc_sizes[1],
-            spec.vlad_clusters,
-            spec.seed,
-        )
-    )
+    parts = [container.string(spec.kind)]
+    for name, fmt in _SPEC_FIELDS.items():
+        value = getattr(spec, name)
+        parts.append(struct.pack(fmt, *(value if isinstance(value, tuple) else (value,))))
     return b"".join(parts)
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise CorruptionError(
-            f"checkpoint truncated at byte {f.tell() - len(data)} while reading {what}"
-        )
-    return data
-
-
-def _spec_from_stream(f) -> ModelSpec:
-    (kind_len,) = struct.unpack("<H", _read_exact(f, 2, "spec kind length"))
-    kind = _read_exact(f, kind_len, "spec kind").decode("utf-8")
-    vals = struct.unpack("<10Iq", _read_exact(f, 48, "spec fields"))
-    return ModelSpec(
-        kind=kind,
-        vocab_size=vals[0],
-        visual_dim=vals[1],
-        audio_dim=vals[2],
-        hidden_size=vals[3],
-        depth=vals[4],
-        trb_count=vals[5],
-        trb_filters=vals[6],
-        fc_sizes=(vals[7], vals[8]),
-        vlad_clusters=vals[9],
-        seed=vals[10],
-    )
+def _spec_from_reader(reader: container.Reader) -> ModelSpec:
+    fields = {"kind": reader.string("spec kind")}
+    for name, fmt in _SPEC_FIELDS.items():
+        value = reader.unpack(fmt, f"spec field {name}")
+        fields[name] = value if len(value) > 1 else value[0]
+    return ModelSpec(**fields)
 
 
 def _named_arrays(model: _Model):
@@ -502,48 +473,43 @@ def _named_arrays(model: _Model):
 def save_checkpoint(path: str, model: _Model) -> None:
     """Flat binary: spec, then every named array in declaration order."""
     entries = list(_named_arrays(model))
-    with open(path, "wb") as f:
-        f.write(_CKPT_MAGIC)
-        f.write(struct.pack("<I", _CKPT_VERSION))
+    with container.atomic_write(path) as f:
+        f.write(container.header(_CKPT_MAGIC, _CKPT_VERSION))
         f.write(_spec_to_bytes(model.spec))
         f.write(struct.pack("<I", len(entries)))
         for name, arr in entries:
-            encoded = name.encode("utf-8")
-            f.write(struct.pack("<H", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<B", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            f.write(container.string(name))
+            f.write(struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
             f.write(arr.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path: str) -> _Model:
-    with open(path, "rb") as f:
-        if f.read(4) != _CKPT_MAGIC:
-            raise FormatError(f"{path}: not a checkpoint file (bad magic)")
-        (version,) = struct.unpack("<I", _read_exact(f, 4, "version"))
-        if version != _CKPT_VERSION:
-            raise FormatError(f"{path}: unsupported checkpoint version {version}")
-        spec = _spec_from_stream(f)
-        model = build_model(spec)
-        (count,) = struct.unpack("<I", _read_exact(f, 4, "tensor count"))
+    """Read the whole tensor table, bounded by the file size, before building the model."""
+    with container.Reader(path, _CKPT_MAGIC, _CKPT_VERSION, "checkpoint") as reader:
+        spec = _spec_from_reader(reader)
+        (count,) = reader.unpack("<I", "tensor count")
         arrays = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", _read_exact(f, 2, "tensor name length"))
-            name = _read_exact(f, name_len, "tensor name").decode("utf-8")
-            (ndim,) = struct.unpack("<B", _read_exact(f, 1, "tensor rank"))
-            shape = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, "tensor shape"))
-            n = int(np.prod(shape)) if ndim else 1
-            raw = _read_exact(f, 8 * n, f"tensor {name!r} data")
-            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    for name, tensor in model.named_parameters():
+            name = reader.string("tensor name")
+            (ndim,) = reader.unpack("<B", f"tensor {name!r} rank")
+            shape = reader.unpack(f"<{ndim}I", f"tensor {name!r} shape")
+            arrays[name] = reader.tensor(shape, f"tensor {name!r}")
+        reader.finish()
+    model = build_model(spec)
+    expected = dict(_named_arrays(model))
+    for name, arr in expected.items():
         if name not in arrays:
             raise FormatError(f"{path}: checkpoint is missing parameter {name!r}")
-        stored = arrays.pop(name)
-        if stored.shape != tensor.data.shape:
+        if arrays[name].shape != arr.shape:
             raise FormatError(
-                f"{path}: parameter {name!r} has shape {stored.shape}, expected "
-                f"{tensor.data.shape}"
+                f"{path}: parameter {name!r} has shape {arrays[name].shape}, expected "
+                f"{arr.shape}"
             )
-        tensor.data = stored
+    if len(arrays) != len(expected):
+        raise FormatError(
+            f"{path}: unexpected state arrays in checkpoint: {sorted(set(arrays) - set(expected))}"
+        )
+    for name, tensor in model.named_parameters():
+        tensor.data = arrays.pop(name)
     model._load_extra_state(arrays)
     return model

@@ -7,12 +7,14 @@ identical runs produce byte-identical prediction files and metric logs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
+from .container import atomic_write
 from .dataio import DatasetHeader, load_records, pad_batch
 from .errors import (
     ConfigurationError,
@@ -257,7 +259,7 @@ def train(config: TrainConfig) -> TrainResult:
             if config.checkpoint_path:
                 save_checkpoint(config.checkpoint_path, model)
     if config.log_path:
-        with open(config.log_path, "w", encoding="utf-8") as f:
+        with atomic_write(config.log_path, "w") as f:
             f.write("\n".join(log_lines) + "\n")
     return TrainResult(
         log_lines,
@@ -293,13 +295,27 @@ def predict(
 
 
 def evaluate(prediction_path: str, data_path: str, k: int = 20) -> GapResult:
-    """Join a prediction file with a record file's labels and compute GAP."""
+    """Join a prediction file with a record file's labels and compute GAP.
+
+    The file must predict every video of the data exactly once, with class
+    ids in [0, vocab), so that GAP counts every positive of the data.
+    """
     predictions = read_prediction_file(prediction_path)
     header, records = load_records(data_path)
     labels = {r.id: frozenset(r.labels) for r in records}
-    unknown = [vid for vid, _ in predictions if vid not in labels]
-    if unknown:
-        raise InputError(f"predicted videos not present in data: {unknown[:10]}")
+    counts = Counter(vid for vid, _ in predictions)
+    vocab = header.vocab_size
+    problems = {
+        "predicted videos not present in data": [v for v in counts if v not in labels],
+        "videos predicted more than once": [v for v, n in counts.items() if n > 1],
+        "data videos without a prediction": [v for v in labels if v not in counts],
+        f"(video, class) pairs outside [0, {vocab})": [
+            (v, c) for v, items in predictions for c, _ in items if not 0 <= c < vocab
+        ],
+    }
+    for problem, offenders in problems.items():
+        if offenders:
+            raise InputError(f"{prediction_path}: {problem}: {offenders[:10]}")
     return gap_at_k(PredictionSet(predictions, labels), k=k)
 
 

@@ -4,6 +4,9 @@ The encoder hard-assigns each frame to its nearest center (ties go to the
 lowest center index), sums residuals per center, flattens, applies the
 signed square root x -> sign(x)*sqrt(|x|), and L2-normalizes. A residual
 vector with negligible norm encodes to all zeros.
+
+Codebook files (``FLCB``): magic and version, k u32, d u32, then k*d
+row-major f64 centers; their framing lives in ``container``.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, FormatError, PreconditionError
+from . import container
+from .errors import DimensionError, PreconditionError, ValidationError
 
 _CODEBOOK_MAGIC = b"FLCB"
 _CODEBOOK_VERSION = 1
@@ -32,7 +36,7 @@ class Codebook:
         if centers.ndim != 2:
             raise DimensionError(f"centers must be 2-D, got shape {centers.shape}")
         if not np.all(np.isfinite(centers)):
-            raise ValueError("codebook centers must be finite")
+            raise ValidationError("codebook centers must be finite")
         self.centers = centers
 
     @property
@@ -141,24 +145,15 @@ def vlad_encode(codebook: Codebook, frames: np.ndarray) -> VladEncoding:
 
 
 def save_codebook(path: str, codebook: Codebook) -> None:
-    with open(path, "wb") as f:
-        f.write(_CODEBOOK_MAGIC)
-        f.write(struct.pack("<III", _CODEBOOK_VERSION, codebook.k, codebook.d))
+    with container.atomic_write(path) as f:
+        f.write(container.header(_CODEBOOK_MAGIC, _CODEBOOK_VERSION))
+        f.write(struct.pack("<II", codebook.k, codebook.d))
         f.write(codebook.centers.astype("<f8", copy=False).tobytes())
 
 
 def load_codebook(path: str) -> Codebook:
-    with open(path, "rb") as f:
-        if f.read(4) != _CODEBOOK_MAGIC:
-            raise FormatError(f"{path}: not a codebook file (bad magic)")
-        header = f.read(12)
-        if len(header) != 12:
-            raise FormatError(f"{path}: truncated codebook header")
-        version, k, d = struct.unpack("<III", header)
-        if version != _CODEBOOK_VERSION:
-            raise FormatError(f"{path}: unsupported codebook version {version}")
-        data = f.read(8 * k * d)
-        if len(data) != 8 * k * d:
-            raise FormatError(f"{path}: truncated codebook data")
-        centers = np.frombuffer(data, dtype="<f8").reshape(k, d).copy()
+    with container.Reader(path, _CODEBOOK_MAGIC, _CODEBOOK_VERSION, "codebook") as reader:
+        k, d = reader.unpack("<II", "codebook shape")
+        centers = reader.tensor((k, d), "codebook centers")
+        reader.finish()
     return Codebook(centers)

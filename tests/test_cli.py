@@ -87,6 +87,19 @@ def test_error_is_one_line_machine_parsable(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_out_of_memory_keeps_the_one_line_error(tmp_path, capsys, monkeypatch):
+    import videoseq.cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("cannot allocate 894 GiB")
+
+    monkeypatch.setattr(videoseq.cli, "evaluate", exhausted)
+    rc = main(["eval", "--predictions", str(tmp_path / "p.txt"), "--data", str(tmp_path / "d.bin")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: MemoryError: cannot allocate 894 GiB\n"
+
+
 def test_config_parser_rejects_unknown_keys(tmp_path):
     from videoseq import ConfigurationError
 

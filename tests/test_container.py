@@ -1,0 +1,204 @@
+"""The shared container: atomic writes, and readers that reject every damaged file by name."""
+
+import os
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from videoseq import (
+    Codebook,
+    CorruptionError,
+    DatasetHeader,
+    ModelSpec,
+    ValidationError,
+    VideoRecord,
+    VideoseqError,
+    build_model,
+    load_checkpoint,
+    load_codebook,
+    load_records,
+    read_prediction_file,
+    save_checkpoint,
+    save_codebook,
+    write_prediction_file,
+    write_records,
+)
+from videoseq import container
+
+FUZZ = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def tiny_spec(kind):
+    return ModelSpec(kind=kind, vocab_size=5, visual_dim=4, audio_dim=2, hidden_size=3,
+                     trb_count=1, trb_filters=3, fc_sizes=(6, 5), vlad_clusters=2, seed=1)
+
+
+def spec_end(spec):
+    """Byte offset where a checkpoint's tensor table starts: magic, version, kind, spec fields."""
+    return 8 + 2 + len(spec.kind) + 48
+
+
+def mutations(data, start=0):
+    """``data`` cut at any offset, with one byte at or after ``start`` overwritten, or extended."""
+    n = len(data)
+    return st.one_of(
+        st.integers(0, n - 1).map(lambda i: data[:i]),
+        st.tuples(st.integers(start, n - 1), st.integers(0, 255)).map(
+            lambda t: data[: t[0]] + bytes([t[1]]) + data[t[0] + 1 :]
+        ),
+        st.binary(min_size=1, max_size=12).map(lambda extra: data + extra),
+    )
+
+
+def loads_or_names_the_fault(read, path, data):
+    """Only a named library error may escape, never MemoryError, struct.error and the like."""
+    path.write_bytes(data)
+    try:
+        read(path)
+    except VideoseqError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("container")
+    rng = np.random.default_rng(0)
+    header = DatasetHeader(vocab_size=5, visual_dim=3, audio_dim=2, max_frames=4, video_count=3)
+    records = [
+        VideoRecord(f"clip{i}", rng.normal(size=(i + 1, 5)).astype(np.float32), [i, 4])
+        for i in range(3)
+    ]
+    write_records(root / "r.flvr", header, records)
+    save_codebook(root / "c.flcb", Codebook(rng.normal(size=(3, 4))))
+    write_prediction_file(root / "p.txt", [("clip0", [(4, 0.5), (0, 0.25)]), ("clip1", [(1, 0.75)])])
+    for kind in ("video_level", "vlad_mlp", "temporal_resnet"):
+        model = build_model(tiny_spec(kind))
+        save_checkpoint(root / f"{kind}.flck", model)
+    return root
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("writer", ["container", "prediction_file"])
+    def test_failure_midway_keeps_old_file_and_leaves_no_temp(self, writer, tmp_path):
+        path = tmp_path / "out"
+        write_prediction_file(path, [("old", [(0, 0.5)])])
+        before = path.read_bytes()
+
+        def rows():
+            yield "new", [(1, 0.25)]
+            raise RuntimeError("disk full")
+
+        with pytest.raises(RuntimeError, match="disk full"):
+            if writer == "container":
+                with container.atomic_write(path) as f:
+                    f.write(b"partial")
+                    raise RuntimeError("disk full")
+            else:
+                write_prediction_file(path, rows())
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["out"]
+
+    def test_file_gets_the_mode_of_a_plain_open(self, tmp_path):
+        with open(tmp_path / "plain", "wb"):
+            pass
+        with container.atomic_write(tmp_path / "atomic") as f:
+            f.write(b"x")
+        assert os.stat(tmp_path / "atomic").st_mode == os.stat(tmp_path / "plain").st_mode
+
+
+class TestExplicitFaults:
+    @pytest.mark.parametrize("name, read", [
+        ("video_level.flck", load_checkpoint),
+        ("c.flcb", load_codebook),
+    ])
+    def test_trailing_bytes_rejected(self, files, tmp_path, name, read):
+        path = tmp_path / name
+        path.write_bytes((files / name).read_bytes() + b"\0")
+        with pytest.raises(CorruptionError, match=r"1 trailing bytes at byte \d+"):
+            read(path)
+
+    def test_huge_tensor_dim_is_a_corruption_not_a_memory_error(self, files, tmp_path):
+        spec = tiny_spec("video_level")
+        data = bytearray((files / "video_level.flck").read_bytes())
+        # tensor table: count u32, then name_len u16, name, rank u8, dims u32 each
+        first_dim = spec_end(spec) + 4 + 2 + len("head.w1") + 1
+        data[first_dim : first_dim + 4] = struct.pack("<I", 0xFFFFFFFF)
+        path = tmp_path / "huge.flck"
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptionError, match=r"byte \d+: tensor 'head.w1' needs"):
+            load_checkpoint(path)
+
+    def test_truncated_codebook_names_offset(self, files, tmp_path):
+        path = tmp_path / "cut.flcb"
+        path.write_bytes((files / "c.flcb").read_bytes()[:-3])
+        with pytest.raises(CorruptionError, match=r"byte 16: codebook centers"):
+            load_codebook(path)
+
+    def test_huge_codebook_dims_are_a_corruption(self, tmp_path):
+        path = tmp_path / "huge.flcb"
+        path.write_bytes(container.header(b"FLCB", 1) + struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF))
+        with pytest.raises(CorruptionError):
+            load_codebook(path)
+
+    def test_non_finite_checkpoint_tensor_is_named(self, tmp_path):
+        model = build_model(tiny_spec("video_level"))
+        model.head.b1.data[0] = np.nan
+        save_checkpoint(tmp_path / "nan.flck", model)
+        with pytest.raises(ValidationError, match=r"tensor 'head.b1' before byte \d+ is not finite"):
+            load_checkpoint(tmp_path / "nan.flck")
+
+    def test_non_finite_codebook_is_named(self, files, tmp_path):
+        data = bytearray((files / "c.flcb").read_bytes())
+        data[16:24] = struct.pack("<d", np.inf)
+        (tmp_path / "inf.flcb").write_bytes(bytes(data))
+        with pytest.raises(ValidationError, match="codebook centers before byte 112 is not finite"):
+            load_codebook(tmp_path / "inf.flcb")
+
+    def test_codebook_rejects_non_finite_centers_by_name(self):
+        with pytest.raises(ValidationError) as info:
+            Codebook(np.array([[0.0, np.nan]]))
+        assert isinstance(info.value, ValueError)
+
+    def test_missing_extra_state_is_a_format_error(self, files, tmp_path):
+        data = (files / "temporal_resnet.flck").read_bytes()
+        path = tmp_path / "renamed.flck"
+        path.write_bytes(data.replace(b"block0.bn1.running_mean", b"block0.bn1.running_MEAN"))
+        with pytest.raises(VideoseqError, match="running_mean"):
+            load_checkpoint(path)
+
+
+class TestFuzz:
+    """Truncate, overwrite one byte, or extend: each read loads or raises a library error."""
+
+    @FUZZ
+    @given(data=st.data())
+    def test_record_file(self, files, data):
+        original = (files / "r.flvr").read_bytes()
+        damaged = data.draw(mutations(original))
+        loads_or_names_the_fault(load_records, files / "fuzz.flvr", damaged)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_codebook_file(self, files, data):
+        original = (files / "c.flcb").read_bytes()
+        damaged = data.draw(mutations(original))
+        loads_or_names_the_fault(load_codebook, files / "fuzz.flcb", damaged)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_prediction_file(self, files, data):
+        original = (files / "p.txt").read_bytes()
+        damaged = data.draw(mutations(original))
+        loads_or_names_the_fault(read_prediction_file, files / "fuzz.txt", damaged)
+
+    @pytest.mark.parametrize("kind", ["video_level", "vlad_mlp", "temporal_resnet"])
+    @FUZZ
+    @given(data=st.data())
+    def test_checkpoint_tensor_table(self, files, kind, data):
+        # the spec fields stay intact: a corrupted depth or width still sizes build_model
+        original = (files / f"{kind}.flck").read_bytes()
+        damaged = data.draw(mutations(original, start=spec_end(tiny_spec(kind))))
+        loads_or_names_the_fault(load_checkpoint, files / f"fuzz_{kind}.flck", damaged)

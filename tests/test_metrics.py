@@ -176,6 +176,14 @@ class TestPredictionFile:
         with pytest.raises(FormatError):
             read_prediction_file(path)
 
+    def test_non_utf8_line_is_a_format_error_with_line_number(self, tmp_path):
+        from videoseq import FormatError
+
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"v 0:0.5\n\xff\xfe\n")
+        with pytest.raises(FormatError, match=r"bad.txt:2: line is not UTF-8"):
+            read_prediction_file(path)
+
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=60, deadline=None)

@@ -274,6 +274,47 @@ class TestEvaluate:
         with pytest.raises(InputError):
             evaluate(str(path), dataset)
 
+    @pytest.fixture()
+    def four_videos(self, tmp_path):
+        """Videos v0..v3 with the single label i each, vocab 5."""
+        from videoseq import DatasetHeader, VideoRecord, write_records
+
+        header = DatasetHeader(vocab_size=5, visual_dim=2, audio_dim=1, max_frames=3, video_count=4)
+        records = [VideoRecord(f"v{i}", np.zeros((2, 3), np.float32), [i]) for i in range(4)]
+        path = tmp_path / "four.bin"
+        write_records(path, header, records)
+        return str(path)
+
+    # two hits and two misses: GAP 0.5 when every video is predicted once
+    HONEST = [("v0", [(0, 0.9)]), ("v1", [(1, 0.8)]), ("v2", [(4, 0.7)]), ("v3", [(4, 0.6)])]
+
+    def test_honest_file_scores_every_positive(self, four_videos, tmp_path):
+        path = tmp_path / "honest.txt"
+        write_prediction_file(path, self.HONEST)
+        assert evaluate(str(path), four_videos).gap == 0.5
+
+    def test_leaving_videos_out_rejected(self, four_videos, tmp_path):
+        # scored GAP 1.0 when the unpredicted videos' positives were dropped
+        path = tmp_path / "one_of_four.txt"
+        write_prediction_file(path, self.HONEST[:1])
+        with pytest.raises(InputError, match=r"without a prediction: \['v1', 'v2', 'v3'\]"):
+            evaluate(str(path), four_videos)
+
+    def test_repeated_video_line_rejected(self, four_videos, tmp_path):
+        # scored 0.667: each repeated hit counted its positive twice
+        path = tmp_path / "repeated.txt"
+        write_prediction_file(path, self.HONEST + self.HONEST[:2])
+        with pytest.raises(InputError, match=r"more than once: \['v0', 'v1'\]"):
+            evaluate(str(path), four_videos)
+
+    def test_class_outside_vocab_rejected(self, four_videos, tmp_path):
+        # scored 0.5 with class 99 in vocab 5
+        rows = [self.HONEST[0], self.HONEST[1], ("v2", [(99, 0.7)]), self.HONEST[3]]
+        path = tmp_path / "class99.txt"
+        write_prediction_file(path, rows)
+        with pytest.raises(InputError, match=r"\[\('v2', 99\)\]"):
+            evaluate(str(path), four_videos)
+
     def test_random_scores_land_near_positive_rate(self, tmp_path):
         from videoseq import load_records
 
