@@ -53,8 +53,9 @@ print("odd symmetry    :", bool(np.allclose(
 )))
 
 # --- the vlad_mlp classifier -------------------------------------------------------
-# During training the harness fits the codebook on the training frames,
-# encodes every video once, and trains only the MLP head on the encodings.
+# During training the harness fits the codebook on the training frames once;
+# every step then re-encodes its batch through the model's forward and
+# trains only the MLP head, since the codebook takes no gradient.
 
 with tempfile.TemporaryDirectory(prefix="videoseq_vlad_") as tmp:
     work = Path(tmp)

@@ -12,12 +12,10 @@ from .autodiff import (
     Graph,
     Tensor,
     TimeMask,
-    activation,
     backward,
     batchnorm_time,
     clip,
     concat,
-    concat_channels,
     conv1d_same,
     exp,
     log,
@@ -54,11 +52,9 @@ from .metrics import (
 )
 from .gradcheck import check_gradients
 from .models import (
-    ModelOutput,
     ModelSpec,
     build_model,
     load_checkpoint,
-    mlp_classify,
     save_checkpoint,
 )
 from .recurrent import (

@@ -37,12 +37,10 @@ __all__ = [
     "matmul",
     "transpose",
     "concat",
-    "concat_channels",
     "stack_time",
     "reverse_valid_time",
     "conv1d_same",
     "batchnorm_time",
-    "activation",
     "relu",
     "sigmoid",
     "tanh",
@@ -168,18 +166,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        """A constant view of this tensor's values (shares the buffer)."""
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.requires_grad = False
-        out.grad = None
-        out._parents = ()
-        out._backward = None
-        out._graph = None
-        out._index = -1
-        return out
 
     # -- arithmetic --
 
@@ -355,10 +341,16 @@ def getitem(a: Tensor, idx) -> Tensor:
 
 
 def concat(xs, axis: int) -> Tensor:
+    """Join tensors along ``axis``; every other dim must agree."""
     xs = [_const(x) for x in xs]
     if not xs:
         raise DimensionError("concat of an empty list")
-    data = np.concatenate([x.data for x in xs], axis=axis)
+    try:
+        data = np.concatenate([x.data for x in xs], axis=axis)
+    except ValueError:
+        raise DimensionError(
+            f"concat along axis {axis}: the other dims differ, {[x.shape for x in xs]}"
+        ) from None
     sizes = [x.data.shape[axis] for x in xs]
     offsets = np.cumsum([0] + sizes)
 
@@ -369,21 +361,6 @@ def concat(xs, axis: int) -> Tensor:
             _accumulate(x, g[tuple(sl)])
 
     return Tensor._op(data, tuple(xs), bw)
-
-
-def concat_channels(xs) -> Tensor:
-    """Concatenate along the channel axis (axis 1); other dims must agree."""
-    xs = list(xs)
-    if not xs:
-        raise DimensionError("concat_channels of an empty list")
-    first = _const(xs[0]).data.shape
-    for x in xs[1:]:
-        s = _const(x).data.shape
-        if len(s) != len(first) or s[:1] != first[:1] or s[2:] != first[2:]:
-            raise DimensionError(
-                f"concat_channels: non-channel dims differ, {first} vs {s}"
-            )
-    return concat(xs, axis=1)
 
 
 def stack_time(xs) -> Tensor:
@@ -476,17 +453,6 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
         _accumulate(a, g * passthrough)
 
     return Tensor._op(data, (a,), bw)
-
-
-_ACTIVATIONS = {"sigmoid": sigmoid, "tanh": tanh, "relu": relu}
-
-
-def activation(a: Tensor, kind: str) -> Tensor:
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ConfigurationError(f"unknown activation kind {kind!r}") from None
-    return fn(a)
 
 
 # ---------------------------------------------------------------------------

@@ -78,15 +78,20 @@ def _validate_record(record: VideoRecord, header: DatasetHeader) -> None:
 def write_records(path: str, header: DatasetHeader, records) -> int:
     """Write a record file atomically; returns byte count.
 
-    Every record is validated against the header before any byte is written.
+    Every record is validated against the header, and ids checked unique,
+    before any byte is written.
     """
     records = list(records)
     if header.video_count != len(records):
         raise ValidationError(
             f"header says {header.video_count} videos but {len(records)} were given"
         )
+    seen = set()
     for record in records:
         _validate_record(record, header)
+        if record.id in seen:
+            raise ValidationError(f"record id {record.id!r} appears more than once")
+        seen.add(record.id)
     with container.atomic_write(path) as f:
         f.write(container.header(MAGIC, header.version))
         f.write(_HEADER_STRUCT.pack(*astuple(header)[:5]))
@@ -104,8 +109,9 @@ def read_records(path: str):
     """Open a record file -> (header, record generator).
 
     The header is validated eagerly; records stream lazily in file order
-    with per-record bound checks. Truncation raises a corruption error
-    naming the byte offset; records already yielded stay valid.
+    with per-record bound checks, and a repeated id is rejected. Truncation
+    raises a corruption error naming the byte offset; records already
+    yielded stay valid.
     """
     reader = container.Reader(path, MAGIC, VERSION, "record")
     try:
@@ -115,9 +121,17 @@ def read_records(path: str):
         raise
 
     def stream():
+        seen = set()
         try:
             for _ in range(header.video_count):
+                offset = reader.offset
                 video_id = reader.string("video id")
+                if video_id in seen:
+                    raise ValidationError(
+                        f"{reader.path}: video id {video_id!r} at byte {offset} appears "
+                        "more than once"
+                    )
+                seen.add(video_id)
                 num_frames, num_labels = reader.unpack("<HH", "frame/label counts")
                 labels = list(reader.unpack(f"<{num_labels}I", "labels"))
                 frames = reader.array((num_frames, header.feature_dim), "<f4", "features")

@@ -147,8 +147,7 @@ def grad_check(
     targets = (rng.random(size=(batch, spec.vocab_size)) < 0.4).astype(np.float64)
 
     def loss_fn():
-        out = model.forward(visual, audio, mask, train=True)
-        return bce_loss(out.probabilities, targets)
+        return bce_loss(model.forward(visual, audio, mask, train=True), targets)
 
     worst = _worst_errors(
         loss_fn, model.named_parameters(), FD_STEP, sample_count, rng, tolerance, FD_REFINE_STEPS

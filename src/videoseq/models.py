@@ -1,26 +1,31 @@
 """The classifier architectures, assembled from the autodiff primitives.
 
-Seven trainable kinds plus a naive deep stack used for side-by-side
-comparisons; every kind trains and predicts through ``forward``:
+Every kind is ``VideoLevelModel`` with its own temporal pooling: the model
+checks its inputs, pools the masked frame features into one vector per
+video, and scores it with the same MLP head. ``forward`` is defined once,
+on ``VideoLevelModel``, and returns the [batch x vocab] probability tensor.
+A kind supplies two hooks: ``_build`` draws its pooling parameters from
+the spec-seeded generator (the head is drawn after them) and returns the
+pooled width, and ``_pool`` does the pooling:
 
-- ``video_level``: masked mean over frames -> MLP head
-- ``vlad_mlp``: VLAD encoding against a fitted codebook -> MLP head
+- ``video_level``: masked mean over frames
+- ``vlad_mlp``: VLAD encoding against a fitted codebook
 - ``two_stream_lstm`` / ``two_stream_gru``: one bidirectional encoder with
   attention pooling per modality, fused by concatenation
 - ``ff_lstm`` / ``ff_gru``: deep bidirectional stacks where each layer's
   output is embedded together with the previous embedding through a
-  per-step fully-connected fast-forward connection
+  per-step fully-connected fast-forward connection, then attention
 - ``temporal_resnet``: residual temporal convolution blocks feeding a
   bidirectional LSTM with attention
 - ``stacked_lstm``: ``ff_lstm`` with the fast-forward FC off, so each layer
   feeds its bidirectional states straight to the next
 
-Every model ends in a per-class sigmoid and masks its raw inputs up front,
-so values stored at padded frame positions can never influence the output.
-All parameters are drawn deterministically from the spec seed. Checkpoints
-(``FLCK``) are read and written at the end of this module; their framing
-(magic, version, strings, bounded reads, atomic writes) lives in
-``container``.
+The recurrent kinds share one "bidirectional layers (optionally
+fast-forwarded) -> attention" helper. Every model ends in a per-class
+sigmoid and masks its raw inputs up front, so values stored at padded
+frame positions can never influence the output. Checkpoints (``FLCK``) are
+read and written at the end of this module; their framing (magic, version,
+strings, bounded reads, atomic writes) lives in ``container``.
 """
 
 from __future__ import annotations
@@ -95,11 +100,6 @@ class ModelSpec:
         return self.visual_dim + self.audio_dim
 
 
-@dataclass
-class ModelOutput:
-    probabilities: Tensor  # [batch x vocab], every value strictly in (0, 1)
-
-
 class MlpHead:
     """Two fully-connected layers with a ReLU between and a sigmoid on top."""
 
@@ -127,10 +127,6 @@ class MlpHead:
         return ad.sigmoid(ad.matmul(h, ad.transpose(self.w2)) + self.b2)
 
 
-def mlp_classify(head: MlpHead, features: Tensor) -> ModelOutput:
-    return ModelOutput(head.forward(features))
-
-
 def _conv_params(c_out: int, c_in: int, width: int, rng: np.random.Generator):
     scale = 1.0 / np.sqrt(c_in * width)
     k = Tensor(rng.uniform(-scale, scale, size=(c_out, c_in, width)), requires_grad=True)
@@ -138,26 +134,77 @@ def _conv_params(c_out: int, c_in: int, width: int, rng: np.random.Generator):
     return k, b
 
 
-class _Model:
-    """Common plumbing: parameter registry, input checks, forward dispatch."""
+def _masked_features(visual: Tensor, audio: Tensor, mask: TimeMask) -> Tensor:
+    m = mask.channel_mask()
+    return ad.concat([visual * m, audio * m], axis=1)
+
+
+def _birnn_attention_params(model, rng, in_dim: int, prefixes, attn_prefix: str,
+                            fast_forward: bool = False):
+    """Draw and register one layer per prefix, then the attention pool -> (layers, attn).
+
+    Cells are GRUs for the ``*_gru`` kinds and LSTMs otherwise; a layer is
+    (fwd, bwd, ff_k, ff_b), its fast-forward FC None with ``fast_forward`` off.
+    """
+    cell = "gru" if model.spec.kind.endswith("_gru") else "lstm"
+    h = model.spec.hidden_size
+    layers = []
+    for prefix in prefixes:
+        fwd = RecurrentCellParams.create(cell, in_dim, h, rng)
+        bwd = RecurrentCellParams.create(cell, in_dim, h, rng)
+        model._register(fwd.parameters(f"{prefix}.fwd"))
+        model._register(bwd.parameters(f"{prefix}.bwd"))
+        ff_k = ff_b = None
+        if fast_forward:
+            ff_k, ff_b = _conv_params(2 * h, in_dim + 2 * h, 1, rng)
+            model._register([(f"{prefix}.ff_weight", ff_k), (f"{prefix}.ff_bias", ff_b)])
+        layers.append((fwd, bwd, ff_k, ff_b))
+        in_dim = 2 * h
+    attn = AttentionParams.create(2 * h, h, rng)
+    model._register(attn.parameters(attn_prefix))
+    return layers, attn
+
+
+def _birnn_attention(layers, attn: AttentionParams, x: Tensor, mask: TimeMask) -> Tensor:
+    """Bidirectional layers, then attention pooling: [b x c x t] -> [b x 2*hidden].
+
+    Layer i's input is x_{i-1} (x_0 = ``x``); its output x_i is its states h_i,
+    or with a fast-forward FC, ReLU(FC([x_{i-1}; h_i])) at every step.
+    """
+    for fwd, bwd, ff_k, ff_b in layers:
+        states = run_bidirectional(fwd, bwd, x, mask)
+        if ff_k is None:
+            x = states
+        else:
+            x = ad.relu(ad.conv1d_same(ad.concat([x, states], axis=1), ff_k, ff_b))
+    return attention_pool(attn, x, mask)
+
+
+class VideoLevelModel:
+    """Masked mean over frames, then the MLP head; the skeleton of every kind.
+
+    Every other kind subclasses it and overrides the ``_build`` and ``_pool``
+    hooks (see the module docstring).
+    """
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
         self._params: list = []
+        rng = np.random.default_rng(spec.seed)
+        self.head = MlpHead(self._build(rng), spec.fc_sizes, rng)
+        self._register(self.head.parameters("head"))
+
+    def _build(self, rng: np.random.Generator) -> int:
+        return self.spec.feature_dim
+
+    def _pool(self, visual: Tensor, audio: Tensor, mask: TimeMask, train: bool) -> Tensor:
+        return ad.masked_mean_time(_masked_features(visual, audio, mask), mask)
 
     def _register(self, named):
-        for name, tensor in named:
-            self._params.append((name, tensor))
+        self._params.extend(named)
 
     def named_parameters(self):
         return list(self._params)
-
-    def parameters(self):
-        return [t for _, t in self._params]
-
-    def zero_grad(self):
-        for _, t in self._params:
-            t.zero_grad()
 
     def _extra_state(self):
         """Non-trainable arrays the predict path needs (overridden as needed)."""
@@ -166,7 +213,8 @@ class _Model:
     def _load_extra_state(self, arrays: dict):
         """Restore ``_extra_state`` from arrays already checked against its names and shapes."""
 
-    def _check_inputs(self, visual: Tensor, audio: Tensor, mask: TimeMask):
+    def forward(self, visual: Tensor, audio: Tensor, mask: TimeMask, train: bool = False) -> Tensor:
+        """Per-class probabilities [batch x vocab], every value strictly in (0, 1)."""
         spec = self.spec
         if visual.ndim != 3 or visual.shape[1] != spec.visual_dim:
             raise DimensionError(
@@ -185,46 +233,22 @@ class _Model:
                 f"inputs {visual.shape} do not match mask (batch {mask.batch}, "
                 f"time {mask.max_time})"
             )
-
-    def forward(self, visual: Tensor, audio: Tensor, mask: TimeMask, train: bool = False) -> ModelOutput:
-        raise NotImplementedError
+        return self.head.forward(self._pool(visual, audio, mask, train))
 
 
-def _masked_features(visual: Tensor, audio: Tensor, mask: TimeMask) -> Tensor:
-    m = mask.channel_mask()
-    return ad.concat_channels([visual * m, audio * m])
-
-
-class VideoLevelModel(_Model):
-    """Frame-mean pooling followed by the MLP classifier."""
-
-    def __init__(self, spec: ModelSpec):
-        super().__init__(spec)
-        rng = np.random.default_rng(spec.seed)
-        self.head = MlpHead(spec.feature_dim, spec.fc_sizes, rng)
-        self._register(self.head.parameters("head"))
-
-    def forward(self, visual, audio, mask, train=False):
-        self._check_inputs(visual, audio, mask)
-        pooled = ad.masked_mean_time(_masked_features(visual, audio, mask), mask)
-        return mlp_classify(self.head, pooled)
-
-
-class VladMlpModel(_Model):
+class VladMlpModel(VideoLevelModel):
     """VLAD encoding of each video's valid frames, classified by an MLP.
 
     The codebook is fitted outside the gradient loop (k-means on training
     frames) and rides along in checkpoints as non-trainable state.
     """
 
-    def __init__(self, spec: ModelSpec):
-        super().__init__(spec)
+    def _build(self, rng):
+        spec = self.spec
         if spec.vlad_clusters < 1:
             raise ConfigurationError("vlad_clusters must be >= 1")
-        rng = np.random.default_rng(spec.seed)
         self.codebook = Codebook(np.zeros((spec.vlad_clusters, spec.feature_dim)))
-        self.head = MlpHead(spec.vlad_clusters * spec.feature_dim, spec.fc_sizes, rng)
-        self._register(self.head.parameters("head"))
+        return spec.vlad_clusters * spec.feature_dim
 
     def set_codebook(self, codebook: Codebook):
         if codebook.centers.shape != self.codebook.centers.shape:
@@ -234,8 +258,7 @@ class VladMlpModel(_Model):
             )
         self.codebook = codebook
 
-    def encode_batch(self, visual: Tensor, audio: Tensor, mask: TimeMask) -> np.ndarray:
-        """Encode each item's valid frames -> [batch x clusters*feature_dim]."""
+    def _pool(self, visual, audio, mask, train):
         rows = []
         for i in range(mask.batch):
             t = int(mask.valid_lengths[i])
@@ -243,12 +266,7 @@ class VladMlpModel(_Model):
                 [visual.data[i, :, :t].T, audio.data[i, :, :t].T], axis=1
             )
             rows.append(vlad_encode(self.codebook, frames).vector)
-        return np.stack(rows)
-
-    def forward(self, visual, audio, mask, train=False):
-        self._check_inputs(visual, audio, mask)
-        encodings = Tensor(self.encode_batch(visual, audio, mask))
-        return mlp_classify(self.head, encodings)
+        return Tensor(np.stack(rows))
 
     def _extra_state(self):
         return [("codebook.centers", self.codebook.centers)]
@@ -257,38 +275,27 @@ class VladMlpModel(_Model):
         self.codebook = Codebook(arrays.pop("codebook.centers"))
 
 
-class TwoStreamModel(_Model):
+class TwoStreamModel(VideoLevelModel):
     """Independent bidirectional encoder + attention per modality, fused late."""
 
-    def __init__(self, spec: ModelSpec):
-        super().__init__(spec)
-        cell = "lstm" if spec.kind == "two_stream_lstm" else "gru"
-        rng = np.random.default_rng(spec.seed)
-        h = spec.hidden_size
-        self.streams = {}
-        for name, dim in (("visual", spec.visual_dim), ("audio", spec.audio_dim)):
-            fwd = RecurrentCellParams.create(cell, dim, h, rng)
-            bwd = RecurrentCellParams.create(cell, dim, h, rng)
-            attn = AttentionParams.create(2 * h, h, rng)
-            self.streams[name] = (fwd, bwd, attn)
-            self._register(fwd.parameters(f"{name}.fwd"))
-            self._register(bwd.parameters(f"{name}.bwd"))
-            self._register(attn.parameters(f"{name}.attn"))
-        self.head = MlpHead(4 * h, spec.fc_sizes, rng)
-        self._register(self.head.parameters("head"))
+    def _build(self, rng):
+        spec = self.spec
+        self.streams = {
+            name: _birnn_attention_params(self, rng, dim, [name], f"{name}.attn")
+            for name, dim in (("visual", spec.visual_dim), ("audio", spec.audio_dim))
+        }
+        return 4 * spec.hidden_size
 
-    def forward(self, visual, audio, mask, train=False):
-        self._check_inputs(visual, audio, mask)
+    def _pool(self, visual, audio, mask, train):
         m = mask.channel_mask()
-        pooled = []
-        for name, x in (("visual", visual), ("audio", audio)):
-            fwd, bwd, attn = self.streams[name]
-            states = run_bidirectional(fwd, bwd, x * m, mask)
-            pooled.append(attention_pool(attn, states, mask))
-        return mlp_classify(self.head, ad.concat(pooled, axis=1))
+        pooled = [
+            _birnn_attention(*self.streams[name], x * m, mask)
+            for name, x in (("visual", visual), ("audio", audio))
+        ]
+        return ad.concat(pooled, axis=1)
 
 
-class FastForwardModel(_Model):
+class FastForwardModel(VideoLevelModel):
     """Deep bidirectional stack with per-layer fully-connected fast paths.
 
     Layer i runs a bidirectional cell pair over the previous fast-forward
@@ -300,41 +307,17 @@ class FastForwardModel(_Model):
 
     fast_forward = True
 
-    def __init__(self, spec: ModelSpec):
-        super().__init__(spec)
-        cell = "gru" if spec.kind == "ff_gru" else "lstm"
-        rng = np.random.default_rng(spec.seed)
-        h = spec.hidden_size
-        self.ff_width = 2 * h
-        self.layers = []
-        in_dim = spec.feature_dim
-        for i in range(spec.depth):
-            fwd = RecurrentCellParams.create(cell, in_dim, h, rng)
-            bwd = RecurrentCellParams.create(cell, in_dim, h, rng)
-            self._register(fwd.parameters(f"layer{i}.fwd"))
-            self._register(bwd.parameters(f"layer{i}.bwd"))
-            ff_k = ff_b = None
-            if self.fast_forward:
-                ff_k, ff_b = _conv_params(self.ff_width, in_dim + 2 * h, 1, rng)
-                self._register([(f"layer{i}.ff_weight", ff_k), (f"layer{i}.ff_bias", ff_b)])
-            self.layers.append((fwd, bwd, ff_k, ff_b))
-            in_dim = self.ff_width
-        self.attn = AttentionParams.create(self.ff_width, h, rng)
-        self._register(self.attn.parameters("attn"))
-        self.head = MlpHead(self.ff_width, spec.fc_sizes, rng)
-        self._register(self.head.parameters("head"))
+    def _build(self, rng):
+        spec = self.spec
+        prefixes = [f"layer{i}" for i in range(spec.depth)]
+        self.layers, self.attn = _birnn_attention_params(
+            self, rng, spec.feature_dim, prefixes, "attn", self.fast_forward
+        )
+        return 2 * spec.hidden_size
 
-    def forward(self, visual, audio, mask, train=False):
-        self._check_inputs(visual, audio, mask)
-        f = _masked_features(visual, audio, mask)
-        for fwd, bwd, ff_k, ff_b in self.layers:
-            states = run_bidirectional(fwd, bwd, f, mask)
-            if ff_k is None:
-                f = states
-            else:
-                f = ad.relu(ad.conv1d_same(ad.concat_channels([f, states]), ff_k, ff_b))
-        pooled = attention_pool(self.attn, f, mask)
-        return mlp_classify(self.head, pooled)
+    def _pool(self, visual, audio, mask, train):
+        features = _masked_features(visual, audio, mask)
+        return _birnn_attention(self.layers, self.attn, features, mask)
 
 
 class StackedModel(FastForwardModel):
@@ -343,7 +326,7 @@ class StackedModel(FastForwardModel):
     fast_forward = False
 
 
-class TemporalResnetModel(_Model):
+class TemporalResnetModel(VideoLevelModel):
     """Stack of temporal residual blocks, then a bidirectional LSTM head.
 
     Each block is conv3 -> BN -> ReLU -> conv3 -> BN, an additive shortcut,
@@ -351,11 +334,10 @@ class TemporalResnetModel(_Model):
     the width-1 projection and after every block.
     """
 
-    def __init__(self, spec: ModelSpec):
-        super().__init__(spec)
+    def _build(self, rng):
+        spec = self.spec
         if spec.trb_filters < 1:
             raise ConfigurationError("trb_filters must be >= 1")
-        rng = np.random.default_rng(spec.seed)
         filters = spec.trb_filters
         self.proj_k, self.proj_b = _conv_params(filters, spec.feature_dim, 1, rng)
         self._register([("proj.weight", self.proj_k), ("proj.bias", self.proj_b)])
@@ -379,18 +361,10 @@ class TemporalResnetModel(_Model):
                 )
                 self.bn_states.append((f"block{i}.bn{j}", state))
             self.blocks.append(block)
-        h = spec.hidden_size
-        self.lstm_fwd = RecurrentCellParams.create("lstm", filters, h, rng)
-        self.lstm_bwd = RecurrentCellParams.create("lstm", filters, h, rng)
-        self._register(self.lstm_fwd.parameters("lstm.fwd"))
-        self._register(self.lstm_bwd.parameters("lstm.bwd"))
-        self.attn = AttentionParams.create(2 * h, h, rng)
-        self._register(self.attn.parameters("attn"))
-        self.head = MlpHead(2 * h, spec.fc_sizes, rng)
-        self._register(self.head.parameters("head"))
+        self.layers, self.attn = _birnn_attention_params(self, rng, filters, ["lstm"], "attn")
+        return 2 * spec.hidden_size
 
-    def forward(self, visual, audio, mask, train=False):
-        self._check_inputs(visual, audio, mask)
+    def _pool(self, visual, audio, mask, train):
         mode = "train" if train else "eval"
         m = mask.channel_mask()
         x = ad.conv1d_same(_masked_features(visual, audio, mask), self.proj_k, self.proj_b) * m
@@ -400,9 +374,7 @@ class TemporalResnetModel(_Model):
             y = ad.relu(ad.batchnorm_time(ad.conv1d_same(x, k1, b1), mask, g1, be1, mode, s1))
             y = ad.batchnorm_time(ad.conv1d_same(y, k2, b2), mask, g2, be2, mode, s2)
             x = ad.relu(x + y) * m
-        states = run_bidirectional(self.lstm_fwd, self.lstm_bwd, x, mask)
-        pooled = attention_pool(self.attn, states, mask)
-        return mlp_classify(self.head, pooled)
+        return _birnn_attention(self.layers, self.attn, x, mask)
 
     def _extra_state(self):
         out = []
@@ -431,7 +403,7 @@ _BUILDERS = {
 }
 
 
-def build_model(spec: ModelSpec) -> _Model:
+def build_model(spec: ModelSpec) -> VideoLevelModel:
     return _BUILDERS[spec.kind](spec)
 
 
@@ -463,14 +435,14 @@ def _spec_from_reader(reader: container.Reader) -> ModelSpec:
     return ModelSpec(**fields)
 
 
-def _named_arrays(model: _Model):
+def _named_arrays(model: VideoLevelModel):
     for name, tensor in model.named_parameters():
         yield name, tensor.data
     for name, arr in model._extra_state():
         yield name, np.asarray(arr, dtype=np.float64)
 
 
-def save_checkpoint(path: str, model: _Model) -> None:
+def save_checkpoint(path: str, model: VideoLevelModel) -> None:
     """Flat binary: spec, then every named array in declaration order."""
     entries = list(_named_arrays(model))
     with container.atomic_write(path) as f:
@@ -483,7 +455,7 @@ def save_checkpoint(path: str, model: _Model) -> None:
             f.write(arr.astype("<f8", copy=False).tobytes())
 
 
-def load_checkpoint(path: str) -> _Model:
+def load_checkpoint(path: str) -> VideoLevelModel:
     """Read the whole tensor table, bounded by the file size, before building the model."""
     with container.Reader(path, _CKPT_MAGIC, _CKPT_VERSION, "checkpoint") as reader:
         spec = _spec_from_reader(reader)

@@ -175,7 +175,7 @@ def run_bidirectional(
     bwd = ad.reverse_valid_time(
         _run_direction(params_bwd, ad.reverse_valid_time(x, mask), mask), mask
     )
-    return ad.concat_channels([fwd, bwd]) * mask.channel_mask()
+    return ad.concat([fwd, bwd], axis=1) * mask.channel_mask()
 
 
 @dataclass

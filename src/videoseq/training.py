@@ -184,8 +184,8 @@ def _predict_records(model, records, header, batch_size: int, k: int):
         for start in range(0, len(records), batch_size):
             batch = records[start : start + batch_size]
             visual, audio, mask, _ = pad_batch(batch, header)
-            out = model.forward(visual, audio, mask, train=False)
-            ps = topk_predictions(out.probabilities, k, [r.id for r in batch])
+            probs = model.forward(visual, audio, mask, train=False)
+            ps = topk_predictions(probs, k, [r.id for r in batch])
             predictions.extend(ps.predictions)
     return predictions
 
@@ -204,7 +204,7 @@ class TrainResult:
 def _batch_loss(model, batch, header) -> Tensor:
     """Train-mode loss of one batch; the padded inputs live only as long as the tape needs them."""
     visual, audio, mask, targets = pad_batch(batch, header)
-    return bce_loss(model.forward(visual, audio, mask, train=True).probabilities, targets)
+    return bce_loss(model.forward(visual, audio, mask, train=True), targets)
 
 
 def train(config: TrainConfig) -> TrainResult:
@@ -294,6 +294,22 @@ def predict(
     return predictions
 
 
+def _check_coverage(path: str, predictions, ids, reference: str) -> None:
+    """Raise InputError unless ``predictions`` name every id of ``ids`` exactly once.
+
+    The message names every problem found, each with up to 10 offenders.
+    """
+    counts = Counter(vid for vid, _ in predictions)
+    problems = {
+        f"predicted videos not present in {reference}": [v for v in counts if v not in ids],
+        "videos predicted more than once": [v for v, n in counts.items() if n > 1],
+        f"{reference} videos without a prediction": [v for v in ids if v not in counts],
+    }
+    faults = [f"{problem}: {offenders[:10]}" for problem, offenders in problems.items() if offenders]
+    if faults:
+        raise InputError(f"{path}: " + "; ".join(faults))
+
+
 def evaluate(prediction_path: str, data_path: str, k: int = 20) -> GapResult:
     """Join a prediction file with a record file's labels and compute GAP.
 
@@ -303,19 +319,13 @@ def evaluate(prediction_path: str, data_path: str, k: int = 20) -> GapResult:
     predictions = read_prediction_file(prediction_path)
     header, records = load_records(data_path)
     labels = {r.id: frozenset(r.labels) for r in records}
-    counts = Counter(vid for vid, _ in predictions)
+    _check_coverage(prediction_path, predictions, labels, "data")
     vocab = header.vocab_size
-    problems = {
-        "predicted videos not present in data": [v for v in counts if v not in labels],
-        "videos predicted more than once": [v for v, n in counts.items() if n > 1],
-        "data videos without a prediction": [v for v in labels if v not in counts],
-        f"(video, class) pairs outside [0, {vocab})": [
-            (v, c) for v, items in predictions for c, _ in items if not 0 <= c < vocab
-        ],
-    }
-    for problem, offenders in problems.items():
-        if offenders:
-            raise InputError(f"{prediction_path}: {problem}: {offenders[:10]}")
+    outside = [(v, c) for v, items in predictions for c, _ in items if not 0 <= c < vocab]
+    if outside:
+        raise InputError(
+            f"{prediction_path}: (video, class) pairs outside [0, {vocab}): {outside[:10]}"
+        )
     return gap_at_k(PredictionSet(predictions, labels), k=k)
 
 
@@ -328,7 +338,8 @@ def ensemble_average(
 ):
     """Weighted per-class mean of full-score prediction files.
 
-    All files must cover the same video set and the same classes per video.
+    Every file must predict each video of the first file exactly once, with
+    the same classes per video.
     The weighted mean is normalized by the weight sum, then re-truncated to
     the top-k (or kept whole with ``full_scores``).
     """
@@ -353,17 +364,10 @@ def ensemble_average(
         parsed = read_prediction_file(path)
         per_file.append((path, parsed, {vid: dict(items) for vid, items in parsed}))
 
-    base_path, base_parsed, base_scores = per_file[0]
-    base_ids = set(base_scores)
-    for path, _, scores in per_file[1:]:
-        ids = set(scores)
-        if ids != base_ids:
-            missing = sorted(base_ids - ids)[:10]
-            extra = sorted(ids - base_ids)[:10]
-            raise InputError(
-                f"{path} video set differs from {base_path}: missing {missing}, "
-                f"extra {extra}"
-            )
+    base_path, base_parsed, _ = per_file[0]
+    base_ids = dict.fromkeys(vid for vid, _ in base_parsed)
+    for path, parsed, _ in per_file:
+        _check_coverage(path, parsed, base_ids, base_path)
 
     predictions = []
     for vid, base_items in base_parsed:

@@ -202,7 +202,7 @@ def test_criterion_5_padding_inertness():
         visual = rng.normal(size=(3, 7, 5))
         audio = rng.normal(size=(3, 3, 5))
         mask = TimeMask(3, 5, np.array([2, 4, 5]))
-        base = model.forward(Tensor(visual), Tensor(audio), mask, train=True).probabilities.data
+        base = model.forward(Tensor(visual), Tensor(audio), mask, train=True).data
         grown_v = np.pad(visual, ((0, 0), (0, 0), (0, 4)))
         grown_a = np.pad(audio, ((0, 0), (0, 0), (0, 4)))
         # scribble on the new padding: stored values there must stay inert
@@ -211,7 +211,7 @@ def test_criterion_5_padding_inertness():
         grown_mask = TimeMask(3, 9, mask.valid_lengths)
         grown = model.forward(
             Tensor(grown_v), Tensor(grown_a), grown_mask, train=True
-        ).probabilities.data
+        ).data
         delta = float(np.max(np.abs(base - grown)))
         assert delta < 1e-12, f"{kind}: padded frames moved probabilities by {delta:.2e}"
     print("ACCEPTANCE 5 padding inertness: PASS")

@@ -8,11 +8,10 @@ from videoseq import (
     StateError,
     Tensor,
     TimeMask,
-    activation,
     backward,
     batchnorm_time,
     check_gradients,
-    concat_channels,
+    concat,
     conv1d_same,
     masked_mean_time,
     matmul,
@@ -150,14 +149,6 @@ class TestActivations:
         )
         assert worst < 1e-8
 
-    def test_activation_dispatch(self):
-        x = Tensor([0.3])
-        assert activation(x, "tanh").data == np.tanh(0.3)
-        from videoseq import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            activation(x, "gelu")
-
 
 class TestSoftmaxMasked:
     def test_uniform_scores(self):
@@ -228,15 +219,15 @@ class TestConcatChannels:
     def test_visual_audio_widths(self):
         v = Tensor(np.zeros((1, 1024, 2)))
         a = Tensor(np.zeros((1, 128, 2)))
-        assert concat_channels([v, a]).data.shape == (1, 1152, 2)
+        assert concat([v, a], axis=1).data.shape == (1, 1152, 2)
 
     def test_single_tensor(self):
         x = Tensor(np.arange(6.0).reshape(1, 2, 3))
-        assert np.array_equal(concat_channels([x]).data, x.data)
+        assert np.array_equal(concat([x], axis=1).data, x.data)
 
     def test_mismatch(self):
         with pytest.raises(DimensionError):
-            concat_channels([Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((2, 2, 3)))])
+            concat([Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((2, 2, 3)))], axis=1)
 
     def test_gradient_splits_by_slice(self):
         rng = np.random.default_rng(21)
@@ -245,7 +236,7 @@ class TestConcatChannels:
         coef = rng.normal(size=(2, 5, 4))
 
         def f():
-            return tensor_sum(concat_channels([a, b]) * coef)
+            return tensor_sum(concat([a, b], axis=1) * coef)
 
         worst = check_gradients(f, [("a", a), ("b", b)], step=1e-5)
         assert max(worst.values()) < 1e-7

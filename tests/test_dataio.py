@@ -72,6 +72,27 @@ class TestRecordFile:
         with pytest.raises(ValidationError):
             write_records(tmp_path / "n.bin", header, [bad])
 
+    def test_duplicate_ids_rejected_before_write(self, tmp_path):
+        header = small_header(video_count=2)
+        frames = np.zeros((2, header.feature_dim), dtype=np.float32)
+        path = tmp_path / "twice.bin"
+        with pytest.raises(ValidationError, match="'a'"):
+            write_records(path, header, [VideoRecord("a", frames, [0]), VideoRecord("a", frames, [1])])
+        assert not path.exists()
+
+    def test_duplicate_ids_rejected_on_read(self, tmp_path):
+        # evaluate keys labels by id: a repeated id dropped the first record's positives
+        header = small_header(video_count=2)
+        frames = np.zeros((2, header.feature_dim), dtype=np.float32)
+        path = tmp_path / "ab.bin"
+        write_records(path, header, [VideoRecord("a", frames, [0]), VideoRecord("b", frames, [1])])
+        data = bytearray(path.read_bytes())
+        second = data.index(b"\x01\x00b")  # u16 length 1, then the id byte
+        data[second + 2] = ord("a")
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValidationError, match=rf"'a' at byte {second}"):
+            load_records(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"JUNKJUNKJUNKJUNKJUNKJUNKJUNK")

@@ -11,11 +11,11 @@ from videoseq import (
     TimeMask,
     build_model,
     load_checkpoint,
-    mlp_classify,
     save_checkpoint,
 )
 from videoseq.gradcheck import grad_check, toy_spec
-from videoseq.models import MlpHead
+from videoseq import container
+from videoseq.models import MlpHead, _spec_from_reader
 
 ALL_KINDS = (
     "video_level",
@@ -79,7 +79,7 @@ class TestModelSpec:
         # trb settings are meaningless for a video_level model but never rejected
         spec = tiny_spec("video_level", trb_filters=1, trb_count=99)
         out = build_ready(spec).forward(*random_batch(spec, 2, 3))
-        assert out.probabilities.shape == (2, 5)
+        assert out.shape == (2, 5)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -106,16 +106,16 @@ class TestOutputContract:
         for time in (1, 4, 9):
             visual, audio, mask = random_batch(spec, 2, time, seed=time)
             out = model.forward(visual, audio, mask, train=True)
-            assert out.probabilities.shape == (2, 5)
-            assert np.all(out.probabilities.data > 0.0)
-            assert np.all(out.probabilities.data < 1.0)
+            assert out.shape == (2, 5)
+            assert np.all(out.data > 0.0)
+            assert np.all(out.data < 1.0)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_padding_values_are_inert(self, kind):
         spec = tiny_spec(kind)
         model = build_ready(spec)
         visual, audio, mask = random_batch(spec, 3, 6, lengths=[2, 4, 6], seed=5)
-        base = model.forward(visual, audio, mask, train=True).probabilities.data
+        base = model.forward(visual, audio, mask, train=True).data
         rng = np.random.default_rng(6)
         pad = ~mask.bool_matrix()
         visual.data[:, :, :][np.broadcast_to(pad[:, None, :], visual.shape)] = rng.normal(
@@ -124,7 +124,7 @@ class TestOutputContract:
         audio.data[np.broadcast_to(pad[:, None, :], audio.shape)] = rng.normal(
             size=int(pad.sum()) * spec.audio_dim
         )
-        poked = model.forward(visual, audio, mask, train=True).probabilities.data
+        poked = model.forward(visual, audio, mask, train=True).data
         assert np.array_equal(base, poked), kind
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -132,11 +132,11 @@ class TestOutputContract:
         spec = tiny_spec(kind)
         model = build_ready(spec)
         visual, audio, mask = random_batch(spec, 2, 5, seed=7)
-        base = model.forward(visual, audio, mask, train=True).probabilities.data
+        base = model.forward(visual, audio, mask, train=True).data
         extended_v = Tensor(np.pad(visual.data, ((0, 0), (0, 0), (0, 3))))
         extended_a = Tensor(np.pad(audio.data, ((0, 0), (0, 0), (0, 3))))
         extended_mask = TimeMask(2, 8, mask.valid_lengths)
-        grown = model.forward(extended_v, extended_a, extended_mask, train=True).probabilities.data
+        grown = model.forward(extended_v, extended_a, extended_mask, train=True).data
         assert np.max(np.abs(base - grown)) < 1e-12, kind
 
     def test_modality_dimension_mismatch(self):
@@ -160,7 +160,7 @@ class TestVideoLevel:
         for k in (1, 3, 6):
             v = Tensor(np.repeat(frame_v, k, axis=2))
             a = Tensor(np.repeat(frame_a, k, axis=2))
-            outputs.append(model.forward(v, a, TimeMask.full(1, k)).probabilities.data)
+            outputs.append(model.forward(v, a, TimeMask.full(1, k)).data)
         assert np.allclose(outputs[0], outputs[1], atol=1e-12)
         assert np.allclose(outputs[0], outputs[2], atol=1e-12)
 
@@ -168,22 +168,22 @@ class TestVideoLevel:
         spec = tiny_spec("video_level")
         model = build_ready(spec)
         visual, audio, mask = random_batch(spec, 1, 5, seed=2)
-        base = model.forward(visual, audio, mask).probabilities.data
+        base = model.forward(visual, audio, mask).data
         perm = np.random.default_rng(3).permutation(5)
         shuffled = model.forward(
             Tensor(visual.data[:, :, perm]), Tensor(audio.data[:, :, perm]), mask
-        ).probabilities.data
+        ).data
         assert np.allclose(base, shuffled, atol=1e-12)
 
     def test_sequence_model_is_not_permutation_invariant(self):
         spec = tiny_spec("two_stream_lstm")
         model = build_ready(spec)
         visual, audio, mask = random_batch(spec, 1, 5, seed=4)
-        base = model.forward(visual, audio, mask).probabilities.data
+        base = model.forward(visual, audio, mask).data
         perm = np.array([4, 2, 0, 3, 1])
         shuffled = model.forward(
             Tensor(visual.data[:, :, perm]), Tensor(audio.data[:, :, perm]), mask
-        ).probabilities.data
+        ).data
         assert not np.allclose(base, shuffled, atol=1e-9)
 
 
@@ -192,15 +192,15 @@ class TestMlpHead:
         head = MlpHead(4, (3, 2), np.random.default_rng(0))
         for p in (head.w1, head.b1, head.w2, head.b2):
             p.data[...] = 0.0
-        out = mlp_classify(head, Tensor(np.random.default_rng(1).normal(size=(3, 4))))
-        assert np.array_equal(out.probabilities.data, np.full((3, 2), 0.5))
+        out = head.forward(Tensor(np.random.default_rng(1).normal(size=(3, 4))))
+        assert np.array_equal(out.data, np.full((3, 2), 0.5))
 
     def test_final_bias_monotonicity(self):
         head = MlpHead(4, (3, 2), np.random.default_rng(2))
         x = Tensor(np.random.default_rng(3).normal(size=(2, 4)))
-        before = mlp_classify(head, x).probabilities.data
+        before = head.forward(x).data
         head.b2.data[1] += 0.5
-        after = mlp_classify(head, x).probabilities.data
+        after = head.forward(x).data
         assert np.all(after[:, 1] > before[:, 1])
         assert np.array_equal(after[:, 0], before[:, 0])
 
@@ -224,7 +224,7 @@ class TestFastForward:
             spec = tiny_spec("ff_lstm", depth=depth, hidden_size=3)
             model = build_ready(spec)
             visual, audio, mask = random_batch(spec, 2, 3, seed=depth)
-            out = model.forward(visual, audio, mask).probabilities
+            out = model.forward(visual, audio, mask)
             assert out.shape == (2, 5)
             assert np.all((out.data > 0) & (out.data < 1))
 
@@ -236,8 +236,8 @@ class TestFastForward:
         # give the fast-forward biases some signal so the constant is nontrivial
         for _, _, _, ff_b in model.layers:
             ff_b.data[...] = 0.3
-        out_a = model.forward(*random_batch(spec, 2, 4, seed=8)).probabilities.data
-        out_b = model.forward(*random_batch(spec, 2, 4, seed=9)).probabilities.data
+        out_a = model.forward(*random_batch(spec, 2, 4, seed=8)).data
+        out_b = model.forward(*random_batch(spec, 2, 4, seed=9)).data
         assert np.allclose(out_a, out_b, atol=1e-15)
         assert np.allclose(out_a, 0.5, atol=1e-12)  # zero head on a constant
 
@@ -325,11 +325,11 @@ class TestCheckpoint:
         model = build_ready(spec)
         batch = random_batch(spec, 2, 4, seed=21)
         model.forward(*batch, train=True)  # populate running stats
-        before = model.forward(*batch, train=False).probabilities.data
+        before = model.forward(*batch, train=False).data
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, model)
         loaded = load_checkpoint(path)
-        after = loaded.forward(*batch, train=False).probabilities.data
+        after = loaded.forward(*batch, train=False).data
         assert np.array_equal(before, after)
 
     def test_bad_magic(self, tmp_path):
@@ -351,3 +351,88 @@ class TestCheckpoint:
         cut.write_bytes(path.read_bytes()[:-20])
         with pytest.raises(CorruptionError, match=r"byte \d+"):
             load_checkpoint(cut)
+
+
+LSTM = ("input", "forget", "output", "candidate")
+GRU = ("update", "reset", "candidate")
+
+
+def _cell(prefix, gates, n_in, h=6):
+    for g in gates:
+        yield f"{prefix}.w_{g}", (h, n_in + h)
+        yield f"{prefix}.b_{g}", (h,)
+
+
+def _attn(prefix, channels):
+    return [(f"{prefix}.proj_weight", (6, channels)), (f"{prefix}.proj_bias", (6,)),
+            (f"{prefix}.score_vector", (6,))]
+
+
+def _head(n_in):
+    return [("head.w1", (8, n_in)), ("head.b1", (8,)), ("head.w2", (5, 8)), ("head.b2", (5,))]
+
+
+def _two_stream(gates):
+    table = []
+    for name, dim in (("visual", 9), ("audio", 4)):
+        table += [*_cell(f"{name}.fwd", gates, dim), *_cell(f"{name}.bwd", gates, dim)]
+        table += _attn(f"{name}.attn", 12)
+    return table + _head(24)
+
+
+def _deep_stack(gates, fast_forward):
+    table = []
+    for i in range(3):
+        n_in = 13 if i == 0 else 12
+        table += [*_cell(f"layer{i}.fwd", gates, n_in), *_cell(f"layer{i}.bwd", gates, n_in)]
+        if fast_forward:
+            table += [(f"layer{i}.ff_weight", (12, n_in + 12, 1)), (f"layer{i}.ff_bias", (12,))]
+    return table + _attn("attn", 12) + _head(12)
+
+
+def _temporal_resnet():
+    table = [("proj.weight", (8, 13, 1)), ("proj.bias", (8,))]
+    for i in range(2):
+        for j in (1, 2):
+            table += [(f"block{i}.conv{j}.weight", (8, 8, 3)), (f"block{i}.conv{j}.bias", (8,)),
+                      (f"block{i}.bn{j}.gamma", (8,)), (f"block{i}.bn{j}.beta", (8,))]
+    table += [*_cell("lstm.fwd", LSTM, 8), *_cell("lstm.bwd", LSTM, 8)]
+    table += _attn("attn", 12) + _head(12)
+    for i in range(2):
+        for j in (1, 2):
+            table += [(f"block{i}.bn{j}.running_mean", (8,)), (f"block{i}.bn{j}.running_var", (8,)),
+                      (f"block{i}.bn{j}.initialized", (1,))]
+    return table
+
+
+# The FLCK tensor table of every kind at toy_spec (13 = 9 visual + 4 audio features, hidden 6,
+# depth 3 for the stacks): parameters in declaration order, then batch-norm statistics or the
+# codebook. A renamed, reshaped or reordered tensor breaks every checkpoint written before it.
+CHECKPOINT_TABLES = {
+    "video_level": _head(13),
+    "vlad_mlp": _head(4 * 13) + [("codebook.centers", (4, 13))],
+    "two_stream_lstm": _two_stream(LSTM),
+    "two_stream_gru": _two_stream(GRU),
+    "ff_lstm": _deep_stack(LSTM, True),
+    "ff_gru": _deep_stack(GRU, True),
+    "temporal_resnet": _temporal_resnet(),
+    "stacked_lstm": _deep_stack(LSTM, False),
+}
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_checkpoint_tensor_table_is_pinned(kind, tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, build_model(toy_spec(kind)))
+    table = []
+    with container.Reader(path, b"FLCK", 1, "checkpoint") as reader:
+        _spec_from_reader(reader)
+        (count,) = reader.unpack("<I", "tensor count")
+        for _ in range(count):
+            name = reader.string("tensor name")
+            (ndim,) = reader.unpack("<B", "rank")
+            shape = reader.unpack(f"<{ndim}I", "shape")
+            reader.tensor(shape, name)
+            table.append((name, shape))
+        reader.finish()
+    assert table == CHECKPOINT_TABLES[kind]

@@ -255,6 +255,19 @@ class TestPredict:
                 assert abs(sa - sb) < 1e-9
 
 
+    def test_in_memory_gap_equals_read_back_gap(self, dataset, trained):
+        from videoseq import gap_at_k, load_records
+
+        ckpt, tmp = trained
+        path = str(tmp / "gap.txt")
+        predictions = predict(ckpt, dataset, path)
+        _, records = load_records(dataset)
+        labels = {r.id: frozenset(r.labels) for r in records}
+        rounded = [(vid, [(c, round(s, 6)) for c, s in items]) for vid, items in predictions]
+        in_memory = gap_at_k(PredictionSet(rounded, labels), k=20).gap
+        assert abs(in_memory - evaluate(path, dataset).gap) <= 1e-12
+
+
 class TestEvaluate:
     def test_perfect_predictions_give_one(self, dataset, tmp_path):
         from videoseq import load_records
@@ -402,6 +415,16 @@ class TestEnsemble:
         src_b = self._write(tmp_path / "b.txt", [("b", [(0, 0.9)])])
         with pytest.raises(InputError, match="'a'"):
             ensemble_average([src_a, src_b], str(tmp_path / "out.txt"))
+
+    def test_repeated_video_line_rejected(self, tmp_path):
+        # was merged into two identical "a 1:0.650000 0:0.350000" lines
+        src_a = self._write(tmp_path / "a.txt", [("a", [(0, 0.9), (1, 0.1)]),
+                                                 ("a", [(1, 0.8), (0, 0.2)])])
+        src_b = self._write(tmp_path / "b.txt", [("a", [(0, 0.5), (1, 0.5)])])
+        out = tmp_path / "out.txt"
+        with pytest.raises(InputError, match=r"more than once: \['a'\]"):
+            ensemble_average([src_a, src_b], str(out), full_scores=True)
+        assert not out.exists()
 
     def test_empty_input_list_rejected(self, tmp_path):
         with pytest.raises(InputError):
