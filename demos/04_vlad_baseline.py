@@ -33,13 +33,13 @@ print("objective trace:", [round(v, 2) for v in codebook.inertia_history])
 # --- encoding ---------------------------------------------------------------------
 frames = rng.normal(size=(40, 2)) + np.array([4.0, 4.0])
 encoding = vlad_encode(codebook, frames)
-print("\nencoding length :", encoding.vector.shape[0], "(clusters x feature dim)")
-print("encoding L2 norm:", np.linalg.norm(encoding.vector))
+print("\nencoding length :", encoding.shape[0], "(clusters x feature dim)")
+print("encoding L2 norm:", np.linalg.norm(encoding))
 
 # Frames sitting exactly on the centers leave nothing to aggregate: the
 # degenerate encoding is all-zero rather than a division by ~0.
 degenerate = vlad_encode(codebook, codebook.centers.copy())
-print("degenerate norm :", np.linalg.norm(degenerate.vector))
+print("degenerate norm :", np.linalg.norm(degenerate))
 
 # The signed square root keeps the map odd: reflecting every frame about its
 # assigned center negates the whole pre-normalization vector.
@@ -48,8 +48,8 @@ assignments = np.array([
 ])
 reflected = 2 * codebook.centers[assignments] - frames
 print("odd symmetry    :", bool(np.allclose(
-    vlad_encode(codebook, frames).vector,
-    -vlad_encode(codebook, reflected).vector,
+    vlad_encode(codebook, frames),
+    -vlad_encode(codebook, reflected),
 )))
 
 # --- the vlad_mlp classifier -------------------------------------------------------

@@ -65,7 +65,7 @@ from .recurrent import (
     lstm_step,
     run_bidirectional,
 )
-from .vlad import Codebook, VladEncoding, kmeans_fit, load_codebook, save_codebook, vlad_encode
+from .vlad import Codebook, kmeans_fit, load_codebook, save_codebook, vlad_encode
 from .errors import (
     ConfigurationError,
     ContractError,

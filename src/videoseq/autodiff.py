@@ -647,15 +647,17 @@ def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+BN_MOMENTUM = 0.9
+BN_EPS = 1e-5
+
+
 @dataclass
 class BatchNormState:
-    """Per-channel running statistics, updated with momentum while training."""
+    """Per-channel running statistics, updated with momentum ``BN_MOMENTUM`` while training."""
 
     running_mean: np.ndarray
     running_var: np.ndarray
     initialized: bool = False
-    momentum: float = 0.9
-    eps: float = 1e-5
 
     @classmethod
     def for_channels(cls, channels: int) -> "BatchNormState":
@@ -667,7 +669,7 @@ def batchnorm_time(
     mask: TimeMask,
     gamma: Tensor,
     beta: Tensor,
-    mode: str,
+    train: bool,
     state: BatchNormState,
 ) -> Tensor:
     """Per-channel normalization over (batch, valid time positions).
@@ -685,17 +687,15 @@ def batchnorm_time(
             f"batchnorm_time: gamma/beta must have shape ({c},), got "
             f"{gamma.data.shape} and {beta.data.shape}"
         )
-    if mode not in ("train", "eval"):
-        raise ConfigurationError(f"mode must be 'train' or 'eval', got {mode!r}")
     m = mask.channel_mask()
     gamma3 = reshape(gamma, (1, c, 1))
     beta3 = reshape(beta, (1, c, 1))
 
-    if mode == "eval":
+    if not train:
         if not state.initialized:
             raise StateError("eval-mode batch norm requires populated running statistics")
         rm = state.running_mean.reshape(1, c, 1)
-        rstd = np.sqrt(state.running_var + state.eps).reshape(1, c, 1)
+        rstd = np.sqrt(state.running_var + BN_EPS).reshape(1, c, 1)
         xhat = mul(sub(x, rm), 1.0 / rstd)
         return mul(add(mul(xhat, gamma3), beta3), m)
 
@@ -703,15 +703,14 @@ def batchnorm_time(
     mean = mul(tensor_sum(mul(x, m), axis=(0, 2), keepdims=True), 1.0 / n)
     centered = mul(sub(x, mean), m)
     var = mul(tensor_sum(mul(centered, centered), axis=(0, 2), keepdims=True), 1.0 / n)
-    xhat = div(centered, sqrt(add(var, state.eps)))
+    xhat = div(centered, sqrt(add(var, BN_EPS)))
     out = mul(add(mul(xhat, gamma3), beta3), m)
 
     batch_mean = mean.data.reshape(c).copy()
     batch_var = var.data.reshape(c).copy()
     if state.initialized:
-        mom = state.momentum
-        state.running_mean = mom * state.running_mean + (1.0 - mom) * batch_mean
-        state.running_var = mom * state.running_var + (1.0 - mom) * batch_var
+        state.running_mean = BN_MOMENTUM * state.running_mean + (1.0 - BN_MOMENTUM) * batch_mean
+        state.running_var = BN_MOMENTUM * state.running_var + (1.0 - BN_MOMENTUM) * batch_var
     else:
         state.running_mean = batch_mean
         state.running_var = batch_var
@@ -774,5 +773,6 @@ def numerical_gradient(f, tensor: Tensor, step: float = 1e-5, indices=None) -> n
     return grad.reshape(tensor.data.shape)
 
 
-def relative_error(analytic: float, numeric: float, floor: float = 1e-5) -> float:
-    return abs(analytic - numeric) / max(abs(analytic), abs(numeric), floor)
+def relative_error(analytic: float, numeric: float) -> float:
+    """|a - n| / max(|a|, |n|, 1e-5): relative, but absolute near zero."""
+    return abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-5)

@@ -32,15 +32,22 @@ _TRAIN_FIELDS = {
     "learning_rate": float,
     "batch_size": int,
     "epochs": int,
-    "beta1": float,
-    "beta2": float,
-    "epsilon": float,
     "seed": int,
     "train_data": str,
     "val_data": str,
     "checkpoint_path": str,
     "log_path": str,
 }
+
+
+def _cast(path: str, key: str, value: str, cast):
+    """``cast(value)``, or a ConfigurationError naming the file, the key and the value."""
+    try:
+        return cast(value)
+    except ValueError:
+        raise ConfigurationError(
+            f"{path}: {key} = {value!r} is not a valid {cast.__name__}"
+        ) from None
 
 
 def parse_train_config(path: str) -> TrainConfig:
@@ -64,7 +71,7 @@ def parse_train_config(path: str) -> TrainConfig:
     version = entries.pop("config_version", None)
     if version is None:
         raise FormatError(f"{path}: missing config_version")
-    if int(version) != CONFIG_VERSION:
+    if _cast(path, "config_version", version, int) != CONFIG_VERSION:
         raise FormatError(f"{path}: unsupported config_version {version}")
     if "model.kind" not in entries or "model.vocab_size" not in entries:
         raise ConfigurationError(f"{path}: model.kind and model.vocab_size are required")
@@ -73,19 +80,19 @@ def parse_train_config(path: str) -> TrainConfig:
     for name in _MODEL_INT_FIELDS:
         key = f"model.{name}"
         if key in entries:
-            spec_kwargs[name] = int(entries.pop(key))
+            spec_kwargs[name] = _cast(path, key, entries.pop(key), int)
     if "model.fc_sizes" in entries:
         parts = entries.pop("model.fc_sizes").split(",")
         if len(parts) != 2:
             raise ConfigurationError(f"{path}: model.fc_sizes needs two widths")
-        spec_kwargs["fc_sizes"] = (int(parts[0]), int(parts[1]))
+        spec_kwargs["fc_sizes"] = tuple(_cast(path, "model.fc_sizes", p, int) for p in parts)
     config_kwargs = {"model": ModelSpec(**spec_kwargs)}
-    if "clip_norm" in entries:
-        raw = entries.pop("clip_norm")
-        config_kwargs["clip_norm"] = None if raw.lower() == "none" else float(raw)
+    raw = entries.pop("clip_norm", "none")
+    if raw.lower() != "none":
+        config_kwargs["clip_norm"] = _cast(path, "clip_norm", raw, float)
     for name, cast in _TRAIN_FIELDS.items():
         if name in entries:
-            config_kwargs[name] = cast(entries.pop(name))
+            config_kwargs[name] = _cast(path, name, entries.pop(name), cast)
     if entries:
         raise ConfigurationError(f"{path}: unknown keys {sorted(entries)}")
     return TrainConfig(**config_kwargs)

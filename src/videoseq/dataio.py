@@ -22,7 +22,7 @@ from .errors import ConfigurationError, PreconditionError, ValidationError
 
 MAGIC = b"FLVR"
 VERSION = 1
-_HEADER_STRUCT = struct.Struct("<IIIIQ")  # the DatasetHeader fields before version, in order
+_HEADER_STRUCT = struct.Struct("<IIIIQ")  # the DatasetHeader fields, in order
 
 
 @dataclass
@@ -32,7 +32,6 @@ class DatasetHeader:
     audio_dim: int = 128
     max_frames: int = 300
     video_count: int = 0
-    version: int = VERSION
 
     @property
     def feature_dim(self) -> int:
@@ -93,8 +92,8 @@ def write_records(path: str, header: DatasetHeader, records) -> int:
             raise ValidationError(f"record id {record.id!r} appears more than once")
         seen.add(record.id)
     with container.atomic_write(path) as f:
-        f.write(container.header(MAGIC, header.version))
-        f.write(_HEADER_STRUCT.pack(*astuple(header)[:5]))
+        f.write(container.header(MAGIC, VERSION))
+        f.write(_HEADER_STRUCT.pack(*astuple(header)))
         for record in records:
             f.write(container.string(record.id))
             f.write(struct.pack("<HH", record.frames.shape[0], len(record.labels)))

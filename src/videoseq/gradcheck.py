@@ -19,6 +19,7 @@ FD_STEP = 1e-4
 # ReLU kink: a genuine gradient bug stays wrong as the step shrinks, while
 # a kink straddle converges to the analytic value
 FD_REFINE_STEPS = (1e-5, 1e-6)
+GC_BATCH, GC_TIME = 2, 4  # the fixed random batch grad_check differentiates
 
 
 @dataclass
@@ -120,31 +121,26 @@ def toy_spec(kind: str, seed: int = 0) -> ModelSpec:
 
 
 def grad_check(
-    spec: ModelSpec,
-    sample_count: int = 6,
-    tolerance: float = 1e-4,
-    seed: int = 0,
-    batch: int = 2,
-    time: int = 4,
+    spec: ModelSpec, sample_count: int = 6, tolerance: float = 1e-4, seed: int = 0
 ) -> GradCheckReport:
     """Check analytic gradients of every parameter block of a model.
 
     Builds the model at the spec's dimensions, runs a train-mode forward on
-    a fixed random batch with a binary cross-entropy loss, and compares the
-    analytic gradient of ``sample_count`` coordinates per block (capped by
-    block size) with central differences of step 1e-4. Failures are
-    reported, never raised.
+    a fixed random batch of ``GC_BATCH`` videos of at most ``GC_TIME`` frames
+    with a binary cross-entropy loss, and compares the analytic gradient of
+    ``sample_count`` coordinates per block (capped by block size) with
+    central differences of step 1e-4. Failures are reported, never raised.
     """
     rng = np.random.default_rng(seed)
     model = build_model(spec)
     if spec.kind == "vlad_mlp":
         model.codebook.centers[...] = rng.normal(size=model.codebook.centers.shape)
-    visual = Tensor(rng.normal(size=(batch, spec.visual_dim, time)))
-    audio = Tensor(rng.normal(size=(batch, spec.audio_dim, time)))
-    lengths = rng.integers(1, time + 1, size=batch)
-    lengths[0] = time
-    mask = TimeMask(batch, time, lengths)
-    targets = (rng.random(size=(batch, spec.vocab_size)) < 0.4).astype(np.float64)
+    visual = Tensor(rng.normal(size=(GC_BATCH, spec.visual_dim, GC_TIME)))
+    audio = Tensor(rng.normal(size=(GC_BATCH, spec.audio_dim, GC_TIME)))
+    lengths = rng.integers(1, GC_TIME + 1, size=GC_BATCH)
+    lengths[0] = GC_TIME
+    mask = TimeMask(GC_BATCH, GC_TIME, lengths)
+    targets = (rng.random(size=(GC_BATCH, spec.vocab_size)) < 0.4).astype(np.float64)
 
     def loss_fn():
         return bce_loss(model.forward(visual, audio, mask, train=True), targets)

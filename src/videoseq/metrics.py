@@ -24,11 +24,11 @@ class PredictionSet:
 
     ``predictions`` keeps file/insertion order: [(video_id, [(class, score),
     ...])] with scores descending. ``labels`` maps video id to its positive
-    class set; it may be attached later than the predictions.
+    class set.
     """
 
     predictions: list
-    labels: dict | None = None
+    labels: dict
 
 
 @dataclass
@@ -40,8 +40,6 @@ class GapResult:
 
 def _pooled_pairs(preds: PredictionSet, k: int):
     """All (score, video_order, class, is_positive) tuples, top-k per video."""
-    if preds.labels is None:
-        raise PreconditionError("prediction set has no ground-truth labels attached")
     pooled = []
     total_positives = 0
     for video_order, (video_id, items) in enumerate(preds.predictions):
@@ -82,14 +80,15 @@ def gap_at_k(preds: PredictionSet, k: int = TOP_K) -> GapResult:
     return GapResult(ap_sum / total_positives, len(pooled), total_positives)
 
 
-def topk_predictions(probabilities, k: int, video_ids) -> PredictionSet:
-    """Top-k classes per video by probability, ties to the lower class index."""
+def topk_predictions(probabilities, k: int, video_ids) -> list:
+    """[(video_id, [(class, score), ...])]: the top-k classes per video by
+    probability, ties to the lower class index."""
     probs = np.asarray(getattr(probabilities, "data", probabilities), dtype=np.float64)
     if probs.ndim != 2:
         raise ConfigurationError(f"probabilities must be 2-D, got shape {probs.shape}")
     vocab = probs.shape[1]
-    if k > vocab:
-        raise ConfigurationError(f"k={k} exceeds vocab size {vocab}")
+    if not 1 <= k <= vocab:
+        raise ConfigurationError(f"k={k} outside [1, vocab size {vocab}]")
     video_ids = list(video_ids)
     if len(video_ids) != probs.shape[0]:
         raise ConfigurationError(
@@ -100,7 +99,7 @@ def topk_predictions(probabilities, k: int, video_ids) -> PredictionSet:
     for vid, row in zip(video_ids, probs):
         order = np.lexsort((classes, -row))[:k]
         predictions.append((vid, [(int(c), float(row[c])) for c in order]))
-    return PredictionSet(predictions)
+    return predictions
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +116,11 @@ def write_prediction_file(path: str, predictions) -> None:
 
 
 def read_prediction_file(path: str):
+    """[(video_id, [(class, score), ...])] in file order.
+
+    A line that is not UTF-8, a malformed pair, a class repeated on one line
+    or a non-finite score raises FormatError naming the file and line.
+    """
     predictions = []
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for line_no, line in enumerate(f, start=1):
@@ -129,14 +133,19 @@ def read_prediction_file(path: str):
                 continue
             parts = line.split()
             video_id, raw_pairs = parts[0], parts[1:]
-            items = []
+            items = {}
             for pair in raw_pairs:
                 try:
                     cls_str, score_str = pair.split(":")
-                    items.append((int(cls_str), float(score_str)))
+                    cls, score = int(cls_str), float(score_str)
                 except ValueError:
                     raise FormatError(
                         f"{path}:{line_no}: malformed class:score pair {pair!r}"
                     ) from None
-            predictions.append((video_id, items))
+                if cls in items:
+                    raise FormatError(f"{path}:{line_no}: class {cls} appears more than once")
+                if not np.isfinite(score):
+                    raise FormatError(f"{path}:{line_no}: class {cls} has a non-finite score")
+                items[cls] = score
+            predictions.append((video_id, list(items.items())))
     return predictions

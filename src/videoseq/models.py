@@ -58,7 +58,7 @@ DEEP_STACK_KINDS = ("ff_lstm", "ff_gru", "stacked_lstm")
 
 @dataclass
 class ModelSpec:
-    """Declarative description of one classifier; irrelevant fields are ignored."""
+    """Declarative description of one classifier; unused fields are ignored but validated."""
 
     kind: str
     vocab_size: int
@@ -77,18 +77,18 @@ class ModelSpec:
             raise ConfigurationError(
                 f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}"
             )
-        if self.vocab_size < 1:
-            raise ConfigurationError("vocab_size must be >= 1")
-        if self.depth < 1:
-            raise ConfigurationError("depth must be >= 1")
-        if self.trb_count < 1:
-            raise ConfigurationError("trb_count must be >= 1")
+        for name in ("vocab_size", "feature_dim", "hidden_size", "depth", "trb_count",
+                     "trb_filters", "vlad_clusters"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.fc_sizes is None:
             self.fc_sizes = (512, self.vocab_size)
         else:
             self.fc_sizes = tuple(int(s) for s in self.fc_sizes)
             if len(self.fc_sizes) != 2:
                 raise ConfigurationError("fc_sizes must hold exactly two layer widths")
+            if self.fc_sizes[0] < 1:
+                raise ConfigurationError(f"fc_sizes[0] must be >= 1, got {self.fc_sizes[0]}")
             if self.fc_sizes[1] != self.vocab_size:
                 raise ConfigurationError(
                     f"final head width {self.fc_sizes[1]} must equal vocab_size "
@@ -245,8 +245,6 @@ class VladMlpModel(VideoLevelModel):
 
     def _build(self, rng):
         spec = self.spec
-        if spec.vlad_clusters < 1:
-            raise ConfigurationError("vlad_clusters must be >= 1")
         self.codebook = Codebook(np.zeros((spec.vlad_clusters, spec.feature_dim)))
         return spec.vlad_clusters * spec.feature_dim
 
@@ -265,7 +263,7 @@ class VladMlpModel(VideoLevelModel):
             frames = np.concatenate(
                 [visual.data[i, :, :t].T, audio.data[i, :, :t].T], axis=1
             )
-            rows.append(vlad_encode(self.codebook, frames).vector)
+            rows.append(vlad_encode(self.codebook, frames))
         return Tensor(np.stack(rows))
 
     def _extra_state(self):
@@ -336,8 +334,6 @@ class TemporalResnetModel(VideoLevelModel):
 
     def _build(self, rng):
         spec = self.spec
-        if spec.trb_filters < 1:
-            raise ConfigurationError("trb_filters must be >= 1")
         filters = spec.trb_filters
         self.proj_k, self.proj_b = _conv_params(filters, spec.feature_dim, 1, rng)
         self._register([("proj.weight", self.proj_k), ("proj.bias", self.proj_b)])
@@ -365,14 +361,13 @@ class TemporalResnetModel(VideoLevelModel):
         return 2 * spec.hidden_size
 
     def _pool(self, visual, audio, mask, train):
-        mode = "train" if train else "eval"
         m = mask.channel_mask()
         x = ad.conv1d_same(_masked_features(visual, audio, mask), self.proj_k, self.proj_b) * m
         for block in self.blocks:
             k1, b1, g1, be1, s1 = block[1]
             k2, b2, g2, be2, s2 = block[2]
-            y = ad.relu(ad.batchnorm_time(ad.conv1d_same(x, k1, b1), mask, g1, be1, mode, s1))
-            y = ad.batchnorm_time(ad.conv1d_same(y, k2, b2), mask, g2, be2, mode, s2)
+            y = ad.relu(ad.batchnorm_time(ad.conv1d_same(x, k1, b1), mask, g1, be1, train, s1))
+            y = ad.batchnorm_time(ad.conv1d_same(y, k2, b2), mask, g2, be2, train, s2)
             x = ad.relu(x + y) * m
         return _birnn_attention(self.layers, self.attn, x, mask)
 

@@ -124,7 +124,7 @@ def gru_step(params: RecurrentCellParams, x_t: Tensor, h_prev: Tensor) -> Tensor
     return _gru_apply(_fuse_gru(params), params.hidden_size, x_t, h_prev)
 
 
-def _run_direction(params: RecurrentCellParams, x: Tensor, mask: TimeMask) -> Tensor:
+def _run_direction(params: RecurrentCellParams, x: Tensor) -> Tensor:
     """Unroll one direction over t = 0..max_time-1 from zero initial state."""
     batch, _, time = x.shape
     h = Tensor(np.zeros((batch, params.hidden_size)))
@@ -171,10 +171,8 @@ def run_bidirectional(
             f"run_bidirectional: input shape {x.shape} does not match mask "
             f"(batch {mask.batch}, time {mask.max_time})"
         )
-    fwd = _run_direction(params_fwd, x, mask)
-    bwd = ad.reverse_valid_time(
-        _run_direction(params_bwd, ad.reverse_valid_time(x, mask), mask), mask
-    )
+    fwd = _run_direction(params_fwd, x)
+    bwd = ad.reverse_valid_time(_run_direction(params_bwd, ad.reverse_valid_time(x, mask)), mask)
     return ad.concat([fwd, bwd], axis=1) * mask.channel_mask()
 
 

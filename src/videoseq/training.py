@@ -8,7 +8,7 @@ identical runs produce byte-identical prediction files and metric logs.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .errors import (
     TrainingError,
 )
 from .metrics import (
+    TOP_K,
     GapResult,
     PredictionSet,
     gap_at_k,
@@ -36,6 +37,9 @@ from .vlad import kmeans_fit
 
 CODEBOOK_SAMPLE_CAP = 100_000
 DEEP_STACK_CLIP_NORM = 5.0
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 @dataclass
@@ -44,9 +48,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     batch_size: int = 32
     epochs: int = 10
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     clip_norm: float | None = None  # None -> depth rule below; 0 disables
     seed: int = 0
     train_data: str = ""
@@ -86,35 +87,16 @@ def bce_loss(probabilities: Tensor, targets) -> Tensor:
     return -loss.mean()
 
 
-@dataclass
-class OptimizerState:
-    """Adam moment buffers, one pair per parameter block, plus step counter."""
-
-    moments1: dict = field(default_factory=dict)
-    moments2: dict = field(default_factory=dict)
-    step_count: int = 0
-
-
 class Adam:
-    def __init__(
-        self,
-        named_params,
-        learning_rate: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-        clip_norm: float | None = None,
-    ):
+    """Adam with the ``ADAM_*`` constants; one pair of moment buffers per parameter block."""
+
+    def __init__(self, named_params, learning_rate: float, clip_norm: float | None = None):
         self.named_params = list(named_params)
         self.lr = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.clip_norm = clip_norm
-        self.state = OptimizerState()
-        for name, p in self.named_params:
-            self.state.moments1[name] = np.zeros(p.data.shape)
-            self.state.moments2[name] = np.zeros(p.data.shape)
+        self.moments1 = {name: np.zeros(p.data.shape) for name, p in self.named_params}
+        self.moments2 = {name: np.zeros(p.data.shape) for name, p in self.named_params}
+        self.step_count = 0
 
     def zero_grad(self):
         for _, p in self.named_params:
@@ -132,19 +114,18 @@ class Adam:
         if self.clip_norm is not None and norm > self.clip_norm:
             scale = self.clip_norm / norm
             grads = {name: g * scale for name, g in grads.items()}
-        s = self.state
-        s.step_count += 1
-        bc1 = 1.0 - self.beta1 ** s.step_count
-        bc2 = 1.0 - self.beta2 ** s.step_count
+        self.step_count += 1
+        bc1 = 1.0 - ADAM_BETA1 ** self.step_count
+        bc2 = 1.0 - ADAM_BETA2 ** self.step_count
         for name, p in self.named_params:
             g = grads[name]
-            m = s.moments1[name]
-            v = s.moments2[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
+            m = self.moments1[name]
+            v = self.moments2[name]
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
         return norm
 
 
@@ -172,10 +153,10 @@ def fit_vlad_codebook(records, spec: ModelSpec, seed: int):
     return kmeans_fit(frames, spec.vlad_clusters, max_iter=25, seed=seed)
 
 
-def _eval_gap(model, records, header, batch_size: int, k: int = 20) -> GapResult:
-    preds = _predict_records(model, records, header, batch_size, k=min(k, header.vocab_size))
+def _eval_gap(model, records, header, batch_size: int) -> GapResult:
+    preds = _predict_records(model, records, header, batch_size, min(TOP_K, header.vocab_size))
     labels = {r.id: frozenset(r.labels) for r in records}
-    return gap_at_k(PredictionSet(preds, labels), k=k)
+    return gap_at_k(PredictionSet(preds, labels))
 
 
 def _predict_records(model, records, header, batch_size: int, k: int):
@@ -185,8 +166,7 @@ def _predict_records(model, records, header, batch_size: int, k: int):
             batch = records[start : start + batch_size]
             visual, audio, mask, _ = pad_batch(batch, header)
             probs = model.forward(visual, audio, mask, train=False)
-            ps = topk_predictions(probs, k, [r.id for r in batch])
-            predictions.extend(ps.predictions)
+            predictions.extend(topk_predictions(probs, k, [r.id for r in batch]))
     return predictions
 
 
@@ -225,14 +205,7 @@ def train(config: TrainConfig) -> TrainResult:
     if config.model.kind == "vlad_mlp":
         model.set_codebook(fit_vlad_codebook(records, config.model, config.seed))
 
-    optimizer = Adam(
-        model.named_parameters(),
-        config.learning_rate,
-        config.beta1,
-        config.beta2,
-        config.epsilon,
-        config.resolved_clip_norm(),
-    )
+    optimizer = Adam(model.named_parameters(), config.learning_rate, config.resolved_clip_norm())
     rng = np.random.default_rng(config.seed)
     n = len(records)
 
@@ -276,7 +249,7 @@ def predict(
     checkpoint_path: str,
     data_path: str,
     out_path: str,
-    k: int = 20,
+    k: int = TOP_K,
     full_scores: bool = False,
     batch_size: int = 32,
 ):
@@ -310,7 +283,7 @@ def _check_coverage(path: str, predictions, ids, reference: str) -> None:
         raise InputError(f"{path}: " + "; ".join(faults))
 
 
-def evaluate(prediction_path: str, data_path: str, k: int = 20) -> GapResult:
+def evaluate(prediction_path: str, data_path: str) -> GapResult:
     """Join a prediction file with a record file's labels and compute GAP.
 
     The file must predict every video of the data exactly once, with class
@@ -326,22 +299,16 @@ def evaluate(prediction_path: str, data_path: str, k: int = 20) -> GapResult:
         raise InputError(
             f"{prediction_path}: (video, class) pairs outside [0, {vocab}): {outside[:10]}"
         )
-    return gap_at_k(PredictionSet(predictions, labels), k=k)
+    return gap_at_k(PredictionSet(predictions, labels))
 
 
-def ensemble_average(
-    input_paths,
-    out_path: str,
-    weights=None,
-    k: int = 20,
-    full_scores: bool = False,
-):
+def ensemble_average(input_paths, out_path: str, weights=None, full_scores: bool = False):
     """Weighted per-class mean of full-score prediction files.
 
     Every file must predict each video of the first file exactly once, with
     the same classes per video.
     The weighted mean is normalized by the weight sum, then re-truncated to
-    the top-k (or kept whole with ``full_scores``).
+    the top ``TOP_K`` (or kept whole with ``full_scores``).
     """
     input_paths = list(input_paths)
     if not input_paths:
@@ -384,7 +351,7 @@ def ensemble_average(
             merged.append((cls, score))
         merged.sort(key=lambda cs: (-cs[1], cs[0]))
         if not full_scores:
-            merged = merged[:k]
+            merged = merged[:TOP_K]
         predictions.append((vid, merged))
     write_prediction_file(out_path, predictions)
     return predictions

@@ -48,11 +48,6 @@ class Codebook:
         return self.centers.shape[1]
 
 
-@dataclass
-class VladEncoding:
-    vector: np.ndarray  # length k*d, unit L2 norm or all-zero
-
-
 def _squared_distances(samples: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """[n x k] squared euclidean distances, clipped at zero."""
     d2 = (
@@ -122,8 +117,9 @@ def kmeans_fit(
     return Codebook(centers, inertia_history=history)
 
 
-def vlad_encode(codebook: Codebook, frames: np.ndarray) -> VladEncoding:
-    """Aggregate per-center residual sums of a [t x d] frame matrix."""
+def vlad_encode(codebook: Codebook, frames: np.ndarray) -> np.ndarray:
+    """Aggregate per-center residual sums of a [t x d] frame matrix into a
+    length k*d vector of unit L2 norm, or all zeros (see the module docstring)."""
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[1] != codebook.d:
         raise DimensionError(
@@ -140,8 +136,8 @@ def vlad_encode(codebook: Codebook, frames: np.ndarray) -> VladEncoding:
     flat = np.sign(flat) * np.sqrt(np.abs(flat))
     norm = np.linalg.norm(flat)
     if norm < _DEGENERATE_NORM:
-        return VladEncoding(np.zeros_like(flat))
-    return VladEncoding(flat / norm)
+        return np.zeros_like(flat)
+    return flat / norm
 
 
 def save_codebook(path: str, codebook: Codebook) -> None:

@@ -223,11 +223,11 @@ def test_criterion_6_vlad_contracts():
     for _ in range(200):
         cb = Codebook(rng.normal(size=(int(rng.integers(1, 6)), 4)))
         frames = rng.normal(size=(int(rng.integers(1, 30)), 4))
-        norm = float(np.linalg.norm(vlad_encode(cb, frames).vector))
+        norm = float(np.linalg.norm(vlad_encode(cb, frames)))
         assert abs(norm - 1.0) < 1e-12 or norm == 0.0
     # degenerate case: frames exactly on centers
     cb = Codebook(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert np.linalg.norm(vlad_encode(cb, cb.centers.copy()).vector) == 0.0
+    assert np.linalg.norm(vlad_encode(cb, cb.centers.copy())) == 0.0
 
     for seed in range(100):
         inst_rng = np.random.default_rng(1000 + seed)

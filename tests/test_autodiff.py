@@ -249,7 +249,7 @@ class TestBatchnormTime:
         x[mask.bool_matrix()[:, None, :].repeat(2, axis=1)] = 3.7
         state = BatchNormState.for_channels(2)
         out = batchnorm_time(
-            Tensor(x), mask, Tensor(np.ones(2)), Tensor(np.zeros(2)), "train", state
+            Tensor(x), mask, Tensor(np.ones(2)), Tensor(np.zeros(2)), True, state
         )
         valid = mask.bool_matrix()
         assert np.allclose(out.data[:, 0, :][valid], 0.0, atol=1e-9)
@@ -259,7 +259,7 @@ class TestBatchnormTime:
         state = BatchNormState(np.zeros(1), np.ones(1), initialized=True)
         x = np.array([[[0.5, -1.0, 2.0]]])
         out = batchnorm_time(
-            Tensor(x), mask, Tensor([2.0]), Tensor([1.0]), "eval", state
+            Tensor(x), mask, Tensor([2.0]), Tensor([1.0]), False, state
         )
         assert np.allclose(out.data, 2.0 * x + 1.0, atol=1e-4)
 
@@ -268,7 +268,7 @@ class TestBatchnormTime:
         state = BatchNormState.for_channels(1)
         with pytest.raises(StateError):
             batchnorm_time(
-                Tensor(np.zeros((1, 1, 2))), mask, Tensor([1.0]), Tensor([0.0]), "eval", state
+                Tensor(np.zeros((1, 1, 2))), mask, Tensor([1.0]), Tensor([0.0]), False, state
             )
 
     def test_train_gradients_match_finite_differences(self):
@@ -281,7 +281,7 @@ class TestBatchnormTime:
 
         def f():
             state = BatchNormState.for_channels(3)
-            out = batchnorm_time(x, mask, gamma, beta, "train", state)
+            out = batchnorm_time(x, mask, gamma, beta, True, state)
             return tensor_sum(out * coef)
 
         worst = check_gradients(f, [("x", x), ("gamma", gamma), ("beta", beta)], step=1e-4)
@@ -292,7 +292,7 @@ class TestBatchnormTime:
         x = np.ones((1, 1, 4))
         state = BatchNormState.for_channels(1)
         out = batchnorm_time(
-            Tensor(x), mask, Tensor([1.0]), Tensor([5.0]), "train", state
+            Tensor(x), mask, Tensor([1.0]), Tensor([5.0]), True, state
         )
         assert np.array_equal(out.data[0, 0, 2:], [0.0, 0.0])
 

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from videoseq import ModelSpec, build_model, save_checkpoint
 from videoseq.cli import main, parse_train_config
 
 
@@ -98,6 +99,56 @@ def test_out_of_memory_keeps_the_one_line_error(tmp_path, capsys, monkeypatch):
     assert rc == 1
     err = capsys.readouterr().err
     assert err == "error: MemoryError: cannot allocate 894 GiB\n"
+
+
+def _one_line_error(capsys, rc):
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigurationError: ")
+    assert err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("line", ["model.hidden_size = 0", "model.fc_sizes = 0,6"])
+def test_zero_width_config_is_a_one_line_error(workdir, capsys, line):
+    tmp_path, data, config = workdir
+    text = config.read_text().replace("video_level", "two_stream_lstm")
+    config.write_text(text.replace("model.fc_sizes = 8,6", line))
+    rc = main(["train", "--config", str(config), "--data", str(data),
+               "--out", str(tmp_path / "m.ckpt")])
+    _one_line_error(capsys, rc)
+
+
+def test_zero_width_checkpoint_is_a_one_line_error(workdir, capsys):
+    tmp_path, data, _ = workdir
+    spec = ModelSpec(kind="two_stream_lstm", vocab_size=6, visual_dim=6, audio_dim=3,
+                     hidden_size=4, fc_sizes=(8, 6))
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(str(ckpt), build_model(spec))
+    raw = bytearray(ckpt.read_bytes())
+    at = 8 + 2 + len(spec.kind) + 12  # magic, version, kind string, three dims
+    assert raw[at:at + 4] == (4).to_bytes(4, "little")
+    raw[at:at + 4] = bytes(4)  # hidden_size = 0
+    ckpt.write_bytes(bytes(raw))
+    rc = main(["predict", "--checkpoint", str(ckpt), "--data", str(data),
+               "--out", str(tmp_path / "p.txt")])
+    _one_line_error(capsys, rc)
+
+
+@pytest.mark.parametrize("line, key", [
+    ("model.vocab_size = abc", "model.vocab_size = 'abc'"),
+    ("learning_rate = fast", "learning_rate = 'fast'"),
+    ("config_version = x", "config_version = 'x'"),
+])
+def test_config_value_that_does_not_cast_names_file_key_and_value(workdir, capsys, line, key):
+    tmp_path, data, config = workdir
+    name = line.split(" =")[0]
+    lines = [ln for ln in config.read_text().splitlines() if not ln.startswith(name + " ")]
+    config.write_text("\n".join(lines + [line]) + "\n")
+    rc = main(["train", "--config", str(config), "--data", str(data),
+               "--out", str(tmp_path / "m.ckpt")])
+    err = _one_line_error(capsys, rc)
+    assert f"{config}: {key} is not a valid " in err
 
 
 def test_config_parser_rejects_unknown_keys(tmp_path):

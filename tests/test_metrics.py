@@ -133,19 +133,25 @@ class TestOracleEquivalence:
 class TestTopkPredictions:
     def test_basic(self):
         preds = topk_predictions(np.array([[0.1, 0.9, 0.5]]), 2, ["a"])
-        assert preds.predictions == [("a", [(1, 0.9), (2, 0.5)])]
+        assert preds == [("a", [(1, 0.9), (2, 0.5)])]
 
     def test_tie_break_prefers_lower_class(self):
         preds = topk_predictions(np.array([[0.5, 0.5, 0.5]]), 2, ["a"])
-        assert [c for c, _ in preds.predictions[0][1]] == [0, 1]
+        assert [c for c, _ in preds[0][1]] == [0, 1]
 
     def test_k_equals_vocab(self):
         preds = topk_predictions(np.array([[0.3, 0.1, 0.2]]), 3, ["a"])
-        assert [c for c, _ in preds.predictions[0][1]] == [0, 2, 1]
+        assert [c for c, _ in preds[0][1]] == [0, 2, 1]
 
     def test_k_above_vocab_rejected(self):
         with pytest.raises(ConfigurationError):
             topk_predictions(np.zeros((1, 3)), 4, ["a"])
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        # k=-1 used to slice off the last class instead
+        with pytest.raises(ConfigurationError):
+            topk_predictions(np.zeros((1, 3)), k, ["a"])
 
 
 class TestPredictionFile:
@@ -182,6 +188,19 @@ class TestPredictionFile:
         path = tmp_path / "bad.txt"
         path.write_bytes(b"v 0:0.5\n\xff\xfe\n")
         with pytest.raises(FormatError, match=r"bad.txt:2: line is not UTF-8"):
+            read_prediction_file(path)
+
+    @pytest.mark.parametrize("line, problem", [
+        ("a 0:0.5 0:0.7 1:0.2", "class 0 appears more than once"),
+        ("a 0:0.5 1:nan", "class 1 has a non-finite score"),
+        ("a 0:inf 1:0.5", "class 0 has a non-finite score"),
+    ])
+    def test_repeated_class_or_non_finite_score_names_the_line(self, tmp_path, line, problem):
+        from videoseq import FormatError
+
+        path = tmp_path / "bad.txt"
+        path.write_text(f"b 0:0.5\n{line}\n")
+        with pytest.raises(FormatError, match=f"bad.txt:2: {problem}"):
             read_prediction_file(path)
 
 

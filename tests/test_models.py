@@ -76,7 +76,7 @@ class TestModelSpec:
         assert spec.vlad_clusters == 256
 
     def test_irrelevant_fields_ignored(self):
-        # trb settings are meaningless for a video_level model but never rejected
+        # trb settings are meaningless for a video_level model; any value >= 1 is accepted
         spec = tiny_spec("video_level", trb_filters=1, trb_count=99)
         out = build_ready(spec).forward(*random_batch(spec, 2, 3))
         assert out.shape == (2, 5)
@@ -88,6 +88,18 @@ class TestModelSpec:
     def test_head_width_must_match_vocab(self):
         with pytest.raises(ConfigurationError):
             ModelSpec(kind="video_level", vocab_size=5, fc_sizes=(8, 7))
+
+    @pytest.mark.parametrize("kind, fields", [
+        ("two_stream_lstm", dict(hidden_size=0)),
+        ("video_level", dict(fc_sizes=(0, 5))),
+        ("video_level", dict(visual_dim=0, audio_dim=0)),
+        ("temporal_resnet", dict(trb_filters=0)),
+        ("vlad_mlp", dict(vlad_clusters=0)),
+    ])
+    def test_zero_widths_rejected(self, kind, fields):
+        # a zero width used to reach numpy's uniform init as an OverflowError
+        with pytest.raises(ConfigurationError, match="must be >= 1"):
+            ModelSpec(kind=kind, vocab_size=5, **fields)
 
     def test_same_seed_same_parameters(self):
         for kind in ALL_KINDS:
@@ -286,8 +298,8 @@ class TestTemporalResnet:
         mask = TimeMask.full(2, 4)
         k1, b1, g1, be1, s1 = block[1]
         k2, b2, g2, be2, s2 = block[2]
-        y = ad.relu(ad.batchnorm_time(ad.conv1d_same(x, k1, b1), mask, g1, be1, "train", s1))
-        y = ad.batchnorm_time(ad.conv1d_same(y, k2, b2), mask, g2, be2, "train", s2)
+        y = ad.relu(ad.batchnorm_time(ad.conv1d_same(x, k1, b1), mask, g1, be1, True, s1))
+        y = ad.batchnorm_time(ad.conv1d_same(y, k2, b2), mask, g2, be2, True, s2)
         out = ad.relu(x + y)
         assert np.array_equal(out.data, x.data)
 

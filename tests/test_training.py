@@ -4,6 +4,7 @@ import pytest
 from videoseq import (
     ConfigurationError,
     DimensionError,
+    FormatError,
     InputError,
     ModelSpec,
     Tensor,
@@ -93,7 +94,7 @@ class TestAdam:
         p.grad = np.zeros(2)
         opt.step()
         assert np.array_equal(p.data, [1.0, -2.0])
-        assert opt.state.step_count == 1
+        assert opt.step_count == 1
 
     def test_first_step_moves_by_learning_rate(self):
         # bias correction makes the first update lr * g/(|g| + eps-scale)
@@ -424,6 +425,16 @@ class TestEnsemble:
         out = tmp_path / "out.txt"
         with pytest.raises(InputError, match=r"more than once: \['a'\]"):
             ensemble_average([src_a, src_b], str(out), full_scores=True)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["a 0:0.5 0:0.7 1:0.2", "a 0:nan 1:0.2"])
+    def test_repeated_class_or_non_finite_score_rejected(self, tmp_path, line):
+        # were written as "a 0:0.700000 0:0.700000 1:0.200000" and "a 0:nan 1:0.200000"
+        src = tmp_path / "a.txt"
+        src.write_text(line + "\n")
+        out = tmp_path / "out.txt"
+        with pytest.raises(FormatError, match="a.txt:1: class 0"):
+            ensemble_average([str(src)], str(out), full_scores=True)
         assert not out.exists()
 
     def test_empty_input_list_rejected(self, tmp_path):

@@ -61,14 +61,14 @@ class TestVladEncode:
         cb = Codebook(np.array([[1.0, 2.0], [-3.0, 0.5]]))
         frames = np.array([[1.0, 2.0], [-3.0, 0.5], [1.0, 2.0]])
         enc = vlad_encode(cb, frames)
-        assert np.array_equal(enc.vector, np.zeros(4))
+        assert np.array_equal(enc, np.zeros(4))
 
     def test_single_cluster_closed_form(self):
         cb = Codebook(np.zeros((1, 3)))
         frame = np.array([[4.0, -9.0, 0.25]])
         enc = vlad_encode(cb, frame)
         signed = np.sign(frame[0]) * np.sqrt(np.abs(frame[0]))
-        assert np.allclose(enc.vector, signed / np.linalg.norm(signed), atol=1e-15)
+        assert np.allclose(enc, signed / np.linalg.norm(signed), atol=1e-15)
 
     def test_unit_norm_on_random_inputs(self):
         rng = np.random.default_rng(4)
@@ -76,7 +76,7 @@ class TestVladEncode:
         for _ in range(25):
             frames = rng.normal(size=(rng.integers(1, 20), 3))
             enc = vlad_encode(cb, frames)
-            assert abs(np.linalg.norm(enc.vector) - 1.0) < 1e-12
+            assert abs(np.linalg.norm(enc) - 1.0) < 1e-12
 
     def test_dimension_mismatch(self):
         cb = Codebook(np.zeros((2, 3)))
@@ -95,14 +95,14 @@ class TestVladEncode:
         reflected = 2 * cb.centers[assigned] - frames
         enc = vlad_encode(cb, frames)
         enc_neg = vlad_encode(cb, reflected)
-        assert np.allclose(enc.vector, -enc_neg.vector, atol=1e-12)
+        assert np.allclose(enc, -enc_neg, atol=1e-12)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(6)
         cb = Codebook(rng.normal(size=(4, 3)))
         frames = rng.normal(size=(10, 3))
-        base = vlad_encode(cb, frames).vector
-        shuffled = vlad_encode(cb, frames[rng.permutation(10)]).vector
+        base = vlad_encode(cb, frames)
+        shuffled = vlad_encode(cb, frames[rng.permutation(10)])
         # summation order differs, so equality is up to float round-off
         assert np.allclose(base, shuffled, atol=1e-12)
 
@@ -112,8 +112,8 @@ class TestVladEncode:
         rng = np.random.default_rng(15)
         cb = Codebook(rng.normal(size=(3, 4)))
         frames = rng.normal(size=(7, 4))
-        base = vlad_encode(cb, frames).vector
-        doubled = vlad_encode(cb, np.concatenate([frames, frames])).vector
+        base = vlad_encode(cb, frames)
+        doubled = vlad_encode(cb, np.concatenate([frames, frames]))
         assert np.allclose(base, doubled, atol=1e-12)
 
     @given(scale=st.floats(min_value=0.01, max_value=100.0))
@@ -124,15 +124,15 @@ class TestVladEncode:
         rng = np.random.default_rng(7)
         centers = rng.normal(size=(3, 2))
         frames = rng.normal(size=(6, 2)) * 3
-        base = vlad_encode(Codebook(centers), frames).vector
-        scaled = vlad_encode(Codebook(centers * scale), frames * scale).vector
+        base = vlad_encode(Codebook(centers), frames)
+        scaled = vlad_encode(Codebook(centers * scale), frames * scale)
         assert np.allclose(base, scaled, atol=1e-9)
 
 
 class TestVladMatchesAddAtOracle:
     def check(self, centers, frames):
         cb = Codebook(centers)
-        got = vlad_encode(cb, frames).vector
+        got = vlad_encode(cb, frames)
         want = vlad_encode_oracle(cb, frames)
         assert np.max(np.abs(got - want)) <= 1e-12
 
