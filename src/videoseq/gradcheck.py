@@ -134,7 +134,8 @@ def grad_check(
     rng = np.random.default_rng(seed)
     model = build_model(spec)
     if spec.kind == "vlad_mlp":
-        model.codebook.centers[...] = rng.normal(size=model.codebook.centers.shape)
+        centers = model.tensors["codebook.centers"].data
+        centers[...] = rng.normal(size=centers.shape)
     visual = Tensor(rng.normal(size=(GC_BATCH, spec.visual_dim, GC_TIME)))
     audio = Tensor(rng.normal(size=(GC_BATCH, spec.audio_dim, GC_TIME)))
     lengths = rng.integers(1, GC_TIME + 1, size=GC_BATCH)

@@ -4,9 +4,10 @@ Every kind is ``VideoLevelModel`` with its own temporal pooling: the model
 checks its inputs, pools the masked frame features into one vector per
 video, and scores it with the same MLP head. ``forward`` is defined once,
 on ``VideoLevelModel``, and returns the [batch x vocab] probability tensor.
-A kind supplies two hooks: ``_build`` draws its pooling parameters from
-the spec-seeded generator (the head is drawn after them) and returns the
-pooled width, and ``_pool`` does the pooling:
+A kind supplies a table and ``_pool``. ``_table`` lazily yields one
+(name, shape, init) entry per tensor from spec arithmetic alone, in
+checkpoint order: pooling parameters, ``head.*``, then non-trainable state.
+``_pool`` pools, reading its tensors by name:
 
 - ``video_level``: masked mean over frames
 - ``vlad_mlp``: VLAD encoding against a fitted codebook
@@ -23,9 +24,11 @@ pooled width, and ``_pool`` does the pooling:
 The recurrent kinds share one "bidirectional layers (optionally
 fast-forwarded) -> attention" helper. Every model ends in a per-class
 sigmoid and masks its raw inputs up front, so values stored at padded
-frame positions can never influence the output. Checkpoints (``FLCK``) are
-read and written at the end of this module; their framing (magic, version,
-strings, bounded reads, atomic writes) lives in ``container``.
+frame positions can never influence the output. ``build_model`` draws the
+table in order from the spec-seeded generator; ``load_checkpoint`` (end of
+this module) walks it beside the file's tensors and adopts them, drawing
+nothing. Checkpoint framing (magic, version, strings, bounded reads, atomic
+writes) lives in ``container``.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ from . import autodiff as ad
 from . import container
 from .autodiff import BatchNormState, Tensor, TimeMask
 from .errors import ConfigurationError, DimensionError, FormatError
-from .recurrent import AttentionParams, RecurrentCellParams, attention_pool, run_bidirectional
+from .recurrent import (ONES, ZEROS, AttentionParams, Init, RecurrentCellParams, attention_pool,
+                        attention_table, cell_table, draw_table, run_bidirectional)
 from .vlad import Codebook, vlad_encode
 
 MODEL_KINDS = (
@@ -100,38 +104,36 @@ class ModelSpec:
         return self.visual_dim + self.audio_dim
 
 
-class MlpHead:
-    """Two fully-connected layers with a ReLU between and a sigmoid on top."""
-
-    def __init__(self, input_dim: int, fc_sizes: tuple, rng: np.random.Generator):
-        hidden, out = fc_sizes
-        s1 = 1.0 / np.sqrt(input_dim)
-        s2 = 1.0 / np.sqrt(hidden)
-        self.w1 = Tensor(rng.uniform(-s1, s1, size=(hidden, input_dim)), requires_grad=True)
-        self.b1 = Tensor(np.zeros(hidden), requires_grad=True)
-        self.w2 = Tensor(rng.uniform(-s2, s2, size=(out, hidden)), requires_grad=True)
-        self.b2 = Tensor(np.zeros(out), requires_grad=True)
-
-    def parameters(self, prefix: str):
-        yield f"{prefix}.w1", self.w1
-        yield f"{prefix}.b1", self.b1
-        yield f"{prefix}.w2", self.w2
-        yield f"{prefix}.b2", self.b2
-
-    def forward(self, x: Tensor) -> Tensor:
-        if x.shape[1] != self.w1.shape[1]:
-            raise DimensionError(
-                f"head expects {self.w1.shape[1]} input features, got {x.shape}"
-            )
-        h = ad.relu(ad.matmul(x, ad.transpose(self.w1)) + self.b1)
-        return ad.sigmoid(ad.matmul(h, ad.transpose(self.w2)) + self.b2)
+_STATE_ZEROS, _STATE_ONES = Init(0.0, trainable=False), Init(1.0, trainable=False)
 
 
-def _conv_params(c_out: int, c_in: int, width: int, rng: np.random.Generator):
-    scale = 1.0 / np.sqrt(c_in * width)
-    k = Tensor(rng.uniform(-scale, scale, size=(c_out, c_in, width)), requires_grad=True)
-    b = Tensor(np.zeros(c_out), requires_grad=True)
-    return k, b
+def _head_table(spec: ModelSpec, width: int):
+    hidden, out = spec.fc_sizes
+    yield "head.w1", (hidden, width), Init(fan_in=width)
+    yield "head.b1", (hidden,), ZEROS
+    yield "head.w2", (out, hidden), Init(fan_in=hidden)
+    yield "head.b2", (out,), ZEROS
+
+
+def _conv_table(weight: str, bias: str, c_out: int, c_in: int, width: int):
+    yield weight, (c_out, c_in, width), Init(fan_in=c_in * width)
+    yield bias, (c_out,), ZEROS
+
+
+def _birnn_attention_table(spec: ModelSpec, prefixes, in_dim: int, attn_prefix: str,
+                           fast_forward: bool = False):
+    """One bidirectional layer per prefix (with its fast-forward FC if on), then the attention.
+
+    Cells are GRUs for the ``*_gru`` kinds and LSTMs otherwise.
+    """
+    h, cell = spec.hidden_size, "gru" if spec.kind.endswith("_gru") else "lstm"
+    for prefix in prefixes:
+        yield from cell_table(f"{prefix}.fwd", cell, in_dim, h)
+        yield from cell_table(f"{prefix}.bwd", cell, in_dim, h)
+        if fast_forward:
+            yield from _conv_table(f"{prefix}.ff_weight", f"{prefix}.ff_bias", 2 * h, in_dim + 2 * h, 1)
+        in_dim = 2 * h
+    yield from attention_table(attn_prefix, 2 * h, h)
 
 
 def _masked_features(visual: Tensor, audio: Tensor, mask: TimeMask) -> Tensor:
@@ -139,79 +141,50 @@ def _masked_features(visual: Tensor, audio: Tensor, mask: TimeMask) -> Tensor:
     return ad.concat([visual * m, audio * m], axis=1)
 
 
-def _birnn_attention_params(model, rng, in_dim: int, prefixes, attn_prefix: str,
-                            fast_forward: bool = False):
-    """Draw and register one layer per prefix, then the attention pool -> (layers, attn).
-
-    Cells are GRUs for the ``*_gru`` kinds and LSTMs otherwise; a layer is
-    (fwd, bwd, ff_k, ff_b), its fast-forward FC None with ``fast_forward`` off.
-    """
-    cell = "gru" if model.spec.kind.endswith("_gru") else "lstm"
-    h = model.spec.hidden_size
-    layers = []
-    for prefix in prefixes:
-        fwd = RecurrentCellParams.create(cell, in_dim, h, rng)
-        bwd = RecurrentCellParams.create(cell, in_dim, h, rng)
-        model._register(fwd.parameters(f"{prefix}.fwd"))
-        model._register(bwd.parameters(f"{prefix}.bwd"))
-        ff_k = ff_b = None
-        if fast_forward:
-            ff_k, ff_b = _conv_params(2 * h, in_dim + 2 * h, 1, rng)
-            model._register([(f"{prefix}.ff_weight", ff_k), (f"{prefix}.ff_bias", ff_b)])
-        layers.append((fwd, bwd, ff_k, ff_b))
-        in_dim = 2 * h
-    attn = AttentionParams.create(2 * h, h, rng)
-    model._register(attn.parameters(attn_prefix))
-    return layers, attn
+def _mlp_head(t: dict, x: Tensor) -> Tensor:
+    """Two fully-connected layers (``head.*``) with a ReLU between and a sigmoid on top."""
+    h = ad.relu(ad.matmul(x, ad.transpose(t["head.w1"])) + t["head.b1"])
+    return ad.sigmoid(ad.matmul(h, ad.transpose(t["head.w2"])) + t["head.b2"])
 
 
-def _birnn_attention(layers, attn: AttentionParams, x: Tensor, mask: TimeMask) -> Tensor:
+def _birnn_attention(t: dict, prefixes, attn_prefix: str, x: Tensor, mask: TimeMask) -> Tensor:
     """Bidirectional layers, then attention pooling: [b x c x t] -> [b x 2*hidden].
 
     Layer i's input is x_{i-1} (x_0 = ``x``); its output x_i is its states h_i,
     or with a fast-forward FC, ReLU(FC([x_{i-1}; h_i])) at every step.
     """
-    for fwd, bwd, ff_k, ff_b in layers:
+    for prefix in prefixes:
+        fwd, bwd = (RecurrentCellParams.from_tensors(t, f"{prefix}.{d}") for d in ("fwd", "bwd"))
         states = run_bidirectional(fwd, bwd, x, mask)
+        ff_k = t.get(f"{prefix}.ff_weight")
         if ff_k is None:
             x = states
         else:
-            x = ad.relu(ad.conv1d_same(ad.concat([x, states], axis=1), ff_k, ff_b))
-    return attention_pool(attn, x, mask)
+            x = ad.relu(ad.conv1d_same(ad.concat([x, states], axis=1), ff_k, t[f"{prefix}.ff_bias"]))
+    return attention_pool(AttentionParams.from_tensors(t, attn_prefix), x, mask)
 
 
 class VideoLevelModel:
     """Masked mean over frames, then the MLP head; the skeleton of every kind.
 
-    Every other kind subclasses it and overrides the ``_build`` and ``_pool``
-    hooks (see the module docstring).
+    ``tensors`` maps each name of the kind's table to its Tensor, in table
+    order. Every other kind subclasses it and overrides the ``_table`` and
+    ``_pool`` hooks (see the module docstring).
     """
 
-    def __init__(self, spec: ModelSpec):
+    def __init__(self, spec: ModelSpec, tensors: dict):
         self.spec = spec
-        self._params: list = []
-        rng = np.random.default_rng(spec.seed)
-        self.head = MlpHead(self._build(rng), spec.fc_sizes, rng)
-        self._register(self.head.parameters("head"))
+        self.tensors = tensors
 
-    def _build(self, rng: np.random.Generator) -> int:
-        return self.spec.feature_dim
+    @classmethod
+    def _table(cls, spec: ModelSpec):
+        return _head_table(spec, spec.feature_dim)
 
     def _pool(self, visual: Tensor, audio: Tensor, mask: TimeMask, train: bool) -> Tensor:
         return ad.masked_mean_time(_masked_features(visual, audio, mask), mask)
 
-    def _register(self, named):
-        self._params.extend(named)
-
     def named_parameters(self):
-        return list(self._params)
-
-    def _extra_state(self):
-        """Non-trainable arrays the predict path needs (overridden as needed)."""
-        return []
-
-    def _load_extra_state(self, arrays: dict):
-        """Restore ``_extra_state`` from arrays already checked against its names and shapes."""
+        return [(name, t) for name, t in self.tensors.items() if t.requires_grad]
 
     def forward(self, visual: Tensor, audio: Tensor, mask: TimeMask, train: bool = False) -> Tensor:
         """Per-class probabilities [batch x vocab], every value strictly in (0, 1)."""
@@ -233,7 +206,7 @@ class VideoLevelModel:
                 f"inputs {visual.shape} do not match mask (batch {mask.batch}, "
                 f"time {mask.max_time})"
             )
-        return self.head.forward(self._pool(visual, audio, mask, train))
+        return _mlp_head(self.tensors, self._pool(visual, audio, mask, train))
 
 
 class VladMlpModel(VideoLevelModel):
@@ -243,51 +216,45 @@ class VladMlpModel(VideoLevelModel):
     frames) and rides along in checkpoints as non-trainable state.
     """
 
-    def _build(self, rng):
-        spec = self.spec
-        self.codebook = Codebook(np.zeros((spec.vlad_clusters, spec.feature_dim)))
-        return spec.vlad_clusters * spec.feature_dim
+    @classmethod
+    def _table(cls, spec):
+        k, d = spec.vlad_clusters, spec.feature_dim
+        yield from _head_table(spec, k * d)
+        yield "codebook.centers", (k, d), _STATE_ZEROS
 
     def set_codebook(self, codebook: Codebook):
-        if codebook.centers.shape != self.codebook.centers.shape:
+        centers = self.tensors["codebook.centers"]
+        if codebook.centers.shape != centers.shape:
             raise DimensionError(
-                f"codebook shape {codebook.centers.shape} does not match spec "
-                f"{self.codebook.centers.shape}"
+                f"codebook shape {codebook.centers.shape} does not match spec {centers.shape}"
             )
-        self.codebook = codebook
+        centers.data = codebook.centers
 
     def _pool(self, visual, audio, mask, train):
+        codebook = Codebook(self.tensors["codebook.centers"].data)
         rows = []
         for i in range(mask.batch):
             t = int(mask.valid_lengths[i])
             frames = np.concatenate(
                 [visual.data[i, :, :t].T, audio.data[i, :, :t].T], axis=1
             )
-            rows.append(vlad_encode(self.codebook, frames))
+            rows.append(vlad_encode(codebook, frames))
         return Tensor(np.stack(rows))
-
-    def _extra_state(self):
-        return [("codebook.centers", self.codebook.centers)]
-
-    def _load_extra_state(self, arrays):
-        self.codebook = Codebook(arrays.pop("codebook.centers"))
 
 
 class TwoStreamModel(VideoLevelModel):
     """Independent bidirectional encoder + attention per modality, fused late."""
 
-    def _build(self, rng):
-        spec = self.spec
-        self.streams = {
-            name: _birnn_attention_params(self, rng, dim, [name], f"{name}.attn")
-            for name, dim in (("visual", spec.visual_dim), ("audio", spec.audio_dim))
-        }
-        return 4 * spec.hidden_size
+    @classmethod
+    def _table(cls, spec):
+        for name, dim in (("visual", spec.visual_dim), ("audio", spec.audio_dim)):
+            yield from _birnn_attention_table(spec, [name], dim, f"{name}.attn")
+        yield from _head_table(spec, 4 * spec.hidden_size)
 
     def _pool(self, visual, audio, mask, train):
         m = mask.channel_mask()
         pooled = [
-            _birnn_attention(*self.streams[name], x * m, mask)
+            _birnn_attention(self.tensors, [name], f"{name}.attn", x * m, mask)
             for name, x in (("visual", visual), ("audio", audio))
         ]
         return ad.concat(pooled, axis=1)
@@ -305,17 +272,16 @@ class FastForwardModel(VideoLevelModel):
 
     fast_forward = True
 
-    def _build(self, rng):
-        spec = self.spec
-        prefixes = [f"layer{i}" for i in range(spec.depth)]
-        self.layers, self.attn = _birnn_attention_params(
-            self, rng, spec.feature_dim, prefixes, "attn", self.fast_forward
-        )
-        return 2 * spec.hidden_size
+    @classmethod
+    def _table(cls, spec):
+        layers = (f"layer{i}" for i in range(spec.depth))
+        yield from _birnn_attention_table(spec, layers, spec.feature_dim, "attn", cls.fast_forward)
+        yield from _head_table(spec, 2 * spec.hidden_size)
 
     def _pool(self, visual, audio, mask, train):
         features = _masked_features(visual, audio, mask)
-        return _birnn_attention(self.layers, self.attn, features, mask)
+        layers = (f"layer{i}" for i in range(self.spec.depth))
+        return _birnn_attention(self.tensors, layers, "attn", features, mask)
 
 
 class StackedModel(FastForwardModel):
@@ -332,58 +298,41 @@ class TemporalResnetModel(VideoLevelModel):
     the width-1 projection and after every block.
     """
 
-    def _build(self, rng):
-        spec = self.spec
-        filters = spec.trb_filters
-        self.proj_k, self.proj_b = _conv_params(filters, spec.feature_dim, 1, rng)
-        self._register([("proj.weight", self.proj_k), ("proj.bias", self.proj_b)])
-        self.blocks = []
-        self.bn_states = []
+    @classmethod
+    def _table(cls, spec):
+        f = spec.trb_filters
+        yield from _conv_table("proj.weight", "proj.bias", f, spec.feature_dim, 1)
         for i in range(spec.trb_count):
-            block = {}
             for j in (1, 2):
-                k, b = _conv_params(filters, filters, 3, rng)
-                gamma = Tensor(np.ones(filters), requires_grad=True)
-                beta = Tensor(np.zeros(filters), requires_grad=True)
-                state = BatchNormState.for_channels(filters)
-                block[j] = (k, b, gamma, beta, state)
-                self._register(
-                    [
-                        (f"block{i}.conv{j}.weight", k),
-                        (f"block{i}.conv{j}.bias", b),
-                        (f"block{i}.bn{j}.gamma", gamma),
-                        (f"block{i}.bn{j}.beta", beta),
-                    ]
-                )
-                self.bn_states.append((f"block{i}.bn{j}", state))
-            self.blocks.append(block)
-        self.layers, self.attn = _birnn_attention_params(self, rng, filters, ["lstm"], "attn")
-        return 2 * spec.hidden_size
+                yield from _conv_table(f"block{i}.conv{j}.weight", f"block{i}.conv{j}.bias", f, f, 3)
+                yield f"block{i}.bn{j}.gamma", (f,), ONES
+                yield f"block{i}.bn{j}.beta", (f,), ZEROS
+        yield from _birnn_attention_table(spec, ["lstm"], f, "attn")
+        yield from _head_table(spec, 2 * spec.hidden_size)
+        for bn in (f"block{i}.bn{j}" for i in range(spec.trb_count) for j in (1, 2)):
+            yield f"{bn}.running_mean", (f,), _STATE_ZEROS
+            yield f"{bn}.running_var", (f,), _STATE_ONES
+            yield f"{bn}.initialized", (1,), _STATE_ZEROS
+
+    def _conv_bn(self, x: Tensor, block: str, j: int, mask: TimeMask, train: bool) -> Tensor:
+        """conv{j} then bn{j} of ``block``, keeping its running statistics in ``tensors``."""
+        t, bn = self.tensors, f"{block}.bn{j}"
+        mean, var, seen = (t[f"{bn}.{s}"] for s in ("running_mean", "running_var", "initialized"))
+        state = BatchNormState(mean.data, var.data, bool(seen.data[0]))
+        y = ad.conv1d_same(x, t[f"{block}.conv{j}.weight"], t[f"{block}.conv{j}.bias"])
+        y = ad.batchnorm_time(y, mask, t[f"{bn}.gamma"], t[f"{bn}.beta"], train, state)
+        mean.data, var.data = state.running_mean, state.running_var
+        seen.data = np.array([float(state.initialized)])
+        return y
 
     def _pool(self, visual, audio, mask, train):
-        m = mask.channel_mask()
-        x = ad.conv1d_same(_masked_features(visual, audio, mask), self.proj_k, self.proj_b) * m
-        for block in self.blocks:
-            k1, b1, g1, be1, s1 = block[1]
-            k2, b2, g2, be2, s2 = block[2]
-            y = ad.relu(ad.batchnorm_time(ad.conv1d_same(x, k1, b1), mask, g1, be1, train, s1))
-            y = ad.batchnorm_time(ad.conv1d_same(y, k2, b2), mask, g2, be2, train, s2)
+        t, m = self.tensors, mask.channel_mask()
+        x = ad.conv1d_same(_masked_features(visual, audio, mask), t["proj.weight"], t["proj.bias"]) * m
+        for i in range(self.spec.trb_count):
+            y = ad.relu(self._conv_bn(x, f"block{i}", 1, mask, train))
+            y = self._conv_bn(y, f"block{i}", 2, mask, train)
             x = ad.relu(x + y) * m
-        return _birnn_attention(self.layers, self.attn, x, mask)
-
-    def _extra_state(self):
-        out = []
-        for name, state in self.bn_states:
-            out.append((f"{name}.running_mean", state.running_mean))
-            out.append((f"{name}.running_var", state.running_var))
-            out.append((f"{name}.initialized", np.array([1.0 if state.initialized else 0.0])))
-        return out
-
-    def _load_extra_state(self, arrays):
-        for name, state in self.bn_states:
-            state.running_mean = arrays.pop(f"{name}.running_mean")
-            state.running_var = arrays.pop(f"{name}.running_var")
-            state.initialized = bool(arrays.pop(f"{name}.initialized")[0])
+        return _birnn_attention(self.tensors, ["lstm"], "attn", x, mask)
 
 
 _BUILDERS = {
@@ -398,8 +347,16 @@ _BUILDERS = {
 }
 
 
+def tensor_table(spec: ModelSpec):
+    """Lazy (name, shape, init) entries of every tensor of ``spec``'s model, in checkpoint order:
+    pooling parameters, then ``head.*``, then the non-trainable state."""
+    return _BUILDERS[spec.kind]._table(spec)
+
+
 def build_model(spec: ModelSpec) -> VideoLevelModel:
-    return _BUILDERS[spec.kind](spec)
+    """A fresh model: every table entry drawn in order from the spec-seeded generator."""
+    rng = np.random.default_rng(spec.seed)
+    return _BUILDERS[spec.kind](spec, draw_table(tensor_table(spec), rng))
 
 
 # ---------------------------------------------------------------------------
@@ -430,53 +387,39 @@ def _spec_from_reader(reader: container.Reader) -> ModelSpec:
     return ModelSpec(**fields)
 
 
-def _named_arrays(model: VideoLevelModel):
-    for name, tensor in model.named_parameters():
-        yield name, tensor.data
-    for name, arr in model._extra_state():
-        yield name, np.asarray(arr, dtype=np.float64)
-
-
 def save_checkpoint(path: str, model: VideoLevelModel) -> None:
-    """Flat binary: spec, then every named array in declaration order."""
-    entries = list(_named_arrays(model))
+    """Flat binary: spec, then every tensor in table order."""
     with container.atomic_write(path) as f:
         f.write(container.header(_CKPT_MAGIC, _CKPT_VERSION))
         f.write(_spec_to_bytes(model.spec))
-        f.write(struct.pack("<I", len(entries)))
-        for name, arr in entries:
+        f.write(struct.pack("<I", len(model.tensors)))
+        for name, tensor in model.tensors.items():
+            arr = tensor.data
             f.write(container.string(name))
             f.write(struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
             f.write(arr.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path: str) -> VideoLevelModel:
-    """Read the whole tensor table, bounded by the file size, before building the model."""
+    """Walk the spec's tensor table beside the file's and adopt the read arrays: each tensor is
+    read, bounded by the file size, then must have the name and shape the table declares next."""
     with container.Reader(path, _CKPT_MAGIC, _CKPT_VERSION, "checkpoint") as reader:
         spec = _spec_from_reader(reader)
         (count,) = reader.unpack("<I", "tensor count")
-        arrays = {}
-        for _ in range(count):
-            name = reader.string("tensor name")
-            (ndim,) = reader.unpack("<B", f"tensor {name!r} rank")
-            shape = reader.unpack(f"<{ndim}I", f"tensor {name!r} shape")
-            arrays[name] = reader.tensor(shape, f"tensor {name!r}")
+        tensors = {}
+        for name, shape, init in tensor_table(spec):
+            if len(tensors) == count:
+                raise FormatError(f"{path}: checkpoint is missing tensor {name!r}")
+            found = reader.string("tensor name")
+            (ndim,) = reader.unpack("<B", f"tensor {found!r} rank")
+            dims = reader.unpack(f"<{ndim}I", f"tensor {found!r} shape")
+            arr = reader.tensor(dims, f"tensor {found!r}")
+            if found != name:
+                raise FormatError(f"{path}: found tensor {found!r} where {name!r} belongs")
+            if arr.shape != shape:
+                raise FormatError(f"{path}: tensor {name!r} has shape {arr.shape}, expected {shape}")
+            tensors[name] = Tensor(arr, requires_grad=init.trainable)
+        if count > len(tensors):
+            raise FormatError(f"{path}: unexpected tensor {reader.string('tensor name')!r}")
         reader.finish()
-    model = build_model(spec)
-    expected = dict(_named_arrays(model))
-    for name, arr in expected.items():
-        if name not in arrays:
-            raise FormatError(f"{path}: checkpoint is missing parameter {name!r}")
-        if arrays[name].shape != arr.shape:
-            raise FormatError(
-                f"{path}: parameter {name!r} has shape {arrays[name].shape}, expected "
-                f"{arr.shape}"
-            )
-    if len(arrays) != len(expected):
-        raise FormatError(
-            f"{path}: unexpected state arrays in checkpoint: {sorted(set(arrays) - set(expected))}"
-        )
-    for name, tensor in model.named_parameters():
-        tensor.data = arrays.pop(name)
-    model._load_extra_state(arrays)
-    return model
+    return _BUILDERS[spec.kind](spec, tensors)

@@ -5,12 +5,14 @@ Cells keep one weight matrix and bias per gate, each gate matrix of shape
 runners process zero-padded batches: the forward direction walks all time
 steps (padded outputs are zeroed afterwards), the backward direction walks
 each item's reversed valid prefix so padding can never leak into its
-states.
+states. Parameters are declared as (name, shape, ``Init``) tables
+(``cell_table``, ``attention_table``) that ``create`` and ``models`` draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,6 +22,39 @@ from .errors import DimensionError, PreconditionError
 
 LSTM_GATES = ("input", "forget", "output", "candidate")
 GRU_GATES = ("update", "reset", "candidate")
+
+
+class Init(NamedTuple):
+    """The init rule of one table entry: U(-1/sqrt(fan_in), 1/sqrt(fan_in)) when ``fan_in``
+    is set, else the constant ``value``; saved state has ``trainable`` off."""
+
+    value: float = 0.0
+    fan_in: int = 0
+    trainable: bool = True
+
+    def draw(self, shape: tuple, rng: np.random.Generator) -> Tensor:
+        if self.fan_in:
+            scale = 1.0 / np.sqrt(self.fan_in)
+            return Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=self.trainable)
+        return Tensor(np.full(shape, self.value), requires_grad=self.trainable)
+
+
+ZEROS, ONES = Init(0.0), Init(1.0)
+
+
+def draw_table(table, rng: np.random.Generator) -> dict:
+    """{name: Tensor} for (name, shape, init) entries, drawn from ``rng`` in table order."""
+    return {name: init.draw(shape, rng) for name, shape, init in table}
+
+
+def cell_table(prefix: str, kind: str, input_size: int, hidden_size: int):
+    """Per gate w_<gate> [hidden x (input + hidden)] and b_<gate>; LSTM forget bias starts at 1."""
+    if kind not in ("lstm", "gru"):
+        raise PreconditionError(f"unknown cell kind {kind!r}")
+    fan_in = input_size + hidden_size
+    for gate in LSTM_GATES if kind == "lstm" else GRU_GATES:
+        yield f"{prefix}.w_{gate}", (hidden_size, fan_in), Init(fan_in=fan_in)
+        yield f"{prefix}.b_{gate}", (hidden_size,), ONES if gate == "forget" else ZEROS
 
 
 @dataclass
@@ -34,20 +69,17 @@ class RecurrentCellParams:
     def create(
         cls, kind: str, input_size: int, hidden_size: int, rng: np.random.Generator
     ) -> "RecurrentCellParams":
-        """Uniform init scaled by 1/sqrt(fan-in); LSTM forget bias starts at 1."""
-        if kind not in ("lstm", "gru"):
-            raise PreconditionError(f"unknown cell kind {kind!r}")
-        gates = LSTM_GATES if kind == "lstm" else GRU_GATES
-        scale = 1.0 / np.sqrt(input_size + hidden_size)
-        weights, biases = {}, {}
-        for gate in gates:
-            weights[gate] = Tensor(
-                rng.uniform(-scale, scale, size=(hidden_size, input_size + hidden_size)),
-                requires_grad=True,
-            )
-            init_bias = np.full(hidden_size, 1.0) if (kind == "lstm" and gate == "forget") else np.zeros(hidden_size)
-            biases[gate] = Tensor(init_bias, requires_grad=True)
-        return cls(kind, input_size, hidden_size, weights, biases)
+        """Uniform weights scaled by 1/sqrt(fan-in); LSTM forget bias 1, other biases 0."""
+        tensors = draw_table(cell_table("cell", kind, input_size, hidden_size), rng)
+        return cls.from_tensors(tensors, "cell")
+
+    @classmethod
+    def from_tensors(cls, tensors: dict, prefix: str) -> "RecurrentCellParams":
+        """The cell ``cell_table(prefix, ...)`` names in ``tensors``; only an LSTM has a forget gate."""
+        kind, gates = ("lstm", LSTM_GATES) if f"{prefix}.w_forget" in tensors else ("gru", GRU_GATES)
+        hidden, width = tensors[f"{prefix}.w_candidate"].shape
+        return cls(kind, width - hidden, hidden, {g: tensors[f"{prefix}.w_{g}"] for g in gates},
+                   {g: tensors[f"{prefix}.b_{g}"] for g in gates})
 
     def parameters(self, prefix: str):
         for gate in LSTM_GATES if self.kind == "lstm" else GRU_GATES:
@@ -176,6 +208,13 @@ def run_bidirectional(
     return ad.concat([fwd, bwd], axis=1) * mask.channel_mask()
 
 
+def attention_table(prefix: str, channels: int, attn_size: int):
+    """proj_weight [attn x channels], proj_bias [attn] and score_vector [attn]."""
+    yield f"{prefix}.proj_weight", (attn_size, channels), Init(fan_in=channels)
+    yield f"{prefix}.proj_bias", (attn_size,), ZEROS
+    yield f"{prefix}.score_vector", (attn_size,), Init(fan_in=channels)
+
+
 @dataclass
 class AttentionParams:
     proj_weight: Tensor  # [attn x channels]
@@ -184,12 +223,11 @@ class AttentionParams:
 
     @classmethod
     def create(cls, channels: int, attn_size: int, rng: np.random.Generator) -> "AttentionParams":
-        scale = 1.0 / np.sqrt(channels)
-        return cls(
-            proj_weight=Tensor(rng.uniform(-scale, scale, size=(attn_size, channels)), requires_grad=True),
-            proj_bias=Tensor(np.zeros(attn_size), requires_grad=True),
-            score_vector=Tensor(rng.uniform(-scale, scale, size=attn_size), requires_grad=True),
-        )
+        return cls.from_tensors(draw_table(attention_table("attn", channels, attn_size), rng), "attn")
+
+    @classmethod
+    def from_tensors(cls, tensors: dict, prefix: str) -> "AttentionParams":
+        return cls(*(tensors[f"{prefix}.{f}"] for f in ("proj_weight", "proj_bias", "score_vector")))
 
     def parameters(self, prefix: str):
         yield f"{prefix}.proj_weight", self.proj_weight

@@ -200,6 +200,9 @@ def train(config: TrainConfig) -> TrainResult:
         _check_data_matches_spec(val_header, config.model, config.val_data)
     else:
         val_header, val_records = header, records
+    for path, held in ((config.train_data, records), (config.val_data, val_records)):
+        if not held:
+            raise InputError(f"{path}: record file holds no videos to train or validate on")
 
     model = build_model(config.model)
     if config.model.kind == "vlad_mlp":
@@ -258,6 +261,8 @@ def predict(
     ``full_scores`` emits every class's probability per video (the input
     format ensembling expects) instead of the top-k truncation.
     """
+    if batch_size < 1:
+        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
     model = load_checkpoint(checkpoint_path)
     header, records = load_records(data_path)
     _check_data_matches_spec(header, model.spec, data_path)

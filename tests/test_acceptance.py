@@ -197,7 +197,8 @@ def test_criterion_5_padding_inertness():
         model = build_model(spec)
         if kind == "vlad_mlp":
             rng = np.random.default_rng(50)
-            model.codebook.centers[...] = rng.normal(size=model.codebook.centers.shape)
+            centers = model.tensors["codebook.centers"].data
+            centers[...] = rng.normal(size=centers.shape)
         rng = np.random.default_rng(51)
         visual = rng.normal(size=(3, 7, 5))
         audio = rng.normal(size=(3, 3, 5))

@@ -135,6 +135,34 @@ def test_zero_width_checkpoint_is_a_one_line_error(workdir, capsys):
     _one_line_error(capsys, rc)
 
 
+@pytest.mark.parametrize("batch_size", ["-1", "0"])
+def test_predict_batch_size_below_one_names_option_and_value(workdir, capsys, batch_size):
+    tmp_path, data, _ = workdir
+    spec = ModelSpec(kind="video_level", vocab_size=6, visual_dim=6, audio_dim=3, fc_sizes=(8, 6))
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(str(ckpt), build_model(spec))
+    out = tmp_path / "p.txt"
+    rc = main(["predict", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(out),
+               "--batch-size", batch_size])
+    err = _one_line_error(capsys, rc)
+    assert f"batch_size must be >= 1, got {batch_size}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("empty", ["--data", "--val"])
+def test_train_on_a_record_file_without_videos_is_a_one_line_error(workdir, capsys, empty):
+    tmp_path, data, config = workdir
+    none = tmp_path / "none.bin"
+    assert main(["gen-data", "--vocab", "6", "--videos", "0", "--out", str(none),
+                 "--max-frames", "8", "--visual-dim", "6", "--audio-dim", "3"]) == 0
+    paths = {"--data": data, "--val": data, empty: none}
+    rc = main(["train", "--config", str(config), "--out", str(tmp_path / "m.ckpt"),
+               *(arg for option, path in paths.items() for arg in (option, str(path)))])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: InputError: {none}: record file holds no videos to train or validate on\n"
+
+
 @pytest.mark.parametrize("line, key", [
     ("model.vocab_size = abc", "model.vocab_size = 'abc'"),
     ("learning_rate = fast", "learning_rate = 'fast'"),

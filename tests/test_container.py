@@ -2,6 +2,7 @@
 
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from videoseq import (
     Codebook,
     CorruptionError,
     DatasetHeader,
+    FormatError,
     ModelSpec,
+    Tensor,
     ValidationError,
     VideoRecord,
     VideoseqError,
@@ -41,12 +44,12 @@ def spec_end(spec):
     return 8 + 2 + len(spec.kind) + 48
 
 
-def mutations(data, start=0):
-    """``data`` cut at any offset, with one byte at or after ``start`` overwritten, or extended."""
+def mutations(data):
+    """``data`` cut at any offset, with one byte overwritten, or extended."""
     n = len(data)
     return st.one_of(
         st.integers(0, n - 1).map(lambda i: data[:i]),
-        st.tuples(st.integers(start, n - 1), st.integers(0, 255)).map(
+        st.tuples(st.integers(0, n - 1), st.integers(0, 255)).map(
             lambda t: data[: t[0]] + bytes([t[1]]) + data[t[0] + 1 :]
         ),
         st.binary(min_size=1, max_size=12).map(lambda extra: data + extra),
@@ -74,7 +77,7 @@ def files(tmp_path_factory):
     write_records(root / "r.flvr", header, records)
     save_codebook(root / "c.flcb", Codebook(rng.normal(size=(3, 4))))
     write_prediction_file(root / "p.txt", [("clip0", [(4, 0.5), (0, 0.25)]), ("clip1", [(1, 0.75)])])
-    for kind in ("video_level", "vlad_mlp", "temporal_resnet"):
+    for kind in ("video_level", "vlad_mlp", "temporal_resnet", "ff_lstm"):
         model = build_model(tiny_spec(kind))
         save_checkpoint(root / f"{kind}.flck", model)
     return root
@@ -145,7 +148,7 @@ class TestExplicitFaults:
 
     def test_non_finite_checkpoint_tensor_is_named(self, tmp_path):
         model = build_model(tiny_spec("video_level"))
-        model.head.b1.data[0] = np.nan
+        model.tensors["head.b1"].data[0] = np.nan
         save_checkpoint(tmp_path / "nan.flck", model)
         with pytest.raises(ValidationError, match=r"tensor 'head.b1' before byte \d+ is not finite"):
             load_checkpoint(tmp_path / "nan.flck")
@@ -168,6 +171,20 @@ class TestExplicitFaults:
         path.write_bytes(data.replace(b"block0.bn1.running_mean", b"block0.bn1.running_MEAN"))
         with pytest.raises(VideoseqError, match="running_mean"):
             load_checkpoint(path)
+
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda t: t.pop("head.b2"), "missing tensor 'head.b2'"),
+        (lambda t: t.update(extra=Tensor(np.zeros(1))), "unexpected tensor 'extra'"),
+        (lambda t: t.update({"head.b2": Tensor(np.zeros((5, 1)))}),
+         r"tensor 'head.b2' has shape \(5, 1\), expected \(5,\)"),
+    ])
+    def test_table_that_differs_from_the_spec_is_a_format_error(self, tmp_path, change, message):
+        model = build_model(tiny_spec("video_level"))
+        change(model.tensors)
+        save_checkpoint(tmp_path / "m.flck", model)
+        with pytest.raises(FormatError, match=message):
+            load_checkpoint(tmp_path / "m.flck")
 
 
 class TestFuzz:
@@ -198,7 +215,48 @@ class TestFuzz:
     @FUZZ
     @given(data=st.data())
     def test_checkpoint_tensor_table(self, files, kind, data):
-        # the spec fields stay intact: a corrupted depth or width still sizes build_model
         original = (files / f"{kind}.flck").read_bytes()
-        damaged = data.draw(mutations(original, start=spec_end(tiny_spec(kind))))
+        damaged = data.draw(mutations(original))
         loads_or_names_the_fault(load_checkpoint, files / f"fuzz_{kind}.flck", damaged)
+
+
+# every u32 of the spec record after the kind string, in file order (the seed is an i64)
+U32_SPEC_FIELDS = ("vocab_size", "visual_dim", "audio_dim", "hidden_size", "depth", "trb_count",
+                   "trb_filters", "fc_sizes[0]", "fc_sizes[1]", "vlad_clusters")
+
+
+def load_peak(path):
+    """tracemalloc's peak over one ``load_checkpoint(path)``; a library error counts as a load."""
+    tracemalloc.start()
+    try:
+        load_checkpoint(path)
+    except VideoseqError:
+        pass
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize("field", U32_SPEC_FIELDS)
+@pytest.mark.parametrize("kind", ["temporal_resnet", "ff_lstm", "vlad_mlp"])
+def test_huge_spec_field_costs_no_more_memory_than_the_file(files, tmp_path, kind, field):
+    data = bytearray((files / f"{kind}.flck").read_bytes())
+    at = 8 + 2 + len(kind) + 4 * U32_SPEC_FIELDS.index(field)  # magic, version, kind string
+    data[at : at + 4] = struct.pack("<I", 0xFFFFFFFF)
+    path = tmp_path / "huge.flck"
+    path.write_bytes(bytes(data))
+    assert load_peak(path) < len(data) + 2**20
+
+
+@pytest.mark.parametrize("kind, fields", [
+    ("temporal_resnet", dict(visual_dim=64, audio_dim=16, trb_count=2, trb_filters=96)),
+    ("vlad_mlp", dict(visual_dim=64, audio_dim=16, vlad_clusters=32, fc_sizes=(128, 5))),
+    ("ff_lstm", dict(visual_dim=64, audio_dim=16, hidden_size=64, depth=3)),
+])
+def test_load_peak_is_close_to_the_file_size(tmp_path, kind, fields):
+    path = tmp_path / f"{kind}.flck"
+    save_checkpoint(path, build_model(ModelSpec(kind=kind, vocab_size=5, **fields)))
+    size = os.path.getsize(path)
+    assert size > 2**21
+    assert load_peak(path) < 1.25 * size

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from videoseq import (
+    BatchNormState,
     ConfigurationError,
     DimensionError,
     ModelSpec,
@@ -15,7 +16,7 @@ from videoseq import (
 )
 from videoseq.gradcheck import grad_check, toy_spec
 from videoseq import container
-from videoseq.models import MlpHead, _spec_from_reader
+from videoseq.models import _mlp_head, _spec_from_reader, tensor_table
 
 ALL_KINDS = (
     "video_level",
@@ -61,7 +62,8 @@ def build_ready(spec):
     model = build_model(spec)
     if spec.kind == "vlad_mlp":
         rng = np.random.default_rng(99)
-        model.codebook.centers[...] = rng.normal(size=model.codebook.centers.shape)
+        centers = model.tensors["codebook.centers"].data
+        centers[...] = rng.normal(size=centers.shape)
     return model
 
 
@@ -199,20 +201,27 @@ class TestVideoLevel:
         assert not np.allclose(base, shuffled, atol=1e-9)
 
 
+def mlp_head(seed):
+    """The ``head.*`` tensors of a 4-feature, (3, 2) head drawn from ``default_rng(seed)``."""
+    spec = ModelSpec(kind="video_level", vocab_size=2, visual_dim=3, audio_dim=1,
+                     fc_sizes=(3, 2), seed=seed)
+    return build_model(spec).tensors
+
+
 class TestMlpHead:
     def test_zero_weights_give_half(self):
-        head = MlpHead(4, (3, 2), np.random.default_rng(0))
-        for p in (head.w1, head.b1, head.w2, head.b2):
+        head = mlp_head(0)
+        for p in head.values():
             p.data[...] = 0.0
-        out = head.forward(Tensor(np.random.default_rng(1).normal(size=(3, 4))))
+        out = _mlp_head(head, Tensor(np.random.default_rng(1).normal(size=(3, 4))))
         assert np.array_equal(out.data, np.full((3, 2), 0.5))
 
     def test_final_bias_monotonicity(self):
-        head = MlpHead(4, (3, 2), np.random.default_rng(2))
+        head = mlp_head(2)
         x = Tensor(np.random.default_rng(3).normal(size=(2, 4)))
-        before = head.forward(x).data
-        head.b2.data[1] += 0.5
-        after = head.forward(x).data
+        before = _mlp_head(head, x).data
+        head["head.b2"].data[1] += 0.5
+        after = _mlp_head(head, x).data
         assert np.all(after[:, 1] > before[:, 1])
         assert np.array_equal(after[:, 0], before[:, 0])
 
@@ -220,13 +229,13 @@ class TestMlpHead:
         from videoseq import check_gradients
         from videoseq.autodiff import tensor_sum
 
-        head = MlpHead(4, (3, 2), np.random.default_rng(4))
+        head = mlp_head(4)
         x = Tensor(np.random.default_rng(5).normal(size=(3, 4)))
 
         def f():
-            return tensor_sum(head.forward(x))
+            return tensor_sum(_mlp_head(head, x))
 
-        worst = check_gradients(f, list(head.parameters("head")), step=1e-5)
+        worst = check_gradients(f, list(head.items()), step=1e-5)
         assert max(worst.values()) < 1e-6
 
 
@@ -246,8 +255,8 @@ class TestFastForward:
         for _, p in model.named_parameters():
             p.data[...] = 0.0
         # give the fast-forward biases some signal so the constant is nontrivial
-        for _, _, _, ff_b in model.layers:
-            ff_b.data[...] = 0.3
+        for i in range(spec.depth):
+            model.tensors[f"layer{i}.ff_bias"].data[...] = 0.3
         out_a = model.forward(*random_batch(spec, 2, 4, seed=8)).data
         out_b = model.forward(*random_batch(spec, 2, 4, seed=9)).data
         assert np.allclose(out_a, out_b, atol=1e-15)
@@ -283,7 +292,12 @@ class TestTemporalResnet:
     def test_zeroed_block_reduces_to_relu_of_shortcut(self):
         spec = tiny_spec("temporal_resnet", trb_count=1)
         model = build_ready(spec)
-        block = model.blocks[0]
+        block = {
+            j: tuple(model.tensors[f"block0.{part}"] for part in
+                     (f"conv{j}.weight", f"conv{j}.bias", f"bn{j}.gamma", f"bn{j}.beta"))
+            + (BatchNormState.for_channels(spec.trb_filters),)
+            for j in (1, 2)
+        }
         for j in (1, 2):
             k, b, gamma, beta, state = block[j]
             k.data[...] = 0.0
@@ -331,6 +345,25 @@ class TestCheckpoint:
         path2 = tmp_path / "m2.ckpt"
         save_checkpoint(path2, loaded)
         assert path.read_bytes() == path2.read_bytes()
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_trained_checkpoint_is_saved_back_byte_for_byte(self, kind, tmp_path):
+        from videoseq import generate_synthetic
+        from videoseq.training import TrainConfig, train
+
+        data = str(tmp_path / "d.flvr")
+        generate_synthetic(data, vocab_size=5, video_count=6, seed=0, noise_sigma=0.3,
+                           visual_dim=7, audio_dim=3, max_frames=6)
+        path = tmp_path / "m.ckpt"
+        train(TrainConfig(model=tiny_spec(kind), batch_size=3, epochs=1, train_data=data,
+                          checkpoint_path=str(path)))
+        loaded = load_checkpoint(path)
+        if kind == "temporal_resnet":  # trained batch-norm statistics
+            assert loaded.tensors["block1.bn2.initialized"].data[0] == 1.0
+        if kind == "vlad_mlp":  # a fitted codebook
+            assert np.all(loaded.tensors["codebook.centers"].data != 0.0)
+        save_checkpoint(tmp_path / "again.ckpt", loaded)
+        assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
     def test_prediction_identical_after_round_trip(self, tmp_path):
         spec = tiny_spec("temporal_resnet")
@@ -448,3 +481,4 @@ def test_checkpoint_tensor_table_is_pinned(kind, tmp_path):
             table.append((name, shape))
         reader.finish()
     assert table == CHECKPOINT_TABLES[kind]
+    assert [(name, shape) for name, shape, _ in tensor_table(toy_spec(kind))] == table
