@@ -58,8 +58,6 @@ from .models import (
     save_checkpoint,
 )
 from .recurrent import (
-    AttentionParams,
-    RecurrentCellParams,
     attention_pool,
     gru_step,
     lstm_step,

@@ -199,8 +199,12 @@ def generate_synthetic(
     two files with the same ``seed`` but different ``video_seed`` share
     class prototypes, which is how a matched validation split is made.
     """
-    if vocab_size < 2:
-        raise ConfigurationError("vocab_size must be >= 2")
+    for name, value, least in (("vocab_size", vocab_size, 2), ("video_count", video_count, 0),
+                               ("max_frames", max_frames, 1), ("visual_dim", visual_dim, 0),
+                               ("audio_dim", audio_dim, 0),
+                               ("visual_dim + audio_dim", visual_dim + audio_dim, 1)):
+        if value < least:
+            raise ConfigurationError(f"{name} must be >= {least}, got {value}")
     rng = np.random.default_rng(seed)
     d = visual_dim + audio_dim
     prototypes = rng.normal(size=(vocab_size, d))

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, TimeMask, backward, numerical_gradient, relative_error
+from .errors import ConfigurationError
 from .models import DEEP_STACK_KINDS, ModelSpec, build_model
 from .training import bce_loss
 
@@ -131,6 +132,8 @@ def grad_check(
     ``sample_count`` coordinates per block (capped by block size) with
     central differences of step 1e-4. Failures are reported, never raised.
     """
+    if sample_count < 1:
+        raise ConfigurationError(f"sample_count must be >= 1, got {sample_count}")
     rng = np.random.default_rng(seed)
     model = build_model(spec)
     if spec.kind == "vlad_mlp":

@@ -22,13 +22,15 @@ checkpoint order: pooling parameters, ``head.*``, then non-trainable state.
   feeds its bidirectional states straight to the next
 
 The recurrent kinds share one "bidirectional layers (optionally
-fast-forwarded) -> attention" helper. Every model ends in a per-class
-sigmoid and masks its raw inputs up front, so values stored at padded
-frame positions can never influence the output. ``build_model`` draws the
-table in order from the spec-seeded generator; ``load_checkpoint`` (end of
-this module) walks it beside the file's tensors and adopts them, drawing
-nothing. Checkpoint framing (magic, version, strings, bounded reads, atomic
-writes) lives in ``container``.
+fast-forwarded) -> attention" helper, which hands ``tensors`` itself to
+``recurrent``'s runners: they read each cell and attention pool by its
+prefix in the table. Every model ends in a per-class sigmoid and masks its
+raw inputs up front, so values stored at padded frame positions can never
+influence the output. ``build_model`` draws the table in order from the
+spec-seeded generator; ``load_checkpoint`` (end of this module) walks it
+beside the file's tensors and adopts them, drawing nothing. Checkpoint
+framing (magic, version, strings, bounded reads, atomic writes) lives in
+``container``.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ from . import autodiff as ad
 from . import container
 from .autodiff import BatchNormState, Tensor, TimeMask
 from .errors import ConfigurationError, DimensionError, FormatError
-from .recurrent import (ONES, ZEROS, AttentionParams, Init, RecurrentCellParams, attention_pool,
-                        attention_table, cell_table, draw_table, run_bidirectional)
+from .recurrent import (ONES, ZEROS, Init, attention_pool, attention_table, cell_table, draw_table,
+                        run_bidirectional)
 from .vlad import Codebook, vlad_encode
 
 MODEL_KINDS = (
@@ -154,14 +156,13 @@ def _birnn_attention(t: dict, prefixes, attn_prefix: str, x: Tensor, mask: TimeM
     or with a fast-forward FC, ReLU(FC([x_{i-1}; h_i])) at every step.
     """
     for prefix in prefixes:
-        fwd, bwd = (RecurrentCellParams.from_tensors(t, f"{prefix}.{d}") for d in ("fwd", "bwd"))
-        states = run_bidirectional(fwd, bwd, x, mask)
+        states = run_bidirectional(t, prefix, x, mask)
         ff_k = t.get(f"{prefix}.ff_weight")
         if ff_k is None:
             x = states
         else:
             x = ad.relu(ad.conv1d_same(ad.concat([x, states], axis=1), ff_k, t[f"{prefix}.ff_bias"]))
-    return attention_pool(AttentionParams.from_tensors(t, attn_prefix), x, mask)
+    return attention_pool(t, attn_prefix, x, mask)
 
 
 class VideoLevelModel:

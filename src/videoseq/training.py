@@ -312,8 +312,9 @@ def ensemble_average(input_paths, out_path: str, weights=None, full_scores: bool
 
     Every file must predict each video of the first file exactly once, with
     the same classes per video.
-    The weighted mean is normalized by the weight sum, then re-truncated to
-    the top ``TOP_K`` (or kept whole with ``full_scores``).
+    Weights must be finite and >= 0 with a positive sum; the weighted mean is
+    normalized by that sum, then re-truncated to the top ``TOP_K`` (or kept
+    whole with ``full_scores``).
     """
     input_paths = list(input_paths)
     if not input_paths:
@@ -326,6 +327,9 @@ def ensemble_average(input_paths, out_path: str, weights=None, full_scores: bool
             raise InputError(
                 f"{len(weights)} weights for {len(input_paths)} input files"
             )
+        for w in weights:
+            if not 0.0 <= w < np.inf:
+                raise InputError(f"ensemble weight {w} must be finite and >= 0")
     wsum = sum(weights)
     if wsum <= 0:
         raise InputError("weights must sum to a positive value")

@@ -149,6 +149,30 @@ def test_predict_batch_size_below_one_names_option_and_value(workdir, capsys, ba
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--vocab", "1", "vocab_size must be >= 2, got 1"),
+    ("--videos", "-1", "video_count must be >= 0, got -1"),
+    ("--max-frames", "0", "max_frames must be >= 1, got 0"),
+    ("--visual-dim", "-5", "visual_dim must be >= 0, got -5"),
+    ("--audio-dim", "-1", "audio_dim must be >= 0, got -1"),
+    ("--visual-dim", "0", "visual_dim + audio_dim must be >= 1, got 0"),
+], ids=["vocab", "videos", "max_frames", "visual_dim", "audio_dim", "no_features"])
+def test_gen_data_bad_size_names_argument_and_value(tmp_path, capsys, option, value, message):
+    out = tmp_path / "d.bin"
+    args = {"--vocab": "3", "--videos": "4", "--max-frames": "8", "--visual-dim": "3", "--audio-dim": "0"}
+    args[option] = value
+    rc = main(["gen-data", "--out", str(out), *(a for kv in args.items() for a in kv)])
+    assert _one_line_error(capsys, rc) == f"error: ConfigurationError: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_gradcheck_samples_below_one_names_option_and_value(capsys, samples):
+    rc = main(["gradcheck", "--model", "video_level", "--samples", samples])
+    err = _one_line_error(capsys, rc)
+    assert err == f"error: ConfigurationError: sample_count must be >= 1, got {samples}\n"
+
+
 @pytest.mark.parametrize("empty", ["--data", "--val"])
 def test_train_on_a_record_file_without_videos_is_a_one_line_error(workdir, capsys, empty):
     tmp_path, data, config = workdir

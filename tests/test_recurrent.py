@@ -4,9 +4,10 @@ import pytest
 from videoseq import PreconditionError, Tensor, TimeMask, check_gradients
 from videoseq.autodiff import masked_mean_time, tensor_sum
 from videoseq.recurrent import (
-    AttentionParams,
-    RecurrentCellParams,
     attention_pool,
+    attention_table,
+    cell_table,
+    draw_table,
     gru_step,
     lstm_step,
     run_bidirectional,
@@ -14,19 +15,29 @@ from videoseq.recurrent import (
 
 
 def zeroed(params):
-    for t in list(params.weights.values()) + list(params.biases.values()):
+    for t in params.values():
         t.data[...] = 0.0
     return params
 
 
 def rand_cell(kind, input_size, hidden, seed):
-    return RecurrentCellParams.create(kind, input_size, hidden, np.random.default_rng(seed))
+    return draw_table(cell_table("cell", kind, input_size, hidden), np.random.default_rng(seed))
+
+
+def pair(fwd, bwd):
+    """The table ``run_bidirectional(t, "bi", ...)`` reads: cell ``fwd`` as bi.fwd, ``bwd`` as bi.bwd."""
+    return {name.replace("cell.", f"bi.{d}.", 1): t
+            for d, cell in (("fwd", fwd), ("bwd", bwd)) for name, t in cell.items()}
+
+
+def rand_attention(channels, attn_size, seed):
+    return draw_table(attention_table("attn", channels, attn_size), np.random.default_rng(seed))
 
 
 class TestLstmStep:
     def test_zero_weights_zero_state(self):
         cell = zeroed(rand_cell("lstm", 3, 2, 0))
-        h, c = lstm_step(cell, Tensor(np.ones((1, 3))), Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))))
+        h, c = lstm_step(cell, "cell", Tensor(np.ones((1, 3))), Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))))
         assert np.array_equal(c.data, np.zeros((1, 2)))
         assert np.array_equal(h.data, np.zeros((1, 2)))
 
@@ -34,14 +45,14 @@ class TestLstmStep:
         # gates all sigmoid(0)=0.5, candidate tanh(0)=0:
         # c_t = 0.5 * 1 = 0.5, h_t = 0.5 * tanh(0.5)
         cell = zeroed(rand_cell("lstm", 3, 2, 0))
-        h, c = lstm_step(cell, Tensor(np.ones((1, 3))), Tensor(np.zeros((1, 2))), Tensor(np.ones((1, 2))))
+        h, c = lstm_step(cell, "cell", Tensor(np.ones((1, 3))), Tensor(np.zeros((1, 2))), Tensor(np.ones((1, 2))))
         assert np.allclose(c.data, 0.5, atol=1e-15)
         assert np.allclose(h.data, 0.5 * np.tanh(0.5), atol=1e-15)
 
     def test_kind_enforced(self):
         cell = rand_cell("gru", 2, 2, 1)
         with pytest.raises(PreconditionError):
-            lstm_step(cell, Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))))
+            lstm_step(cell, "cell", Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))))
 
     def test_gradients(self):
         cell = rand_cell("lstm", 3, 4, 2)
@@ -51,23 +62,23 @@ class TestLstmStep:
         c0 = Tensor(rng.normal(size=(2, 4)))
 
         def f():
-            h, c = lstm_step(cell, x, h0, c0)
+            h, c = lstm_step(cell, "cell", x, h0, c0)
             return tensor_sum(h * h + c)
 
-        worst = check_gradients(f, list(cell.parameters("lstm")), step=1e-5)
+        worst = check_gradients(f, list(cell.items()), step=1e-5)
         assert max(worst.values()) < 1e-5
 
 
 class TestGruStep:
     def test_zero_everything(self):
         cell = zeroed(rand_cell("gru", 3, 2, 0))
-        h = gru_step(cell, Tensor(np.ones((1, 3))), Tensor(np.zeros((1, 2))))
+        h = gru_step(cell, "cell", Tensor(np.ones((1, 3))), Tensor(np.zeros((1, 2))))
         assert np.array_equal(h.data, np.zeros((1, 2)))
 
     def test_zero_weights_unit_hidden(self):
         # z = r = 0.5, candidate tanh(0) = 0 -> h = 0.5*1 + 0.5*0 = 0.5
         cell = zeroed(rand_cell("gru", 3, 2, 0))
-        h = gru_step(cell, Tensor(np.ones((1, 3))), Tensor(np.ones((1, 2))))
+        h = gru_step(cell, "cell", Tensor(np.ones((1, 3))), Tensor(np.ones((1, 2))))
         assert np.allclose(h.data, 0.5, atol=1e-15)
 
     def test_gradients(self):
@@ -77,10 +88,10 @@ class TestGruStep:
         h0 = Tensor(rng.normal(size=(2, 4)))
 
         def f():
-            h = gru_step(cell, x, h0)
+            h = gru_step(cell, "cell", x, h0)
             return tensor_sum(h * h)
 
-        worst = check_gradients(f, list(cell.parameters("gru")), step=1e-5)
+        worst = check_gradients(f, list(cell.items()), step=1e-5)
         assert max(worst.values()) < 1e-5
 
 
@@ -91,13 +102,34 @@ class TestRunBidirectional:
         rng = np.random.default_rng(9)
         frame = rng.normal(size=(2, 3, 1))
         mask = TimeMask.full(2, 1)
-        out = run_bidirectional(fwd, bwd, Tensor(frame), mask)
+        out = run_bidirectional(pair(fwd, bwd), "bi", Tensor(frame), mask)
         x_t = Tensor(frame[:, :, 0])
         zeros = Tensor(np.zeros((2, 2)))
-        h_f, _ = lstm_step(fwd, x_t, zeros, zeros)
-        h_b, _ = lstm_step(bwd, x_t, zeros, zeros)
+        h_f, _ = lstm_step(fwd, "cell", x_t, zeros, zeros)
+        h_b, _ = lstm_step(bwd, "cell", x_t, zeros, zeros)
         assert np.allclose(out.data[:, :2, 0], h_f.data, atol=1e-15)
         assert np.allclose(out.data[:, 2:, 0], h_b.data, atol=1e-15)
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    def test_matches_step_oracle(self, kind):
+        # the forward half is the step unrolled over each item's valid prefix,
+        # the backward half the other cell over the reversed prefix
+        fwd, bwd = rand_cell(kind, 3, 2, 31), rand_cell(kind, 3, 2, 32)
+        lengths = np.array([1, 3, 5])
+        x = np.random.default_rng(33).normal(size=(3, 3, 5))
+        out = run_bidirectional(pair(fwd, bwd), "bi", Tensor(x), TimeMask(3, 5, lengths)).data
+        for i, n in enumerate(lengths):
+            backward = range(n - 1, -1, -1)
+            for cell, half, steps in ((fwd, slice(0, 2), range(n)), (bwd, slice(2, 4), backward)):
+                h = c = Tensor(np.zeros((1, 2)))
+                for t in steps:
+                    x_t = Tensor(x[i : i + 1, :, t])
+                    if kind == "lstm":
+                        h, c = lstm_step(cell, "cell", x_t, h, c)
+                    else:
+                        h = gru_step(cell, "cell", x_t, h)
+                    assert np.max(np.abs(out[i, half, t] - h.data[0])) <= 1e-12
+            assert np.array_equal(out[i, :, n:], np.zeros((4, 5 - n)))
 
     def test_palindrome_with_shared_params_mirrors(self):
         cell = rand_cell("gru", 2, 3, 10)
@@ -105,7 +137,7 @@ class TestRunBidirectional:
         half = rng.normal(size=(1, 2, 3))
         seq = np.concatenate([half, half[:, :, ::-1]], axis=2)  # length 6 palindrome
         mask = TimeMask.full(1, 6)
-        out = run_bidirectional(cell, cell, Tensor(seq), mask).data
+        out = run_bidirectional(pair(cell, cell), "bi", Tensor(seq), mask).data
         fwd, bwd = out[:, :3, :], out[:, 3:, :]
         assert np.allclose(fwd, bwd[:, :, ::-1], atol=1e-12)
 
@@ -117,11 +149,11 @@ class TestRunBidirectional:
         x[0, :, :3] = rng.normal(size=(2, 3))
         x[1, :, :5] = rng.normal(size=(2, 5))
         mask = TimeMask(2, 5, np.array([3, 5]))
-        base = run_bidirectional(fwd, bwd, Tensor(x), mask).data
+        base = run_bidirectional(pair(fwd, bwd), "bi", Tensor(x), mask).data
         assert np.array_equal(base[0, :, 3:], np.zeros((6, 2)))
         poked = x.copy()
         poked[0, :, 3:] = 1e6
-        out2 = run_bidirectional(fwd, bwd, Tensor(poked), mask).data
+        out2 = run_bidirectional(pair(fwd, bwd), "bi", Tensor(poked), mask).data
         assert np.array_equal(base[0, :, :3], out2[0, :, :3])
         assert np.array_equal(base[1], out2[1])
 
@@ -136,12 +168,12 @@ class TestRunBidirectional:
         x[0, :, :2] = rng.normal(size=(2, 2))
         x[1] = rng.normal(size=(2, 4))
         mask = TimeMask(2, 4, lengths)
-        out = run_bidirectional(fwd, bwd, Tensor(x), mask).data
+        out = run_bidirectional(pair(fwd, bwd), "bi", Tensor(x), mask).data
 
         from videoseq.autodiff import reverse_valid_time
 
         x_rev = reverse_valid_time(Tensor(x), mask).data
-        out_swapped = run_bidirectional(bwd, fwd, Tensor(x_rev), mask).data
+        out_swapped = run_bidirectional(pair(bwd, fwd), "bi", Tensor(x_rev), mask).data
         expected = reverse_valid_time(
             Tensor(np.concatenate([out[:, 2:, :], out[:, :2, :]], axis=1)), mask
         ).data
@@ -154,7 +186,7 @@ class TestRunBidirectional:
             rng = np.random.default_rng(20)
             x = rng.normal(size=(2, 3, 5)) * 10
             mask = TimeMask.full(2, 5)
-            out = run_bidirectional(fwd, bwd, Tensor(x), mask)
+            out = run_bidirectional(pair(fwd, bwd), "bi", Tensor(x), mask)
             assert np.all(np.abs(out.data) <= 1.0)
 
     def test_gradients_through_sequence(self):
@@ -165,55 +197,55 @@ class TestRunBidirectional:
         mask = TimeMask(2, 4, np.array([3, 4]))
 
         def f():
-            out = run_bidirectional(fwd, bwd, x, mask)
+            out = run_bidirectional(pair(fwd, bwd), "bi", x, mask)
             return tensor_sum(out * out)
 
-        params = list(fwd.parameters("fwd")) + list(bwd.parameters("bwd"))
+        params = list(pair(fwd, bwd).items())
         worst = check_gradients(f, params, step=1e-5, samples_per_block=6)
         assert max(worst.values()) < 1e-5
 
 
 class TestAttentionPool:
     def test_identical_frames_pass_through(self):
-        params = AttentionParams.create(3, 2, np.random.default_rng(24))
+        params = rand_attention(3, 2, 24)
         frame = np.array([1.0, -2.0, 0.5])
         h = np.broadcast_to(frame[None, :, None], (2, 3, 4)).copy()
         mask = TimeMask(2, 4, np.array([2, 4]))
-        out = attention_pool(params, Tensor(h), mask)
+        out = attention_pool(params, "attn", Tensor(h), mask)
         assert np.allclose(out.data, np.broadcast_to(frame, (2, 3)), atol=1e-12)
 
     def test_zero_score_vector_reduces_to_mean(self):
-        params = AttentionParams.create(3, 2, np.random.default_rng(25))
-        params.score_vector.data[...] = 0.0
+        params = rand_attention(3, 2, 25)
+        params["attn.score_vector"].data[...] = 0.0
         rng = np.random.default_rng(26)
         h = rng.normal(size=(2, 3, 5)) * np.array([1, 1, 1, 1, 0])[None, None, :]
         mask = TimeMask(2, 5, np.array([4, 4]))
-        out = attention_pool(params, Tensor(h), mask)
+        out = attention_pool(params, "attn", Tensor(h), mask)
         expected = masked_mean_time(Tensor(h), mask).data
         assert np.allclose(out.data, expected, atol=1e-12)
 
     def test_output_in_convex_hull_per_coordinate(self):
-        params = AttentionParams.create(2, 3, np.random.default_rng(27))
+        params = rand_attention(2, 3, 27)
         rng = np.random.default_rng(28)
         h = rng.normal(size=(3, 2, 6))
         mask = TimeMask(3, 6, np.array([2, 4, 6]))
-        out = attention_pool(params, Tensor(h), mask).data
+        out = attention_pool(params, "attn", Tensor(h), mask).data
         for i in range(3):
             valid = h[i, :, : mask.valid_lengths[i]]
             assert np.all(out[i] <= valid.max(axis=1) + 1e-12)
             assert np.all(out[i] >= valid.min(axis=1) - 1e-12)
 
     def test_gradients(self):
-        params = AttentionParams.create(3, 2, np.random.default_rng(29))
+        params = rand_attention(3, 2, 29)
         rng = np.random.default_rng(30)
         h = Tensor(rng.normal(size=(2, 3, 4)))
         mask = TimeMask(2, 4, np.array([3, 4]))
 
         def f():
-            out = attention_pool(params, h, mask)
+            out = attention_pool(params, "attn", h, mask)
             return tensor_sum(out * out)
 
-        worst = check_gradients(f, list(params.parameters("attn")), step=1e-5)
+        worst = check_gradients(f, list(params.items()), step=1e-5)
         assert max(worst.values()) < 1e-5
 
 
@@ -221,10 +253,9 @@ class TestDeterministicInit:
     def test_same_seed_same_weights(self):
         a = rand_cell("lstm", 4, 3, 99)
         b = rand_cell("lstm", 4, 3, 99)
-        for g in a.weights:
-            assert np.array_equal(a.weights[g].data, b.weights[g].data)
-            assert np.array_equal(a.biases[g].data, b.biases[g].data)
+        for name in a:
+            assert np.array_equal(a[name].data, b[name].data)
 
     def test_forget_bias_starts_at_one(self):
         cell = rand_cell("lstm", 4, 3, 1)
-        assert np.array_equal(cell.biases["forget"].data, np.ones(3))
+        assert np.array_equal(cell["cell.b_forget"].data, np.ones(3))

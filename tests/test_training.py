@@ -437,6 +437,16 @@ class TestEnsemble:
             ensemble_average([str(src)], str(out), full_scores=True)
         assert not out.exists()
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_weight_rejected(self, tmp_path, weight):
+        # nan was written as "a 0:nan 1:nan"; -1 pushed the mean outside [0, 1]
+        src_a = self._write(tmp_path / "a.txt", [("a", [(0, 0.9), (1, 0.2)])])
+        src_b = self._write(tmp_path / "b.txt", [("a", [(1, 0.7), (0, 0.1)])])
+        out = tmp_path / "out.txt"
+        with pytest.raises(InputError, match=f"weight {float(weight)} must be finite and >= 0"):
+            ensemble_average([src_a, src_b], str(out), weights=[3.0, weight])
+        assert not out.exists()
+
     def test_empty_input_list_rejected(self, tmp_path):
         with pytest.raises(InputError):
             ensemble_average([], str(tmp_path / "out.txt"))
