@@ -8,39 +8,51 @@ that the two-stream and fast-forward classifiers are assembled from.
 import numpy as np
 
 from videoseq import Tensor, TimeMask, attention_pool, run_bidirectional
-from videoseq.recurrent import attention_table, cell_table, draw_table, gru_step, lstm_step
+from videoseq.recurrent import attention_table, cell_table, draw_table
 
 rng = np.random.default_rng(0)
 
-# --- a single LSTM step -------------------------------------------------------
-# Cells keep one weight matrix per gate acting on [x_t; h_prev]. With all
-# weights zero the gates sit at sigmoid(0) = 0.5 and the candidate at
-# tanh(0) = 0, so a unit cell state decays to exactly 0.5.
+# --- one frame: a single step per direction ------------------------------------
+# The sequence op reads a forward cell "<prefix>.fwd" and a backward cell
+# "<prefix>.bwd" from one {name: Tensor} dict; each gate matrix acts on
+# [x_t; h_prev]. On a one-frame batch both directions take one step from zero
+# state. With all weights zero and the LSTM candidate bias at 1, the gates sit
+# at sigmoid(0) = 0.5 and the candidate at tanh(1), so c = 0.5*tanh(1) and
+# h = 0.5*tanh(c) in both halves of the output.
 
-cell = draw_table(cell_table("cell", "lstm", input_size=4, hidden_size=3), rng)
-for tensor in cell.values():
-    tensor.data[...] = 0.0
+lstm = draw_table(cell_table("one.fwd", "lstm", input_size=4, hidden_size=3), rng)
+lstm.update(draw_table(cell_table("one.bwd", "lstm", input_size=4, hidden_size=3), rng))
+for name, tensor in lstm.items():
+    tensor.data[...] = 1.0 if name.endswith("b_candidate") else 0.0
+one_frame = TimeMask.full(1, 1)
+h = run_bidirectional(lstm, "one", Tensor(np.ones((1, 4, 1))), one_frame).data[0, :, 0]
+print("zero-weight LSTM step: h_t =", h)
+print("expected             : h_t = 0.5*tanh(0.5*tanh(1)) =", 0.5 * np.tanh(0.5 * np.tanh(1.0)))
 
-h, c = lstm_step(
-    cell,
-    "cell",
-    Tensor(np.ones((1, 4))),
-    Tensor(np.zeros((1, 3))),
-    Tensor(np.ones((1, 3))),
-)
-print("zero-weight LSTM: c_t =", c.data[0], " h_t =", h.data[0])
-print("expected        : c_t = 0.5, h_t = 0.5*tanh(0.5) =", 0.5 * np.tanh(0.5))
+# From zero state a GRU step is h = z * tanh(W_c x + b_c), z = sigmoid(W_z x + b_z):
+# the reset gate only scales h_prev, which is zero.
+gru = draw_table(cell_table("g.fwd", "gru", input_size=4, hidden_size=3), rng)
+gru.update(draw_table(cell_table("g.bwd", "gru", input_size=4, hidden_size=3), rng))
+frame = rng.normal(size=4)
+h = run_bidirectional(gru, "g", Tensor(frame.reshape(1, 4, 1)), one_frame).data[0, :, 0]
 
-gru = draw_table(cell_table("gru", "gru", input_size=4, hidden_size=3), rng)
-h = gru_step(gru, "gru", Tensor(rng.normal(size=(1, 4))), Tensor(np.zeros((1, 3))))
-print("random GRU step bounded by 1:", np.all(np.abs(h.data) <= 1.0))
+
+def gru_closed_form(side):
+    def pre(gate):
+        return gru[f"g.{side}.w_{gate}"].data[:, :4] @ frame + gru[f"g.{side}.b_{gate}"].data
+
+    return np.tanh(pre("candidate")) / (1.0 + np.exp(-pre("update")))
+
+
+expected = np.concatenate([gru_closed_form("fwd"), gru_closed_form("bwd")])
+print("random GRU step matches its closed form:", bool(np.allclose(h, expected, atol=1e-15)))
 
 # --- bidirectional run over a padded batch -------------------------------------
 # Item 0 has 2 valid frames, item 1 has 5. The forward direction walks all
 # steps (padded outputs are zeroed afterwards); the backward direction walks
-# each item's reversed valid prefix, so padding never enters its state.
+# each item's reversed valid prefix, so padding never enters its state. The
+# whole layer, both directions over all steps, is one autodiff node.
 
-# The runner reads the cells "bi.fwd" and "bi.bwd" from one {name: Tensor} dict.
 cells = draw_table(cell_table("bi.fwd", "lstm", input_size=4, hidden_size=3), rng)
 cells.update(draw_table(cell_table("bi.bwd", "lstm", input_size=4, hidden_size=3), rng))
 

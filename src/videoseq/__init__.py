@@ -29,7 +29,6 @@ from .autodiff import (
     sigmoid,
     softmax_masked,
     sqrt,
-    stack_time,
     tanh,
     transpose,
 )
@@ -59,8 +58,6 @@ from .models import (
 )
 from .recurrent import (
     attention_pool,
-    gru_step,
-    lstm_step,
     run_bidirectional,
 )
 from .vlad import Codebook, kmeans_fit, load_codebook, save_codebook, vlad_encode

@@ -9,8 +9,9 @@ accumulating gradients into every reachable tensor with
 Only the primitives the sequence models need are provided: broadcasting
 arithmetic, 2-D matmul, same-length temporal convolution, masked batch
 normalization / softmax / mean pooling, elementwise activations, and the
-time-axis plumbing (stacking, slicing, per-item reversal) that recurrent
-layers are built from.
+time-axis plumbing (slicing, per-item reversal). A fused op elsewhere, such
+as ``recurrent.run_bidirectional``, is one ``Tensor._op`` node whose backward
+calls ``_accumulate`` on each parent.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "matmul",
     "transpose",
     "concat",
-    "stack_time",
     "reverse_valid_time",
     "conv1d_same",
     "batchnorm_time",
@@ -363,18 +363,6 @@ def concat(xs, axis: int) -> Tensor:
     return Tensor._op(data, tuple(xs), bw)
 
 
-def stack_time(xs) -> Tensor:
-    """Stack per-step [batch x channels] tensors into [batch x channels x time]."""
-    xs = [_const(x) for x in xs]
-    data = np.stack([x.data for x in xs], axis=2)
-
-    def bw(g):
-        for t, x in enumerate(xs):
-            _accumulate(x, g[:, :, t])
-
-    return Tensor._op(data, tuple(xs), bw)
-
-
 # ---------------------------------------------------------------------------
 # elementwise functions
 # ---------------------------------------------------------------------------
@@ -531,6 +519,13 @@ class TimeMask:
     def total_valid(self) -> int:
         return int(self.valid_lengths.sum())
 
+    def reversal(self):
+        """(src, valid), both [batch x time]: position t of item i's reversed valid
+        prefix holds its frame src[i, t] where valid[i, t]; padding reads frame 0."""
+        t = np.arange(self.max_time)[None, :]
+        valid = self.bool_matrix()
+        return np.where(valid, self.valid_lengths[:, None] - 1 - t, 0), valid
+
 
 def _check_time_shape(x: Tensor, mask: TimeMask, name: str) -> None:
     if x.data.shape[0] != mask.batch or x.data.shape[-1] != mask.max_time:
@@ -548,10 +543,7 @@ def reverse_valid_time(x: Tensor, mask: TimeMask) -> Tensor:
     """
     x = _const(x)
     _check_time_shape(x, mask, "reverse_valid_time")
-    t = np.arange(mask.max_time)[None, :]
-    src = mask.valid_lengths[:, None] - 1 - t
-    valid = t < mask.valid_lengths[:, None]
-    src = np.where(valid, src, 0)
+    src, valid = mask.reversal()
     gather = src[:, None, :]
     keep = valid[:, None, :]
 

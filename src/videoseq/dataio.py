@@ -167,7 +167,7 @@ def pad_batch(records, header: DatasetHeader):
     labels = np.zeros((b, header.vocab_size))
     for i, record in enumerate(records):
         t = record.frames.shape[0]
-        feats = record.frames.astype(np.float64).T  # [(v+a) x t]
+        feats = record.frames.T  # [(v+a) x t]; the assignments widen float32 exactly
         visual[i, :, :t] = feats[: header.visual_dim]
         audio[i, :, :t] = feats[header.visual_dim :]
         labels[i, record.labels] = 1.0

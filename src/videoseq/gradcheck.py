@@ -130,10 +130,13 @@ def grad_check(
     a fixed random batch of ``GC_BATCH`` videos of at most ``GC_TIME`` frames
     with a binary cross-entropy loss, and compares the analytic gradient of
     ``sample_count`` coordinates per block (capped by block size) with
-    central differences of step 1e-4. Failures are reported, never raised.
+    central differences of step 1e-4. Failures are reported, never raised;
+    a ``tolerance`` that is not finite and positive is.
     """
     if sample_count < 1:
         raise ConfigurationError(f"sample_count must be >= 1, got {sample_count}")
+    if not (np.isfinite(tolerance) and tolerance > 0):
+        raise ConfigurationError(f"tolerance must be finite and > 0, got {tolerance}")
     rng = np.random.default_rng(seed)
     model = build_model(spec)
     if spec.kind == "vlad_mlp":

@@ -1,14 +1,17 @@
-"""LSTM/GRU cells, bidirectional sequence runners, and attention pooling.
+"""LSTM/GRU cells, the bidirectional sequence op, and attention pooling.
 
 Cells keep one weight matrix and bias per gate, each gate matrix of shape
-[hidden x (input + hidden)] acting on the concatenated [x_t; h_prev]. The
-runners process zero-padded batches: the forward direction walks all time
-steps (padded outputs are zeroed afterwards), the backward direction walks
-each item's reversed valid prefix so padding can never leak into its
-states. Parameters are declared as (name, shape, ``Init``) tables
-(``cell_table``, ``attention_table``) that ``draw_table`` draws; the steps,
-runners and pools read those names by prefix from a {name: Tensor} dict,
-such as a model's ``tensors``, and a cell is an LSTM when it has a forget gate.
+[hidden x (input + hidden)] acting on the concatenated [x_t; h_prev].
+``run_bidirectional`` runs a forward and a backward cell over a zero-padded
+batch as one autodiff node: one input-projection GEMM over all frames of both
+directions, then one numpy time loop doing only the recurrent GEMM and the
+gate math, with a hand-written BPTT loop as its backward. The backward
+direction reads each item's reversed valid prefix, so padding never enters
+its states, and outputs at padded positions are exactly zero. Parameters are
+declared as (name, shape, ``Init``) tables (``cell_table``,
+``attention_table``) that ``draw_table`` draws; the sequence op and the pools
+read those names by prefix from a {name: Tensor} dict, such as a model's
+``tensors``, and a cell is an LSTM when it has a forget gate.
 """
 
 from __future__ import annotations
@@ -58,99 +61,110 @@ def cell_table(prefix: str, kind: str, input_size: int, hidden_size: int):
         yield f"{prefix}.b_{gate}", (hidden_size,), ONES if gate == "forget" else ZEROS
 
 
-def _cell(t: dict, prefix: str, x: Tensor, h: Tensor) -> str:
-    """The kind ("lstm" | "gru") of the cell ``cell_table(prefix, ...)`` names in ``t``, once
-    x [batch x input (x time)] and h [batch x hidden] fit its ``w_candidate``; only an LSTM
-    has a forget gate."""
+def _cell(t: dict, prefix: str, x: Tensor) -> tuple:
+    """(kind, hidden) of the cell ``cell_table(prefix, ...)`` names in ``t``, once the
+    width of x [batch x input (x time)] fits its ``w_candidate``; kind is "lstm" or
+    "gru", and only an LSTM has a forget gate."""
     hidden, width = t[f"{prefix}.w_candidate"].shape
-    if x.shape[1] != width - hidden or h.shape[1] != hidden or x.shape[0] != h.shape[0]:
-        raise DimensionError(
-            f"cell {prefix!r} expects input {width - hidden} / hidden {hidden}, "
-            f"got x {x.shape} and h {h.shape}"
+    if x.shape[1] != width - hidden:
+        raise DimensionError(f"cell {prefix!r} expects input {width - hidden}, got x {x.shape}")
+    return ("lstm" if f"{prefix}.w_forget" in t else "gru"), hidden
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    # exp overflows to inf for very negative z; 1 / (1 + inf) is the exact limit 0
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
+def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per direction, the sum over steps and items of a^T b:
+    [2 x T x b x m], [2 x T x b x n] -> [2 x m x n]."""
+    return np.matmul(a.reshape(2, -1, a.shape[-1]).transpose(0, 2, 1), b.reshape(2, -1, b.shape[-1]))
+
+
+def _lstm_sequence(pre_x: np.ndarray, w_h: np.ndarray):
+    """Both directions' LSTM over their projected inputs pre_x [2 x T x b x 4h] (gates
+    i, f, o, g) from zero state. Returns the states hs [2 x T+1 x b x h] (hs[:, 0] = 0)
+    and bptt(d_hs [2 x T x b x h]) -> (d_pre [2 x T x b x 4h], d_w_h [2 x h x 4h])."""
+    _, steps, batch, width = pre_x.shape
+    h = width // 4
+    hs, cs = np.zeros((2, 2, steps + 1, batch, h))
+    gates = np.empty(pre_x.shape)
+    tanh_c = np.empty((2, steps, batch, h))
+    for s in range(steps):
+        pre, a = pre_x[:, s] + hs[:, s] @ w_h, gates[:, s]
+        a[..., : 3 * h] = _sigmoid(pre[..., : 3 * h])
+        a[..., 3 * h :] = np.tanh(pre[..., 3 * h :])
+        cs[:, s + 1] = a[..., h : 2 * h] * cs[:, s] + a[..., :h] * a[..., 3 * h :]
+        tanh_c[:, s] = np.tanh(cs[:, s + 1])
+        hs[:, s + 1] = a[..., 2 * h : 3 * h] * tanh_c[:, s]
+
+    def bptt(d_hs):
+        i, f, o, g = (gates[..., k * h : (k + 1) * h] for k in range(4))
+        # d_pre at a step is [dc, dc, dh, dc] * factor, dc the cell-state gradient
+        factor = np.concatenate([g * i * (1.0 - i), cs[:, :-1] * f * (1.0 - f),
+                                 tanh_c * o * (1.0 - o), i * (1.0 - g * g)], axis=-1)
+        dc_dh = o * (1.0 - tanh_c * tanh_c)
+        d_pre, w_t = np.empty(pre_x.shape), w_h.transpose(0, 2, 1)
+        dh = dc = 0.0
+        for s in reversed(range(steps)):
+            dh = dh + d_hs[:, s]
+            dc = dc + dh * dc_dh[:, s]
+            np.multiply(np.concatenate([dc, dc, dh, dc], axis=-1), factor[:, s], out=d_pre[:, s])
+            dc = dc * f[:, s]
+            dh = d_pre[:, s] @ w_t
+        return d_pre, _gram(hs[:, :-1], d_pre)
+
+    return hs, bptt
+
+
+def _gru_sequence(pre_x: np.ndarray, w_h: np.ndarray):
+    """``_lstm_sequence`` for the GRU: gates z, r and the candidate, width 3h."""
+    _, steps, batch, width = pre_x.shape
+    h = width // 3
+    hs = np.zeros((2, steps + 1, batch, h))
+    gates = np.empty(pre_x.shape)
+    reset_h = np.empty((2, steps, batch, h))  # r * h_prev, the candidate's recurrent input
+    for s in range(steps):
+        a, h_prev = gates[:, s], hs[:, s]
+        a[..., : 2 * h] = _sigmoid(pre_x[:, s, :, : 2 * h] + h_prev @ w_h[..., : 2 * h])
+        reset_h[:, s] = a[..., h : 2 * h] * h_prev
+        a[..., 2 * h :] = np.tanh(pre_x[:, s, :, 2 * h :] + reset_h[:, s] @ w_h[..., 2 * h :])
+        hs[:, s + 1] = (1.0 - a[..., :h]) * h_prev + a[..., :h] * a[..., 2 * h :]
+
+    def bptt(d_hs):
+        z, r, cand = (gates[..., k * h : (k + 1) * h] for k in range(3))
+        h_prev = hs[:, :-1]
+        dz_dh, dc_dh = (cand - h_prev) * z * (1.0 - z), z * (1.0 - cand * cand)
+        dr_drh, keep = h_prev * r * (1.0 - r), 1.0 - z
+        w_zr, w_c = w_h[..., : 2 * h].transpose(0, 2, 1), w_h[..., 2 * h :].transpose(0, 2, 1)
+        d_pre = np.empty(pre_x.shape)
+        dh = 0.0
+        for s in reversed(range(steps)):
+            dh, d = dh + d_hs[:, s], d_pre[:, s]
+            np.multiply(dh, dc_dh[:, s], out=d[..., 2 * h :])
+            drh = d[..., 2 * h :] @ w_c
+            np.multiply(dh, dz_dh[:, s], out=d[..., :h])
+            np.multiply(drh, dr_drh[:, s], out=d[..., h : 2 * h])
+            dh = dh * keep[:, s] + drh * r[:, s] + d[..., : 2 * h] @ w_zr
+        return d_pre, np.concatenate(
+            [_gram(h_prev, d_pre[..., : 2 * h]), _gram(reset_h, d_pre[..., 2 * h :])], axis=-1
         )
-    return "lstm" if f"{prefix}.w_forget" in t else "gru"
 
-
-# Fused per-sequence weights: gate matrices concatenated and pre-transposed
-# so every step is a single [b x (in+h)] @ [(in+h) x n*h] product.
-
-
-def _fuse_lstm(t: dict, prefix: str):
-    w = ad.transpose(ad.concat([t[f"{prefix}.w_{g}"] for g in LSTM_GATES], axis=0))
-    b = ad.concat([t[f"{prefix}.b_{g}"] for g in LSTM_GATES], axis=0)
-    return w, b
-
-
-def _fuse_gru(t: dict, prefix: str):
-    w_zr = ad.transpose(ad.concat([t[f"{prefix}.w_{g}"] for g in GRU_GATES[:2]], axis=0))
-    b_zr = ad.concat([t[f"{prefix}.b_{g}"] for g in GRU_GATES[:2]], axis=0)
-    return w_zr, b_zr, ad.transpose(t[f"{prefix}.w_candidate"]), t[f"{prefix}.b_candidate"]
-
-
-def _lstm_apply(fused, h: int, x_t: Tensor, h_prev: Tensor, c_prev: Tensor):
-    w, b = fused
-    cat = ad.concat([x_t, h_prev], axis=1)
-    pre = ad.matmul(cat, w) + b
-    i = ad.sigmoid(pre[:, 0:h])
-    f = ad.sigmoid(pre[:, h : 2 * h])
-    o = ad.sigmoid(pre[:, 2 * h : 3 * h])
-    g = ad.tanh(pre[:, 3 * h : 4 * h])
-    c_t = f * c_prev + i * g
-    h_t = o * ad.tanh(c_t)
-    return h_t, c_t
-
-
-def _gru_apply(fused, h: int, x_t: Tensor, h_prev: Tensor):
-    w_zr, b_zr, w_c, b_c = fused
-    cat = ad.concat([x_t, h_prev], axis=1)
-    pre = ad.matmul(cat, w_zr) + b_zr
-    z = ad.sigmoid(pre[:, 0:h])
-    r = ad.sigmoid(pre[:, h : 2 * h])
-    cat2 = ad.concat([x_t, r * h_prev], axis=1)
-    h_bar = ad.tanh(ad.matmul(cat2, w_c) + b_c)
-    return (1.0 - z) * h_prev + z * h_bar
-
-
-def lstm_step(t: dict, prefix: str, x_t: Tensor, h_prev: Tensor, c_prev: Tensor):
-    """One step of the LSTM ``prefix`` in ``t``: returns (h_t, c_t)."""
-    if _cell(t, prefix, x_t, h_prev) != "lstm":
-        raise PreconditionError(f"lstm_step on the GRU cell {prefix!r}")
-    return _lstm_apply(_fuse_lstm(t, prefix), h_prev.shape[1], x_t, h_prev, c_prev)
-
-
-def gru_step(t: dict, prefix: str, x_t: Tensor, h_prev: Tensor) -> Tensor:
-    """One step of the GRU ``prefix`` in ``t``: returns h_t."""
-    if _cell(t, prefix, x_t, h_prev) != "gru":
-        raise PreconditionError(f"gru_step on the LSTM cell {prefix!r}")
-    return _gru_apply(_fuse_gru(t, prefix), h_prev.shape[1], x_t, h_prev)
-
-
-def _run_direction(t: dict, prefix: str, x: Tensor) -> Tensor:
-    """Unroll the cell ``prefix`` over t = 0..max_time-1 of x from zero initial state."""
-    batch, _, time = x.shape
-    hidden = t[f"{prefix}.w_candidate"].shape[0]
-    h = Tensor(np.zeros((batch, hidden)))
-    outputs = []
-    if _cell(t, prefix, x, h) == "lstm":
-        c = h
-        fused = _fuse_lstm(t, prefix)
-        for step in range(time):
-            h, c = _lstm_apply(fused, hidden, x[:, :, step], h, c)
-            outputs.append(h)
-    else:
-        fused = _fuse_gru(t, prefix)
-        for step in range(time):
-            h = _gru_apply(fused, hidden, x[:, :, step], h)
-            outputs.append(h)
-    return ad.stack_time(outputs)
+    return hs, bptt
 
 
 def run_bidirectional(t: dict, prefix: str, x: Tensor, mask: TimeMask) -> Tensor:
     """The cells ``<prefix>.fwd`` and ``<prefix>.bwd`` of ``t`` over a padded batch
-    -> [batch x 2*hidden x time].
+    -> [batch x 2*hidden x time], as one tape node.
 
     Forward and backward outputs are concatenated per time step; outputs at
-    padded positions are exactly zero.
+    padded positions are exactly zero. Both directions share one input-projection
+    GEMM over all frames and one time loop that does only the recurrent GEMM and
+    the gate math; the backward direction reads each item's reversed valid
+    prefix. The node's backward is a hand-written BPTT loop, after which the
+    input and weight gradients are one GEMM or sum each over all frames.
     """
     if x.ndim != 3:
         raise DimensionError(f"run_bidirectional: input shape {x.shape} is not [batch x in x time]")
@@ -159,9 +173,50 @@ def run_bidirectional(t: dict, prefix: str, x: Tensor, mask: TimeMask) -> Tensor
             f"run_bidirectional: input shape {x.shape} does not match mask "
             f"(batch {mask.batch}, time {mask.max_time})"
         )
-    fwd = _run_direction(t, f"{prefix}.fwd", x)
-    bwd = _run_direction(t, f"{prefix}.bwd", ad.reverse_valid_time(x, mask))
-    return ad.concat([fwd, ad.reverse_valid_time(bwd, mask)], axis=1) * mask.channel_mask()
+    kind, hidden = _cell(t, f"{prefix}.fwd", x)
+    if _cell(t, f"{prefix}.bwd", x) != (kind, hidden):
+        raise DimensionError(f"run_bidirectional: {prefix}.fwd and {prefix}.bwd differ in kind or width")
+    batch, d, steps = x.shape
+    gates = LSTM_GATES if kind == "lstm" else GRU_GATES
+    n, h = len(gates), hidden
+    cells = [[(t[f"{prefix}.{side}.w_{g}"], t[f"{prefix}.{side}.b_{g}"]) for g in gates]
+             for side in ("fwd", "bwd")]
+    w = np.array([[wt.data for wt, _ in cell] for cell in cells]).reshape(2, n * h, d + h)
+    w_x = w[:, :, :d].transpose(2, 0, 1).reshape(d, 2 * n * h)
+    w_h = w[:, :, d:].transpose(0, 2, 1).copy()
+    src, valid = mask.reversal()
+    src, valid, items = src.T, valid.T[:, :, None], np.arange(batch)
+
+    def flip(a):  # [T x b x k]: each item's valid prefix reversed in time, padding 0
+        return a[src, items] * valid
+
+    xs = x.data.transpose(2, 0, 1).reshape(steps * batch, d)  # time-major frames
+    pre_x = np.empty((2, steps, batch, n * h))
+    bias = np.array([[bt.data for _, bt in cell] for cell in cells]).reshape(2, 1, 1, n * h)
+    np.add((xs @ w_x).reshape(steps, batch, 2, n * h).transpose(2, 0, 1, 3), bias, out=pre_x)
+    pre_x[1] = flip(pre_x[1])
+    hs, bptt = (_lstm_sequence if kind == "lstm" else _gru_sequence)(pre_x, w_h)
+    states = hs[:, 1:] * valid
+    states[1] = flip(states[1])
+
+    def bw(g):
+        d_hs = g.reshape(batch, 2, h, steps).transpose(1, 3, 0, 2) * valid
+        d_hs[1] = flip(d_hs[1])
+        d_pre, d_w_h = bptt(d_hs)
+        d_pre[1] = flip(d_pre[1])
+        d_flat = d_pre.transpose(1, 2, 0, 3).reshape(steps * batch, 2 * n * h)
+        if x.requires_grad:
+            ad._accumulate(x, (d_flat @ w_x.T).reshape(steps, batch, d).transpose(1, 2, 0))
+        d_w_x = (xs.T @ d_flat).reshape(d, 2, n * h).transpose(1, 2, 0)
+        d_w = np.concatenate([d_w_x, d_w_h.transpose(0, 2, 1)], axis=2).reshape(2, n, h, d + h)
+        d_b = d_pre.sum(axis=(1, 2)).reshape(2, n, h)
+        for k, cell in enumerate(cells):
+            for j, (wt, bt) in enumerate(cell):
+                ad._accumulate(wt, d_w[k, j])
+                ad._accumulate(bt, d_b[k, j])
+
+    out = states.transpose(2, 0, 3, 1).reshape(batch, 2 * h, steps)
+    return Tensor._op(out, (x, *(p for cell in cells for pair in cell for p in pair)), bw)
 
 
 def attention_table(prefix: str, channels: int, attn_size: int):

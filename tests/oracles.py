@@ -2,8 +2,11 @@
 
 import numpy as np
 
-from videoseq.errors import ConfigurationError, PreconditionError
+from videoseq import autodiff as ad
+from videoseq.autodiff import Tensor, TimeMask
+from videoseq.errors import ConfigurationError, DimensionError, PreconditionError
 from videoseq.metrics import TOP_K, GapResult, PredictionSet, _pooled_pairs
+from videoseq.recurrent import GRU_GATES, LSTM_GATES, _cell
 from videoseq.vlad import _DEGENERATE_NORM, Codebook, _squared_distances
 
 
@@ -37,3 +40,60 @@ def vlad_encode_oracle(codebook: Codebook, frames: np.ndarray) -> np.ndarray:
     flat = np.sign(flat) * np.sqrt(np.abs(flat))
     norm = np.linalg.norm(flat)
     return np.zeros_like(flat) if norm < _DEGENERATE_NORM else flat / norm
+
+
+def _step_weights(t: dict, prefix: str, kind: str, gates, x_t: Tensor, h_prev: Tensor):
+    """The gate matrices of ``prefix`` as one [(input + hidden) x n*hidden] tensor and
+    the biases as one [n*hidden] tensor, once the cell is a ``kind`` cell fitting x_t, h_prev."""
+    cell, hidden = _cell(t, prefix, x_t)
+    if h_prev.shape != (x_t.shape[0], hidden):
+        raise DimensionError(
+            f"cell {prefix!r} expects hidden {hidden}, got x {x_t.shape} and h {h_prev.shape}"
+        )
+    if cell != kind:
+        raise PreconditionError(f"{kind}_step on the {cell.upper()} cell {prefix!r}")
+    w = ad.transpose(ad.concat([t[f"{prefix}.w_{g}"] for g in gates], axis=0))
+    return w, ad.concat([t[f"{prefix}.b_{g}"] for g in gates], axis=0)
+
+
+def lstm_step(t: dict, prefix: str, x_t: Tensor, h_prev: Tensor, c_prev: Tensor):
+    """One step of the LSTM ``prefix`` in ``t``, composed of autodiff ops: returns (h_t, c_t)."""
+    w, b = _step_weights(t, prefix, "lstm", LSTM_GATES, x_t, h_prev)
+    h = h_prev.shape[1]
+    pre = ad.matmul(ad.concat([x_t, h_prev], axis=1), w) + b
+    i, f, o = (ad.sigmoid(pre[:, k * h : (k + 1) * h]) for k in range(3))
+    c_t = f * c_prev + i * ad.tanh(pre[:, 3 * h :])
+    return o * ad.tanh(c_t), c_t
+
+
+def gru_step(t: dict, prefix: str, x_t: Tensor, h_prev: Tensor) -> Tensor:
+    """One step of the GRU ``prefix`` in ``t``, composed of autodiff ops: returns h_t."""
+    w, b = _step_weights(t, prefix, "gru", GRU_GATES, x_t, h_prev)
+    h = h_prev.shape[1]
+    pre = ad.matmul(ad.concat([x_t, h_prev], axis=1), w[:, : 2 * h]) + b[: 2 * h]
+    z, r = ad.sigmoid(pre[:, :h]), ad.sigmoid(pre[:, h:])
+    h_bar = ad.tanh(ad.matmul(ad.concat([x_t, r * h_prev], axis=1), w[:, 2 * h :]) + b[2 * h :])
+    return (1.0 - z) * h_prev + z * h_bar
+
+
+def composed_bidirectional(t: dict, prefix: str, x: Tensor, mask: TimeMask) -> Tensor:
+    """``run_bidirectional`` unrolled from the oracle steps, one tape node per op: each
+    direction walks all steps from zero state, the backward one over the reversed
+    valid prefixes, and padded outputs are zeroed."""
+    batch, _, steps = x.shape
+
+    def direction(prefix, x):
+        kind, hidden = _cell(t, prefix, x)
+        h = c = Tensor(np.zeros((batch, hidden)))
+        outputs = []
+        for s in range(steps):
+            if kind == "lstm":
+                h, c = lstm_step(t, prefix, x[:, :, s], h, c)
+            else:
+                h = gru_step(t, prefix, x[:, :, s], h)
+            outputs.append(h.reshape(batch, hidden, 1))
+        return ad.concat(outputs, axis=2)
+
+    fwd = direction(f"{prefix}.fwd", x)
+    bwd = ad.reverse_valid_time(direction(f"{prefix}.bwd", ad.reverse_valid_time(x, mask)), mask)
+    return ad.concat([fwd, bwd], axis=1) * mask.channel_mask()

@@ -21,7 +21,6 @@ from videoseq import (
     reverse_valid_time,
     sigmoid,
     softmax_masked,
-    stack_time,
     tanh,
 )
 from videoseq.autodiff import no_grad, tensor_sum
@@ -335,13 +334,6 @@ class TestBackward:
 
 
 class TestTimePlumbing:
-    def test_stack_time_roundtrip(self):
-        rng = np.random.default_rng(1)
-        steps = [Tensor(rng.normal(size=(2, 3))) for _ in range(4)]
-        out = stack_time(steps)
-        for t, s in enumerate(steps):
-            assert np.array_equal(out.data[:, :, t], s.data)
-
     def test_reverse_valid_time(self):
         mask = TimeMask(2, 4, np.array([3, 4]))
         x = np.arange(2 * 1 * 4, dtype=float).reshape(2, 1, 4)

@@ -173,6 +173,14 @@ def test_gradcheck_samples_below_one_names_option_and_value(capsys, samples):
     assert err == f"error: ConfigurationError: sample_count must be >= 1, got {samples}\n"
 
 
+@pytest.mark.parametrize("tolerance", ["inf", "nan", "-1", "0"])
+def test_gradcheck_tolerance_not_finite_and_positive_names_value(capsys, tolerance):
+    # inf would pass every block and nan or <= 0 fail every block: neither checks anything
+    rc = main(["gradcheck", "--model", "video_level", "--tolerance", tolerance])
+    err = _one_line_error(capsys, rc)
+    assert err == f"error: ConfigurationError: tolerance must be finite and > 0, got {float(tolerance)}\n"
+
+
 @pytest.mark.parametrize("empty", ["--data", "--val"])
 def test_train_on_a_record_file_without_videos_is_a_one_line_error(workdir, capsys, empty):
     tmp_path, data, config = workdir

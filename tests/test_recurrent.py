@@ -1,17 +1,11 @@
 import numpy as np
 import pytest
 
-from videoseq import PreconditionError, Tensor, TimeMask, check_gradients
-from videoseq.autodiff import masked_mean_time, tensor_sum
-from videoseq.recurrent import (
-    attention_pool,
-    attention_table,
-    cell_table,
-    draw_table,
-    gru_step,
-    lstm_step,
-    run_bidirectional,
-)
+from videoseq import DimensionError, PreconditionError, Tensor, TimeMask, backward, check_gradients
+from videoseq.autodiff import fresh_graph, masked_mean_time, tensor_sum
+from videoseq.recurrent import attention_pool, attention_table, cell_table, draw_table, run_bidirectional
+
+from oracles import composed_bidirectional, gru_step, lstm_step
 
 
 def zeroed(params):
@@ -189,9 +183,10 @@ class TestRunBidirectional:
             out = run_bidirectional(pair(fwd, bwd), "bi", Tensor(x), mask)
             assert np.all(np.abs(out.data) <= 1.0)
 
-    def test_gradients_through_sequence(self):
-        fwd = rand_cell("lstm", 2, 3, 21)
-        bwd = rand_cell("lstm", 2, 3, 22)
+    @staticmethod
+    def sequence_gradient_errors(kind):
+        fwd = rand_cell(kind, 2, 3, 21)
+        bwd = rand_cell(kind, 2, 3, 22)
         rng = np.random.default_rng(23)
         x = Tensor(rng.normal(size=(2, 2, 4)))
         mask = TimeMask(2, 4, np.array([3, 4]))
@@ -201,8 +196,44 @@ class TestRunBidirectional:
             return tensor_sum(out * out)
 
         params = list(pair(fwd, bwd).items())
-        worst = check_gradients(f, params, step=1e-5, samples_per_block=6)
-        assert max(worst.values()) < 1e-5
+        return check_gradients(f, params, step=1e-5, samples_per_block=6)
+
+    def test_gradients_through_sequence(self):
+        assert max(self.sequence_gradient_errors("lstm").values()) < 1e-5
+
+    def test_gradients_through_sequence_gru(self):
+        assert max(self.sequence_gradient_errors("gru").values()) < 1e-5
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    def test_gradients_match_composed_steps(self, kind):
+        # the fused op's hand-written BPTT against the tape of the unrolled oracle steps
+        cells = pair(rand_cell(kind, 3, 2, 34), rand_cell(kind, 3, 2, 35))
+        rng = np.random.default_rng(36)
+        x = Tensor(rng.normal(size=(3, 3, 5)), requires_grad=True)
+        mask = TimeMask(3, 5, np.array([1, 3, 5]))
+        coef = rng.normal(size=(3, 4, 5))
+        results = []
+        for runner in (run_bidirectional, composed_bidirectional):
+            for tensor in [x, *cells.values()]:
+                tensor.zero_grad()
+            out = runner(cells, "bi", x, mask)
+            backward(tensor_sum(out * coef))
+            results.append({"out": out.data, "x": x.grad.copy(), **{n: p.grad.copy() for n, p in cells.items()}})
+        fused, composed = results
+        for name in fused:
+            assert np.max(np.abs(fused[name] - composed[name])) <= 1e-12, name
+
+    def test_one_tape_node(self):
+        cells = pair(rand_cell("lstm", 3, 2, 37), rand_cell("lstm", 3, 2, 38))
+        x = Tensor(np.random.default_rng(39).normal(size=(2, 3, 4)), requires_grad=True)
+        tape = fresh_graph()
+        out = run_bidirectional(cells, "bi", x, TimeMask(2, 4, np.array([2, 4])))
+        assert tape.nodes == [out]
+
+    def test_cells_must_agree(self):
+        cells = pair(rand_cell("lstm", 3, 2, 40), rand_cell("gru", 3, 2, 41))
+        with pytest.raises(DimensionError):
+            run_bidirectional(cells, "bi", Tensor(np.zeros((1, 3, 2))), TimeMask.full(1, 2))
 
 
 class TestAttentionPool:
