@@ -7,20 +7,25 @@ is built from the handful of primitives shown here.
 
 import numpy as np
 
-from videoseq import Tensor, TimeMask, backward, conv1d_same, matmul, softmax_masked
+from videoseq import Tape, Tensor, TimeMask, backward, conv1d_same, matmul, softmax_masked
 from videoseq.autodiff import numerical_gradient, tensor_sum
 
 # --- tensors and the tape ---------------------------------------------------
-# A Tensor wraps a float64 ndarray. Operations on tensors with
-# requires_grad=True are recorded on a tape in creation order, so one reverse
-# sweep computes every gradient.
+# A Tensor wraps a float64 ndarray. Inside a `with Tape():` block, operations
+# on tensors with requires_grad=True are recorded on that tape in creation
+# order, so one reverse sweep computes every gradient. The sweep lets go of
+# each node as it passes, and leaving the block empties the tape; outside a
+# Tape, operations record nothing.
 
 w = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
 x = Tensor(np.array([[0.5], [-1.0]]))
 
-y = matmul(w, x)          # [2x1]
-loss = tensor_sum(y * y)  # scalar
-backward(loss)
+with Tape() as tape:
+    y = matmul(w, x)          # [2x1]
+    loss = tensor_sum(y * y)  # scalar
+    print("tape nodes    :", len(tape.nodes))
+    backward(loss)
+print("after backward:", len(tape.nodes), "nodes")
 
 print("loss          :", loss.item())
 print("grad of w     :\n", w.grad)

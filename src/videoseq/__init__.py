@@ -9,7 +9,7 @@ training harness with a CLI.
 
 from .autodiff import (
     BatchNormState,
-    Graph,
+    Tape,
     Tensor,
     TimeMask,
     backward,

@@ -1,10 +1,14 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The engine is define-by-run: every differentiable operation appends a node
-to the active :class:`Graph` (a tape), so creation order is already a
-topological order. ``backward(loss)`` walks the tape once in reverse,
+The engine is define-by-run: inside a ``with Tape():`` block every
+differentiable operation appends a node to that tape, so creation order is
+already a topological order; outside one, and under ``no_grad``, operations
+give constants. ``backward(loss)`` walks the tape once in reverse,
 accumulating gradients into every reachable tensor with
-``requires_grad=True``, then closes the tape.
+``requires_grad=True``, and lets each node go as soon as its backward has
+run: its gradient, closure and parents are dropped, and the tape is closed
+and emptied when the walk ends. Leaving the block closes the tape too, so a
+forward without a backward keeps nothing alive.
 
 Only the primitives the sequence models need are provided: broadcasting
 arithmetic, 2-D matmul, same-length temporal convolution, masked batch
@@ -30,7 +34,7 @@ from .errors import (
 
 __all__ = [
     "Tensor",
-    "Graph",
+    "Tape",
     "TimeMask",
     "BatchNormState",
     "no_grad",
@@ -55,48 +59,67 @@ __all__ = [
 ]
 
 
-class Graph:
-    """Tape of operation nodes in creation order.
+class Tape:
+    """The tape of one differentiated computation, opened as ``with Tape():``.
 
-    Creation order is a valid topological order by construction: an op's
-    inputs always exist before its output. A graph is closed by the first
-    ``backward`` call through it; further backward calls error out.
+    Operations record onto the open tape in creation order, which is a valid
+    topological order by construction: an op's inputs always exist before its
+    output. The first ``backward`` through the tape closes it, and so does
+    leaving the block; a closed tape holds no nodes, and an op that would
+    record onto it raises.
+    Only one tape is open at a time: parents on an outer tape would get no
+    gradient from an inner one.
     """
 
-    __slots__ = ("nodes", "closed")
+    __slots__ = ("nodes", "closed", "recording")
 
     def __init__(self) -> None:
         self.nodes: list[Tensor] = []
         self.closed = False
+        self.recording = True
+
+    def __enter__(self) -> "Tape":
+        global _open
+        if _open is not None:
+            raise StateError("a Tape is already open; tapes do not nest")
+        _open = self
+        return self
+
+    def __exit__(self, *exc):
+        global _open
+        _open = None
+        self._close()
+        return False
+
+    def _close(self) -> None:
+        """Close the tape and let go of every node still on it."""
+        self.closed = True
+        for node in self.nodes:
+            if node is not None:
+                node.grad, node._backward, node._parents = None, None, ()
+        self.nodes = []
 
 
-_active = Graph()
-_grad_enabled = True
-
-
-def fresh_graph() -> Graph:
-    """Discard the active tape and start a new one."""
-    global _active
-    _active = Graph()
-    return _active
+_open: Tape | None = None  # the tape of the enclosing ``with Tape():`` block
 
 
 class no_grad:
-    """Context manager that suspends tape recording.
+    """Context manager that suspends recording on the open tape.
 
     Inside the context every operation produces a constant tensor, which
     makes inference passes allocation-light and side-effect free.
     """
 
     def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
+        self._tape = _open
+        if self._tape is not None:
+            self._prev = self._tape.recording
+            self._tape.recording = False
         return self
 
     def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
+        if self._tape is not None:
+            self._tape.recording = self._prev
         return False
 
 
@@ -128,14 +151,16 @@ class Tensor:
         out._backward = None
         out._graph = None
         out._index = -1
-        if _grad_enabled and any(p.requires_grad for p in parents):
+        g = _open
+        if g is not None and g.recording and any(p.requires_grad for p in parents):
+            if g.closed:
+                raise StateError("the tape was closed by backward; open a new Tape")
             for p in parents:
                 if p.requires_grad and p._graph is not None and p._graph.closed:
                     raise StateError("cannot extend a graph that has already been traversed")
             out.requires_grad = True
             out._parents = parents
             out._backward = backward_fn
-            g = _active
             out._graph = g
             out._index = len(g.nodes)
             g.nodes.append(out)
@@ -591,7 +616,10 @@ def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     """Cross-correlate along time with zero padding so the length is kept.
 
     x: [batch x c_in x time], kernels: [c_out x c_in x width] (width odd),
-    bias: [c_out]. Implemented as im2col + one BLAS matmul.
+    bias: [c_out]. Implemented as im2col + one BLAS matmul. The backward
+    closure keeps ``x`` rather than the [b·t x c_in·w] im2col matrix and
+    rebuilds that matrix from ``x`` when the kernels need their gradient
+    (the recompute trade of Chen et al. 2016, arXiv:1604.06174).
     """
     x, kernels, bias = _const(x), _const(kernels), _const(bias)
     if x.data.ndim != 3 or kernels.data.ndim != 3:
@@ -612,16 +640,19 @@ def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
             f"conv1d_same: bias shape {bias.data.shape} does not match {co} filters"
         )
     p = (w - 1) // 2
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, w, axis=2)  # (b, ci, t, w)
-    col = win.transpose(0, 2, 1, 3).reshape(b * t, ci * w)
+
+    def im2col():  # [b·t x c_in·w]: row (i, s) holds item i's zero-padded window at s
+        xp = np.pad(x.data, ((0, 0), (0, 0), (p, p)))
+        win = np.lib.stride_tricks.sliding_window_view(xp, w, axis=2)  # (b, ci, t, w)
+        return win.transpose(0, 2, 1, 3).reshape(b * t, ci * w)
+
     kmat = kernels.data.reshape(co, ci * w)
-    out = (col @ kmat.T + bias.data).reshape(b, t, co).transpose(0, 2, 1)
+    out = (im2col() @ kmat.T + bias.data).reshape(b, t, co).transpose(0, 2, 1)
 
     def bw(g):
         gmat = g.transpose(0, 2, 1).reshape(b * t, co)
         if kernels.requires_grad:
-            _accumulate(kernels, (gmat.T @ col).reshape(co, ci, w))
+            _accumulate(kernels, (gmat.T @ im2col()).reshape(co, ci, w))
         if bias.requires_grad:
             _accumulate(bias, gmat.sum(axis=0))
         if x.requires_grad:
@@ -718,10 +749,11 @@ def batchnorm_time(
 def backward(loss: Tensor) -> None:
     """Populate gradients of every tracked ancestor of a scalar loss.
 
-    Walks the active tape in reverse creation order, so each node is
-    visited exactly once and gradients sum over all uses of a tensor.
-    The traversed graph is closed afterwards; calling backward on it
-    again raises.
+    Walks the loss's tape in reverse creation order, so each node is
+    visited exactly once and gradients sum over all uses of a tensor. Each
+    interior node lets go of its gradient, closure and parents as soon as
+    its backward has run, and the tape is closed and emptied afterwards;
+    the loss keeps its value, and calling backward on it again raises.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -731,11 +763,14 @@ def backward(loss: Tensor) -> None:
     if g.closed:
         raise StateError("graph already traversed; rebuild the forward pass first")
     loss.grad = np.ones(loss.data.shape)
-    for node in reversed(g.nodes[: loss._index + 1]):
-        if node.grad is not None and node._backward is not None:
+    nodes = g.nodes
+    for i in range(loss._index, -1, -1):
+        # off the tape too, so an output dies once the nodes that read it have run
+        node, nodes[i] = nodes[i], None
+        if node.grad is not None:
             node._backward(node.grad)
-    g.closed = True
-    fresh_graph()
+        node.grad, node._backward, node._parents = None, None, ()
+    g._close()
 
 
 # ---------------------------------------------------------------------------

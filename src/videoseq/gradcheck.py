@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, TimeMask, backward, numerical_gradient, relative_error
+from .autodiff import Tape, Tensor, TimeMask, backward, numerical_gradient, relative_error
 from .errors import ConfigurationError
 from .models import DEEP_STACK_KINDS, ModelSpec, build_model
 from .training import bce_loss
@@ -60,7 +60,8 @@ def _worst_errors(f, named_params, step, samples_per_block, rng, tolerance=0.0, 
     named_params = list(named_params)
     for _, p in named_params:
         p.zero_grad()
-    backward(f())
+    with Tape():
+        backward(f())
     analytic = {
         name: (p.grad.copy() if p.grad is not None else np.zeros(p.data.shape))
         for name, p in named_params

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, no_grad
+from .autodiff import Tape, Tensor, no_grad
 from .container import atomic_write
 from .dataio import DatasetHeader, load_records, pad_batch
 from .errors import (
@@ -56,8 +56,10 @@ class TrainConfig:
     log_path: str | None = None
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be > 0")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ConfigurationError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if self.clip_norm not in (None, 0) and not 0.0 < self.clip_norm < np.inf:
+            raise ConfigurationError(f"clip_norm must be None, 0, or finite and > 0, got {self.clip_norm}")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
         if self.epochs < 1:
@@ -118,14 +120,19 @@ class Adam:
         bc1 = 1.0 - ADAM_BETA1 ** self.step_count
         bc2 = 1.0 - ADAM_BETA2 ** self.step_count
         for name, p in self.named_params:
-            g = grads[name]
-            m = self.moments1[name]
-            v = self.moments2[name]
+            # in place through two scratch buffers, in the order of
+            # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            g, m, v = grads[name], self.moments1[name], self.moments2[name]
+            a, b = np.empty(g.shape), np.empty(g.shape)
             m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
             v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
+            np.multiply(g, g, out=a)
+            v += np.multiply(a, 1.0 - ADAM_BETA2, out=a)
+            np.sqrt(np.divide(v, bc2, out=a), out=a)
+            a += ADAM_EPSILON
+            np.multiply(np.divide(m, bc1, out=b), self.lr, out=b)
+            p.data -= np.divide(b, a, out=b)
         return norm
 
 
@@ -219,9 +226,10 @@ def train(config: TrainConfig) -> TrainResult:
         total_loss, total_items = 0.0, 0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            loss = _batch_loss(model, [records[i] for i in idx], header)
             optimizer.zero_grad()
-            ad.backward(loss)
+            with Tape():
+                loss = _batch_loss(model, [records[i] for i in idx], header)
+                ad.backward(loss)
             grad_norms.append(optimizer.step())
             total_loss += loss.item() * len(idx)
             total_items += len(idx)

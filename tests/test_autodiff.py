@@ -6,6 +6,7 @@ from videoseq import (
     ContractError,
     DimensionError,
     StateError,
+    Tape,
     Tensor,
     TimeMask,
     backward,
@@ -68,7 +69,8 @@ class TestMatmul:
         def f():
             return tensor_sum(matmul(a, b))
 
-        backward(f())
+        with Tape():
+            backward(f())
         numeric = numerical_gradient(lambda: f().data, a, step=1e-5)
         worst = max(
             relative_error(x, y) for x, y in zip(a.grad.ravel(), numeric.ravel())
@@ -141,7 +143,8 @@ class TestActivations:
         def f():
             return tensor_sum(tanh(x))
 
-        backward(f())
+        with Tape():
+            backward(f())
         numeric = numerical_gradient(lambda: f().data, x, step=1e-5)
         worst = max(
             relative_error(a, n) for a, n in zip(x.grad.ravel(), numeric.ravel())
@@ -299,38 +302,43 @@ class TestBatchnormTime:
 class TestBackward:
     def test_sum_gives_ones(self):
         w = Tensor(np.arange(3.0), requires_grad=True)
-        backward(tensor_sum(w))
+        with Tape():
+            backward(tensor_sum(w))
         assert np.array_equal(w.grad, np.ones(3))
 
     def test_elementwise_square(self):
         w = Tensor([1.0, 2.0], requires_grad=True)
-        backward(tensor_sum(w * w))
+        with Tape():
+            backward(tensor_sum(w * w))
         assert np.array_equal(w.grad, [2.0, 4.0])
 
     def test_gradients_sum_over_uses(self):
         w = Tensor([3.0], requires_grad=True)
-        backward(tensor_sum(w + w))
+        with Tape():
+            backward(tensor_sum(w + w))
         assert np.array_equal(w.grad, [2.0])
 
     def test_non_scalar_loss_rejected(self):
         w = Tensor([1.0, 2.0], requires_grad=True)
-        with pytest.raises(ContractError):
+        with Tape(), pytest.raises(ContractError):
             backward(w * w)
 
     def test_repeated_backward_rejected(self):
         w = Tensor([1.0], requires_grad=True)
-        loss = tensor_sum(w * w)
-        backward(loss)
-        with pytest.raises(StateError):
+        with Tape():
+            loss = tensor_sum(w * w)
             backward(loss)
+            with pytest.raises(StateError):
+                backward(loss)
 
     def test_no_grad_suppresses_tracking(self):
         w = Tensor([1.0], requires_grad=True)
-        with no_grad():
-            loss = tensor_sum(w * w)
-        assert not loss.requires_grad
-        with pytest.raises(StateError):
-            backward(loss)
+        with Tape():
+            with no_grad():
+                loss = tensor_sum(w * w)
+            assert not loss.requires_grad
+            with pytest.raises(StateError):
+                backward(loss)
 
 
 class TestTimePlumbing:
@@ -390,3 +398,101 @@ class TestDeterminism:
             return tanh(out).data
 
         assert np.array_equal(run(), run())
+
+
+def toy_batch(spec, batch, time, seed):
+    rng = np.random.default_rng(seed)
+    visual = Tensor(rng.normal(size=(batch, spec.visual_dim, time)))
+    audio = Tensor(rng.normal(size=(batch, spec.audio_dim, time)))
+    lengths = rng.integers(1, time + 1, size=batch)
+    targets = (rng.random(size=(batch, spec.vocab_size)) < 0.4).astype(np.float64)
+    return visual, audio, TimeMask(batch, time, lengths), targets
+
+
+class TestTape:
+    def test_ops_record_only_inside_a_tape(self):
+        w = Tensor([1.0], requires_grad=True)
+        assert not (w * w).requires_grad
+        with Tape() as tape:
+            y = w * w
+            assert y.requires_grad and tape.nodes == [y]
+
+    def test_nested_tape_rejected(self):
+        with Tape():
+            with pytest.raises(StateError):
+                with Tape():
+                    pass
+            with no_grad(), pytest.raises(StateError):
+                with Tape():
+                    pass
+
+    def test_forward_without_backward_leaves_nothing_behind(self):
+        import weakref
+
+        from videoseq.gradcheck import toy_spec
+        from videoseq.models import build_model
+
+        spec = toy_spec("two_stream_lstm")
+        model = build_model(spec)
+        visual, audio, mask, _ = toy_batch(spec, 2, 5, seed=50)
+        with Tape() as tape:
+            probs = model.forward(visual, audio, mask, train=True)
+            interior = weakref.ref(tape.nodes[len(tape.nodes) // 2].data)
+            assert interior() is not None
+        assert tape.closed and tape.nodes == []
+        assert probs._parents == () and probs._backward is None
+        del probs
+        assert interior() is None
+
+    def test_backward_lets_go_of_every_node(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        w = Tensor(np.ones((3, 2)), requires_grad=True)
+        with Tape() as tape:
+            loss = tensor_sum(tanh(matmul(x, w)) * 2.0)
+            walked = list(tape.nodes)
+            backward(loss)
+            assert tape.closed and tape.nodes == []
+            for node in walked:
+                assert node.grad is None and node._backward is None and node._parents == ()
+            assert x.grad is not None and w.grad is not None
+            assert loss.item() == pytest.approx(2.0 * np.tanh(x.data @ w.data).sum())
+            with pytest.raises(StateError):
+                backward(loss)
+            with pytest.raises(StateError):
+                loss * 2.0
+        with Tape(), pytest.raises(StateError):
+            walked[0] + 1.0
+
+    def test_step_holds_no_more_than_the_parameter_gradients(self):
+        import gc
+        import tracemalloc
+
+        from videoseq.gradcheck import toy_spec
+        from videoseq.models import build_model
+        from videoseq.training import bce_loss
+
+        spec = toy_spec("temporal_resnet")
+        model = build_model(spec)
+        params = [p for _, p in model.named_parameters()]
+        visual, audio, mask, targets = toy_batch(spec, 4, 40, seed=51)
+
+        def step():
+            """Bytes traced after backward returns, while the loss is still held."""
+            for p in params:
+                p.zero_grad()
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            with Tape():
+                loss = bce_loss(model.forward(visual, audio, mask, train=True), targets)
+                backward(loss)
+                return tracemalloc.get_traced_memory()[0] - before
+
+        tracemalloc.start()
+        try:
+            step()  # warm every cache the step fills once
+            held = step()
+        finally:
+            tracemalloc.stop()
+        grads = sum(p.grad.nbytes for p in params)
+        # the whole tape of this step is about 1.5 MB
+        assert held <= grads + 64 * 1024, (held, grads)

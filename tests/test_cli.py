@@ -119,6 +119,27 @@ def test_zero_width_config_is_a_one_line_error(workdir, capsys, line):
     _one_line_error(capsys, rc)
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("learning_rate = nan", "learning_rate must be finite and > 0, got nan"),
+        ("learning_rate = inf", "learning_rate must be finite and > 0, got inf"),
+        ("learning_rate = 1e400", "learning_rate must be finite and > 0, got inf"),
+        ("clip_norm = nan", "clip_norm must be None, 0, or finite and > 0, got nan"),
+        ("clip_norm = -1", "clip_norm must be None, 0, or finite and > 0, got -1.0"),
+    ],
+)
+def test_bad_learning_rate_or_clip_norm_names_field_and_value(workdir, capsys, line, message):
+    tmp_path, data, config = workdir
+    key = line.split(" =")[0]
+    text = "".join(l for l in config.read_text().splitlines(True) if not l.startswith(key))
+    config.write_text(text + line + "\n")
+    ckpt = tmp_path / "m.ckpt"
+    rc = main(["train", "--config", str(config), "--data", str(data), "--out", str(ckpt)])
+    assert _one_line_error(capsys, rc) == f"error: ConfigurationError: {message}\n"
+    assert not ckpt.exists()
+
+
 def test_zero_width_checkpoint_is_a_one_line_error(workdir, capsys):
     tmp_path, data, _ = workdir
     spec = ModelSpec(kind="two_stream_lstm", vocab_size=6, visual_dim=6, audio_dim=3,

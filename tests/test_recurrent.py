@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from videoseq import DimensionError, PreconditionError, Tensor, TimeMask, backward, check_gradients
-from videoseq.autodiff import fresh_graph, masked_mean_time, tensor_sum
+from videoseq import DimensionError, PreconditionError, Tape, Tensor, TimeMask, backward, check_gradients
+from videoseq.autodiff import masked_mean_time, tensor_sum
 from videoseq.recurrent import attention_pool, attention_table, cell_table, draw_table, run_bidirectional
 
 from oracles import composed_bidirectional, gru_step, lstm_step
@@ -216,8 +216,9 @@ class TestRunBidirectional:
         for runner in (run_bidirectional, composed_bidirectional):
             for tensor in [x, *cells.values()]:
                 tensor.zero_grad()
-            out = runner(cells, "bi", x, mask)
-            backward(tensor_sum(out * coef))
+            with Tape():
+                out = runner(cells, "bi", x, mask)
+                backward(tensor_sum(out * coef))
             results.append({"out": out.data, "x": x.grad.copy(), **{n: p.grad.copy() for n, p in cells.items()}})
         fused, composed = results
         for name in fused:
@@ -226,9 +227,9 @@ class TestRunBidirectional:
     def test_one_tape_node(self):
         cells = pair(rand_cell("lstm", 3, 2, 37), rand_cell("lstm", 3, 2, 38))
         x = Tensor(np.random.default_rng(39).normal(size=(2, 3, 4)), requires_grad=True)
-        tape = fresh_graph()
-        out = run_bidirectional(cells, "bi", x, TimeMask(2, 4, np.array([2, 4])))
-        assert tape.nodes == [out]
+        with Tape() as tape:
+            out = run_bidirectional(cells, "bi", x, TimeMask(2, 4, np.array([2, 4])))
+            assert tape.nodes == [out]
 
     def test_cells_must_agree(self):
         cells = pair(rand_cell("lstm", 3, 2, 40), rand_cell("gru", 3, 2, 41))

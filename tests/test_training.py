@@ -7,6 +7,7 @@ from videoseq import (
     FormatError,
     InputError,
     ModelSpec,
+    Tape,
     Tensor,
     TrainingError,
     backward,
@@ -133,8 +134,9 @@ class TestAdam:
         opt = Adam([("p", p)], learning_rate=0.2)
         for _ in range(200):
             opt.zero_grad()
-            loss = (p * p).sum()
-            backward(loss)
+            with Tape():
+                loss = (p * p).sum()
+                backward(loss)
             opt.step()
         assert abs(p.data[0]) < 1e-2
 
@@ -206,6 +208,18 @@ class TestTrain:
             TrainConfig(model=spec_for("video_level"), learning_rate=0.0)
         with pytest.raises(ConfigurationError):
             TrainConfig(model=spec_for("video_level"), epochs=0)
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf"), -1e-3])
+    def test_learning_rate_not_finite_and_positive_names_value(self, rate):
+        # nan and inf trained one step, then blamed a non-finite gradient
+        with pytest.raises(ConfigurationError, match=f"learning_rate must be finite and > 0, got {rate}"):
+            TrainConfig(model=spec_for("video_level"), learning_rate=rate)
+
+    @pytest.mark.parametrize("clip", [float("nan"), float("inf"), -1.0])
+    def test_clip_norm_not_none_zero_or_finite_positive_names_value(self, clip):
+        # nan and -1 used to switch clipping off silently; only 0 does
+        with pytest.raises(ConfigurationError, match=f"clip_norm must be None, 0, or finite and > 0, got {clip}"):
+            TrainConfig(model=spec_for("ff_lstm", depth=7), clip_norm=clip)
 
 
 @pytest.fixture(scope="module")
