@@ -8,7 +8,6 @@ training harness with a CLI.
 """
 
 from .autodiff import (
-    BatchNormState,
     Tape,
     Tensor,
     TimeMask,
@@ -21,11 +20,9 @@ from .autodiff import (
     log,
     masked_mean_time,
     matmul,
-    no_grad,
     numerical_gradient,
     relative_error,
     relu,
-    reverse_valid_time,
     sigmoid,
     softmax_masked,
     sqrt,

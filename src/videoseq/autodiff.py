@@ -1,21 +1,21 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The engine is define-by-run: inside a ``with Tape():`` block every
-differentiable operation appends a node to that tape, so creation order is
-already a topological order; outside one, and under ``no_grad``, operations
-give constants. ``backward(loss)`` walks the tape once in reverse,
-accumulating gradients into every reachable tensor with
-``requires_grad=True``, and lets each node go as soon as its backward has
-run: its gradient, closure and parents are dropped, and the tape is closed
-and emptied when the walk ends. Leaving the block closes the tape too, so a
-forward without a backward keeps nothing alive.
+The engine is define-by-run: an operation records a node exactly when a
+``with Tape():`` block is open, so creation order is already a topological
+order; outside one, operations give constants. ``backward(loss)`` walks the
+tape once in reverse, accumulating gradients into every reachable tensor
+with ``requires_grad=True``, and lets each node go as soon as its backward
+has run: its gradient, closure and parents are dropped, and the tape is
+closed and emptied when the walk ends. Leaving the block closes the tape
+too, so a forward without a backward keeps nothing alive.
 
 Only the primitives the sequence models need are provided: broadcasting
 arithmetic, 2-D matmul, same-length temporal convolution, masked batch
-normalization / softmax / mean pooling, elementwise activations, and the
-time-axis plumbing (slicing, per-item reversal). A fused op elsewhere, such
-as ``recurrent.run_bidirectional``, is one ``Tensor._op`` node whose backward
-calls ``_accumulate`` on each parent.
+normalization / softmax / mean pooling, elementwise activations, and
+slicing. Batch norm reads its parameters and running statistics by prefix
+from a {name: Tensor} dict, such as a model's ``tensors``. A fused op
+elsewhere, such as ``recurrent.run_bidirectional``, is one ``Tensor._op``
+node whose backward calls ``_accumulate`` on each parent.
 """
 
 from __future__ import annotations
@@ -36,13 +36,10 @@ __all__ = [
     "Tensor",
     "Tape",
     "TimeMask",
-    "BatchNormState",
-    "no_grad",
     "backward",
     "matmul",
     "transpose",
     "concat",
-    "reverse_valid_time",
     "conv1d_same",
     "batchnorm_time",
     "relu",
@@ -71,12 +68,11 @@ class Tape:
     gradient from an inner one.
     """
 
-    __slots__ = ("nodes", "closed", "recording")
+    __slots__ = ("nodes", "closed")
 
     def __init__(self) -> None:
         self.nodes: list[Tensor] = []
         self.closed = False
-        self.recording = True
 
     def __enter__(self) -> "Tape":
         global _open
@@ -101,26 +97,6 @@ class Tape:
 
 
 _open: Tape | None = None  # the tape of the enclosing ``with Tape():`` block
-
-
-class no_grad:
-    """Context manager that suspends recording on the open tape.
-
-    Inside the context every operation produces a constant tensor, which
-    makes inference passes allocation-light and side-effect free.
-    """
-
-    def __enter__(self):
-        self._tape = _open
-        if self._tape is not None:
-            self._prev = self._tape.recording
-            self._tape.recording = False
-        return self
-
-    def __exit__(self, *exc):
-        if self._tape is not None:
-            self._tape.recording = self._prev
-        return False
 
 
 class Tensor:
@@ -152,7 +128,7 @@ class Tensor:
         out._graph = None
         out._index = -1
         g = _open
-        if g is not None and g.recording and any(p.requires_grad for p in parents):
+        if g is not None and any(p.requires_grad for p in parents):
             if g.closed:
                 raise StateError("the tape was closed by backward; open a new Tape")
             for p in parents:
@@ -560,26 +536,6 @@ def _check_time_shape(x: Tensor, mask: TimeMask, name: str) -> None:
         )
 
 
-def reverse_valid_time(x: Tensor, mask: TimeMask) -> Tensor:
-    """Reverse each item's valid prefix along time; padded positions become 0.
-
-    The map is an involution on the valid prefix, so the backward rule is
-    the same reversal applied to the incoming gradient.
-    """
-    x = _const(x)
-    _check_time_shape(x, mask, "reverse_valid_time")
-    src, valid = mask.reversal()
-    gather = src[:, None, :]
-    keep = valid[:, None, :]
-
-    data = np.take_along_axis(x.data, gather, axis=2) * keep
-
-    def bw(g):
-        _accumulate(x, np.take_along_axis(g, gather, axis=2) * keep)
-
-    return Tensor._op(data, (x,), bw)
-
-
 def softmax_masked(scores: Tensor, mask: TimeMask) -> Tensor:
     """Per-item softmax over valid positions; masked positions weigh exactly 0."""
     scores = _const(scores)
@@ -674,35 +630,21 @@ BN_MOMENTUM = 0.9
 BN_EPS = 1e-5
 
 
-@dataclass
-class BatchNormState:
-    """Per-channel running statistics, updated with momentum ``BN_MOMENTUM`` while training."""
+def batchnorm_time(t: dict, prefix: str, x: Tensor, mask: TimeMask, train: bool) -> Tensor:
+    """Batch norm ``prefix`` of ``t``: per-channel normalization over (batch, valid time).
 
-    running_mean: np.ndarray
-    running_var: np.ndarray
-    initialized: bool = False
-
-    @classmethod
-    def for_channels(cls, channels: int) -> "BatchNormState":
-        return cls(np.zeros(channels), np.ones(channels))
-
-
-def batchnorm_time(
-    x: Tensor,
-    mask: TimeMask,
-    gamma: Tensor,
-    beta: Tensor,
-    train: bool,
-    state: BatchNormState,
-) -> Tensor:
-    """Per-channel normalization over (batch, valid time positions).
-
-    Train mode normalizes with batch statistics computed over valid frames
-    only and folds them into the running statistics (first call seeds them
-    directly, later calls blend with momentum). Eval mode applies the
-    running statistics as a fixed affine map. Padded positions stay zero.
+    Reads ``<prefix>.gamma``, ``.beta``, ``.running_mean``, ``.running_var`` and
+    ``.initialized`` from ``t``. Train mode normalizes with batch statistics
+    computed over valid frames only and writes them into the running
+    statistics' ``.data`` (the first call seeds them directly and sets
+    ``initialized``, later calls blend with momentum ``BN_MOMENTUM``). Eval mode
+    applies the running statistics as a fixed affine map. Padded positions stay
+    zero.
     """
-    x, gamma, beta = _const(x), _const(gamma), _const(beta)
+    gamma, beta, running_mean, running_var, seen = (
+        t[f"{prefix}.{f}"] for f in ("gamma", "beta", "running_mean", "running_var", "initialized")
+    )
+    x = _const(x)
     _check_time_shape(x, mask, "batchnorm_time")
     c = x.data.shape[1]
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
@@ -715,10 +657,10 @@ def batchnorm_time(
     beta3 = reshape(beta, (1, c, 1))
 
     if not train:
-        if not state.initialized:
+        if not seen.data[0]:
             raise StateError("eval-mode batch norm requires populated running statistics")
-        rm = state.running_mean.reshape(1, c, 1)
-        rstd = np.sqrt(state.running_var + BN_EPS).reshape(1, c, 1)
+        rm = running_mean.data.reshape(1, c, 1)
+        rstd = np.sqrt(running_var.data + BN_EPS).reshape(1, c, 1)
         xhat = mul(sub(x, rm), 1.0 / rstd)
         return mul(add(mul(xhat, gamma3), beta3), m)
 
@@ -731,13 +673,11 @@ def batchnorm_time(
 
     batch_mean = mean.data.reshape(c).copy()
     batch_var = var.data.reshape(c).copy()
-    if state.initialized:
-        state.running_mean = BN_MOMENTUM * state.running_mean + (1.0 - BN_MOMENTUM) * batch_mean
-        state.running_var = BN_MOMENTUM * state.running_var + (1.0 - BN_MOMENTUM) * batch_var
+    if seen.data[0]:
+        running_mean.data = BN_MOMENTUM * running_mean.data + (1.0 - BN_MOMENTUM) * batch_mean
+        running_var.data = BN_MOMENTUM * running_var.data + (1.0 - BN_MOMENTUM) * batch_var
     else:
-        state.running_mean = batch_mean
-        state.running_var = batch_var
-        state.initialized = True
+        running_mean.data, running_var.data, seen.data = batch_mean, batch_var, np.ones(1)
     return out
 
 
@@ -782,21 +722,21 @@ def numerical_gradient(f, tensor: Tensor, step: float = 1e-5, indices=None) -> n
     """Central-difference gradient of scalar-valued ``f`` w.r.t. ``tensor``.
 
     ``f`` takes no arguments and must re-read ``tensor.data`` on each call.
-    When ``indices`` is given only those flat coordinates are evaluated
-    (others are returned as 0).
+    It runs outside a ``Tape``, so its ops record nothing. When ``indices``
+    is given only those flat coordinates are evaluated (others are returned
+    as 0).
     """
     grad = np.zeros(tensor.data.size)
     coords = range(tensor.data.size) if indices is None else indices
-    with no_grad():
-        for i in coords:
-            pos = np.unravel_index(i, tensor.data.shape)
-            orig = tensor.data[pos]
-            tensor.data[pos] = orig + step
-            hi = float(f())
-            tensor.data[pos] = orig - step
-            lo = float(f())
-            tensor.data[pos] = orig
-            grad[i] = (hi - lo) / (2.0 * step)
+    for i in coords:
+        pos = np.unravel_index(i, tensor.data.shape)
+        orig = tensor.data[pos]
+        tensor.data[pos] = orig + step
+        hi = float(f())
+        tensor.data[pos] = orig - step
+        lo = float(f())
+        tensor.data[pos] = orig
+        grad[i] = (hi - lo) / (2.0 * step)
     return grad.reshape(tensor.data.shape)
 
 

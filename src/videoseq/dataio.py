@@ -202,9 +202,12 @@ def generate_synthetic(
     for name, value, least in (("vocab_size", vocab_size, 2), ("video_count", video_count, 0),
                                ("max_frames", max_frames, 1), ("visual_dim", visual_dim, 0),
                                ("audio_dim", audio_dim, 0),
-                               ("visual_dim + audio_dim", visual_dim + audio_dim, 1)):
+                               ("visual_dim + audio_dim", visual_dim + audio_dim, 1),
+                               ("seed", seed, 0), ("video_seed", video_seed or 0, 0)):
         if value < least:
             raise ConfigurationError(f"{name} must be >= {least}, got {value}")
+    if not 0.0 <= noise_sigma < np.inf:
+        raise ConfigurationError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     rng = np.random.default_rng(seed)
     d = visual_dim + audio_dim
     prototypes = rng.normal(size=(vocab_size, d))

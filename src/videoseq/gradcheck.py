@@ -138,6 +138,8 @@ def grad_check(
         raise ConfigurationError(f"sample_count must be >= 1, got {sample_count}")
     if not (np.isfinite(tolerance) and tolerance > 0):
         raise ConfigurationError(f"tolerance must be finite and > 0, got {tolerance}")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     model = build_model(spec)
     if spec.kind == "vlad_mlp":

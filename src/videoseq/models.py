@@ -24,13 +24,15 @@ checkpoint order: pooling parameters, ``head.*``, then non-trainable state.
 The recurrent kinds share one "bidirectional layers (optionally
 fast-forwarded) -> attention" helper, which hands ``tensors`` itself to
 ``recurrent``'s runners: they read each cell and attention pool by its
-prefix in the table. Every model ends in a per-class sigmoid and masks its
-raw inputs up front, so values stored at padded frame positions can never
-influence the output. ``build_model`` draws the table in order from the
-spec-seeded generator; ``load_checkpoint`` (end of this module) walks it
-beside the file's tensors and adopts them, drawing nothing. Checkpoint
-framing (magic, version, strings, bounded reads, atomic writes) lives in
-``container``.
+prefix in the table. ``temporal_resnet`` hands it to ``batchnorm_time`` the
+same way, which reads each batch norm by prefix and, in train mode, writes
+its running statistics back into the table. Every model ends in a
+per-class sigmoid and masks its raw inputs up front, so values stored at
+padded frame positions can never influence the output. ``build_model``
+draws the table in order from the spec-seeded generator;
+``load_checkpoint`` (end of this module) walks it beside the file's tensors
+and adopts them, drawing nothing. Checkpoint framing (magic, version,
+strings, bounded reads, atomic writes) lives in ``container``.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import container
-from .autodiff import BatchNormState, Tensor, TimeMask
+from .autodiff import Tensor, TimeMask
 from .errors import ConfigurationError, DimensionError, FormatError
 from .recurrent import (ONES, ZEROS, Init, attention_pool, attention_table, cell_table, draw_table,
                         run_bidirectional)
@@ -83,10 +85,10 @@ class ModelSpec:
             raise ConfigurationError(
                 f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}"
             )
-        for name in ("vocab_size", "feature_dim", "hidden_size", "depth", "trb_count",
-                     "trb_filters", "vlad_clusters"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, least in (("vocab_size", 1), ("feature_dim", 1), ("hidden_size", 1), ("depth", 1),
+                            ("trb_count", 1), ("trb_filters", 1), ("vlad_clusters", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ConfigurationError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.fc_sizes is None:
             self.fc_sizes = (512, self.vocab_size)
         else:
@@ -316,15 +318,10 @@ class TemporalResnetModel(VideoLevelModel):
             yield f"{bn}.initialized", (1,), _STATE_ZEROS
 
     def _conv_bn(self, x: Tensor, block: str, j: int, mask: TimeMask, train: bool) -> Tensor:
-        """conv{j} then bn{j} of ``block``, keeping its running statistics in ``tensors``."""
-        t, bn = self.tensors, f"{block}.bn{j}"
-        mean, var, seen = (t[f"{bn}.{s}"] for s in ("running_mean", "running_var", "initialized"))
-        state = BatchNormState(mean.data, var.data, bool(seen.data[0]))
+        """conv{j} then bn{j} of ``block``; batch norm keeps its running statistics in ``tensors``."""
+        t = self.tensors
         y = ad.conv1d_same(x, t[f"{block}.conv{j}.weight"], t[f"{block}.conv{j}.bias"])
-        y = ad.batchnorm_time(y, mask, t[f"{bn}.gamma"], t[f"{bn}.beta"], train, state)
-        mean.data, var.data = state.running_mean, state.running_var
-        seen.data = np.array([float(state.initialized)])
-        return y
+        return ad.batchnorm_time(t, f"{block}.bn{j}", y, mask, train)
 
     def _pool(self, visual, audio, mask, train):
         t, m = self.tensors, mask.channel_mask()

@@ -190,10 +190,12 @@ def run_bidirectional(t: dict, prefix: str, x: Tensor, mask: TimeMask) -> Tensor
     def flip(a):  # [T x b x k]: each item's valid prefix reversed in time, padding 0
         return a[src, items] * valid
 
-    xs = x.data.transpose(2, 0, 1).reshape(steps * batch, d)  # time-major frames
+    def frames():  # [T·b x d] time-major copy of x, rebuilt in backward rather than kept
+        return x.data.transpose(2, 0, 1).reshape(steps * batch, d)
+
     pre_x = np.empty((2, steps, batch, n * h))
     bias = np.array([[bt.data for _, bt in cell] for cell in cells]).reshape(2, 1, 1, n * h)
-    np.add((xs @ w_x).reshape(steps, batch, 2, n * h).transpose(2, 0, 1, 3), bias, out=pre_x)
+    np.add((frames() @ w_x).reshape(steps, batch, 2, n * h).transpose(2, 0, 1, 3), bias, out=pre_x)
     pre_x[1] = flip(pre_x[1])
     hs, bptt = (_lstm_sequence if kind == "lstm" else _gru_sequence)(pre_x, w_h)
     states = hs[:, 1:] * valid
@@ -207,7 +209,7 @@ def run_bidirectional(t: dict, prefix: str, x: Tensor, mask: TimeMask) -> Tensor
         d_flat = d_pre.transpose(1, 2, 0, 3).reshape(steps * batch, 2 * n * h)
         if x.requires_grad:
             ad._accumulate(x, (d_flat @ w_x.T).reshape(steps, batch, d).transpose(1, 2, 0))
-        d_w_x = (xs.T @ d_flat).reshape(d, 2, n * h).transpose(1, 2, 0)
+        d_w_x = (frames().T @ d_flat).reshape(d, 2, n * h).transpose(1, 2, 0)
         d_w = np.concatenate([d_w_x, d_w_h.transpose(0, 2, 1)], axis=2).reshape(2, n, h, d + h)
         d_b = d_pre.sum(axis=(1, 2)).reshape(2, n, h)
         for k, cell in enumerate(cells):

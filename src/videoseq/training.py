@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor, no_grad
+from .autodiff import Tape, Tensor
 from .container import atomic_write
 from .dataio import DatasetHeader, load_records, pad_batch
 from .errors import (
@@ -60,10 +60,9 @@ class TrainConfig:
             raise ConfigurationError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.clip_norm not in (None, 0) and not 0.0 < self.clip_norm < np.inf:
             raise ConfigurationError(f"clip_norm must be None, 0, or finite and > 0, got {self.clip_norm}")
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
-        if self.epochs < 1:
-            raise ConfigurationError("epochs must be >= 1")
+        for name, least in (("batch_size", 1), ("epochs", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ConfigurationError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
     def resolved_clip_norm(self) -> float | None:
         """Deep recurrent stacks get a default global-norm clip of 5.0."""
@@ -168,12 +167,11 @@ def _eval_gap(model, records, header, batch_size: int) -> GapResult:
 
 def _predict_records(model, records, header, batch_size: int, k: int):
     predictions = []
-    with no_grad():
-        for start in range(0, len(records), batch_size):
-            batch = records[start : start + batch_size]
-            visual, audio, mask, _ = pad_batch(batch, header)
-            probs = model.forward(visual, audio, mask, train=False)
-            predictions.extend(topk_predictions(probs, k, [r.id for r in batch]))
+    for start in range(0, len(records), batch_size):
+        batch = records[start : start + batch_size]
+        visual, audio, mask, _ = pad_batch(batch, header)
+        probs = model.forward(visual, audio, mask, train=False)
+        predictions.extend(topk_predictions(probs, k, [r.id for r in batch]))
     return predictions
 
 

@@ -76,6 +76,26 @@ def gru_step(t: dict, prefix: str, x_t: Tensor, h_prev: Tensor) -> Tensor:
     return (1.0 - z) * h_prev + z * h_bar
 
 
+def reverse_valid_time(x: Tensor, mask: TimeMask) -> Tensor:
+    """Reverse each item's valid prefix along time; padded positions become 0.
+
+    The map is an involution on the valid prefix, so the backward rule is
+    the same reversal applied to the incoming gradient.
+    """
+    x = ad._const(x)
+    ad._check_time_shape(x, mask, "reverse_valid_time")
+    src, valid = mask.reversal()
+    gather = src[:, None, :]
+    keep = valid[:, None, :]
+
+    data = np.take_along_axis(x.data, gather, axis=2) * keep
+
+    def bw(g):
+        ad._accumulate(x, np.take_along_axis(g, gather, axis=2) * keep)
+
+    return Tensor._op(data, (x,), bw)
+
+
 def composed_bidirectional(t: dict, prefix: str, x: Tensor, mask: TimeMask) -> Tensor:
     """``run_bidirectional`` unrolled from the oracle steps, one tape node per op: each
     direction walks all steps from zero state, the backward one over the reversed
@@ -95,5 +115,5 @@ def composed_bidirectional(t: dict, prefix: str, x: Tensor, mask: TimeMask) -> T
         return ad.concat(outputs, axis=2)
 
     fwd = direction(f"{prefix}.fwd", x)
-    bwd = ad.reverse_valid_time(direction(f"{prefix}.bwd", ad.reverse_valid_time(x, mask)), mask)
+    bwd = reverse_valid_time(direction(f"{prefix}.bwd", reverse_valid_time(x, mask)), mask)
     return ad.concat([fwd, bwd], axis=1) * mask.channel_mask()

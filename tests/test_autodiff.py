@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from videoseq import (
-    BatchNormState,
     ContractError,
     DimensionError,
     StateError,
@@ -19,12 +18,13 @@ from videoseq import (
     numerical_gradient,
     relative_error,
     relu,
-    reverse_valid_time,
     sigmoid,
     softmax_masked,
     tanh,
 )
-from videoseq.autodiff import no_grad, tensor_sum
+from videoseq.autodiff import tensor_sum
+
+from oracles import reverse_valid_time
 
 
 def conv1d_naive(x, kernels, bias):
@@ -244,34 +244,36 @@ class TestConcatChannels:
         assert max(worst.values()) < 1e-7
 
 
+def bn_table(gamma, beta, initialized=False):
+    """The tensors of batch norm "bn" over len(gamma) channels: fresh running statistics
+    (zero mean, unit variance), marked initialized when asked."""
+    gamma, beta = (v if isinstance(v, Tensor) else Tensor(v) for v in (gamma, beta))
+    c = gamma.shape[0]
+    return {"bn.gamma": gamma, "bn.beta": beta, "bn.running_mean": Tensor(np.zeros(c)),
+            "bn.running_var": Tensor(np.ones(c)), "bn.initialized": Tensor([float(initialized)])}
+
+
 class TestBatchnormTime:
     def test_constant_input_maps_to_zero(self):
         mask = TimeMask(2, 3, np.array([2, 3]))
         x = np.zeros((2, 2, 3))
         x[mask.bool_matrix()[:, None, :].repeat(2, axis=1)] = 3.7
-        state = BatchNormState.for_channels(2)
-        out = batchnorm_time(
-            Tensor(x), mask, Tensor(np.ones(2)), Tensor(np.zeros(2)), True, state
-        )
+        out = batchnorm_time(bn_table(np.ones(2), np.zeros(2)), "bn", Tensor(x), mask, True)
         valid = mask.bool_matrix()
         assert np.allclose(out.data[:, 0, :][valid], 0.0, atol=1e-9)
 
     def test_eval_is_affine_map_of_running_stats(self):
         mask = TimeMask.full(1, 3)
-        state = BatchNormState(np.zeros(1), np.ones(1), initialized=True)
+        table = bn_table([2.0], [1.0], initialized=True)
         x = np.array([[[0.5, -1.0, 2.0]]])
-        out = batchnorm_time(
-            Tensor(x), mask, Tensor([2.0]), Tensor([1.0]), False, state
-        )
+        out = batchnorm_time(table, "bn", Tensor(x), mask, False)
         assert np.allclose(out.data, 2.0 * x + 1.0, atol=1e-4)
 
     def test_eval_without_stats_errors(self):
         mask = TimeMask.full(1, 2)
-        state = BatchNormState.for_channels(1)
+        table = bn_table([1.0], [0.0])
         with pytest.raises(StateError):
-            batchnorm_time(
-                Tensor(np.zeros((1, 1, 2))), mask, Tensor([1.0]), Tensor([0.0]), False, state
-            )
+            batchnorm_time(table, "bn", Tensor(np.zeros((1, 1, 2))), mask, False)
 
     def test_train_gradients_match_finite_differences(self):
         rng = np.random.default_rng(17)
@@ -282,20 +284,40 @@ class TestBatchnormTime:
         coef = rng.normal(size=(2, 3, 4))
 
         def f():
-            state = BatchNormState.for_channels(3)
-            out = batchnorm_time(x, mask, gamma, beta, True, state)
+            out = batchnorm_time(bn_table(gamma, beta), "bn", x, mask, True)
             return tensor_sum(out * coef)
 
         worst = check_gradients(f, [("x", x), ("gamma", gamma), ("beta", beta)], step=1e-4)
         assert max(worst.values()) < 1e-5
 
+    def test_train_seeds_then_blends_running_stats_in_the_table(self):
+        from videoseq.autodiff import BN_MOMENTUM
+
+        mask = TimeMask(2, 3, np.array([2, 3]))
+        first, second = np.random.default_rng(5).normal(size=(2, 2, 2, 3)) * mask.channel_mask()
+        table = bn_table(np.ones(2), np.zeros(2))
+
+        def stats(x):  # per-channel mean and biased variance over the valid frames
+            valid = x.transpose(1, 0, 2)[:, mask.bool_matrix()]
+            return valid.mean(axis=1), valid.var(axis=1)
+
+        batchnorm_time(table, "bn", Tensor(first), mask, True)
+        mean1, var1 = stats(first)
+        assert table["bn.initialized"].data.tolist() == [1.0]
+        assert np.allclose(table["bn.running_mean"].data, mean1, rtol=0, atol=1e-12)
+        assert np.allclose(table["bn.running_var"].data, var1, rtol=0, atol=1e-12)
+
+        batchnorm_time(table, "bn", Tensor(second), mask, True)
+        mean2, var2 = stats(second)
+        blend = lambda old, new: BN_MOMENTUM * old + (1.0 - BN_MOMENTUM) * new
+        assert table["bn.initialized"].data.tolist() == [1.0]
+        assert np.allclose(table["bn.running_mean"].data, blend(mean1, mean2), rtol=0, atol=1e-12)
+        assert np.allclose(table["bn.running_var"].data, blend(var1, var2), rtol=0, atol=1e-12)
+
     def test_padded_positions_stay_zero(self):
         mask = TimeMask(1, 4, np.array([2]))
         x = np.ones((1, 1, 4))
-        state = BatchNormState.for_channels(1)
-        out = batchnorm_time(
-            Tensor(x), mask, Tensor([1.0]), Tensor([5.0]), True, state
-        )
+        out = batchnorm_time(bn_table([1.0], [5.0]), "bn", Tensor(x), mask, True)
         assert np.array_equal(out.data[0, 0, 2:], [0.0, 0.0])
 
 
@@ -328,15 +350,6 @@ class TestBackward:
         with Tape():
             loss = tensor_sum(w * w)
             backward(loss)
-            with pytest.raises(StateError):
-                backward(loss)
-
-    def test_no_grad_suppresses_tracking(self):
-        w = Tensor([1.0], requires_grad=True)
-        with Tape():
-            with no_grad():
-                loss = tensor_sum(w * w)
-            assert not loss.requires_grad
             with pytest.raises(StateError):
                 backward(loss)
 
@@ -420,9 +433,6 @@ class TestTape:
     def test_nested_tape_rejected(self):
         with Tape():
             with pytest.raises(StateError):
-                with Tape():
-                    pass
-            with no_grad(), pytest.raises(StateError):
                 with Tape():
                     pass
 

@@ -177,7 +177,13 @@ def test_predict_batch_size_below_one_names_option_and_value(workdir, capsys, ba
     ("--visual-dim", "-5", "visual_dim must be >= 0, got -5"),
     ("--audio-dim", "-1", "audio_dim must be >= 0, got -1"),
     ("--visual-dim", "0", "visual_dim + audio_dim must be >= 1, got 0"),
-], ids=["vocab", "videos", "max_frames", "visual_dim", "audio_dim", "no_features"])
+    ("--seed", "-1", "seed must be >= 0, got -1"),
+    ("--video-seed", "-3", "video_seed must be >= 0, got -3"),
+    ("--noise", "nan", "noise_sigma must be finite and >= 0, got nan"),
+    ("--noise", "inf", "noise_sigma must be finite and >= 0, got inf"),
+    ("--noise", "-0.5", "noise_sigma must be finite and >= 0, got -0.5"),
+], ids=["vocab", "videos", "max_frames", "visual_dim", "audio_dim", "no_features", "seed",
+        "video_seed", "noise_nan", "noise_inf", "noise_negative"])
 def test_gen_data_bad_size_names_argument_and_value(tmp_path, capsys, option, value, message):
     out = tmp_path / "d.bin"
     args = {"--vocab": "3", "--videos": "4", "--max-frames": "8", "--visual-dim": "3", "--audio-dim": "0"}
@@ -200,6 +206,28 @@ def test_gradcheck_tolerance_not_finite_and_positive_names_value(capsys, toleran
     rc = main(["gradcheck", "--model", "video_level", "--tolerance", tolerance])
     err = _one_line_error(capsys, rc)
     assert err == f"error: ConfigurationError: tolerance must be finite and > 0, got {float(tolerance)}\n"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("model.seed = -1", "seed must be >= 0, got -1"),
+    ("seed = -2", "seed must be >= 0, got -2"),
+    ("batch_size = 0", "batch_size must be >= 1, got 0"),
+    ("epochs = -1", "epochs must be >= 1, got -1"),
+])
+def test_bad_seed_batch_size_or_epochs_names_field_and_value(workdir, capsys, line, message):
+    tmp_path, data, config = workdir
+    key = line.split(" =")[0]
+    text = "".join(l for l in config.read_text().splitlines(True) if not l.startswith(key + " "))
+    config.write_text(text + line + "\n")
+    ckpt = tmp_path / "m.ckpt"
+    rc = main(["train", "--config", str(config), "--data", str(data), "--out", str(ckpt)])
+    assert _one_line_error(capsys, rc) == f"error: ConfigurationError: {message}\n"
+    assert not ckpt.exists()
+
+
+def test_gradcheck_negative_seed_names_value(capsys):
+    rc = main(["gradcheck", "--model", "video_level", "--seed", "-1"])
+    assert _one_line_error(capsys, rc) == "error: ConfigurationError: seed must be >= 0, got -1\n"
 
 
 @pytest.mark.parametrize("empty", ["--data", "--val"])

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from videoseq import (
-    BatchNormState,
     ConfigurationError,
     DimensionError,
     ModelSpec,
@@ -295,11 +294,10 @@ class TestTemporalResnet:
         block = {
             j: tuple(model.tensors[f"block0.{part}"] for part in
                      (f"conv{j}.weight", f"conv{j}.bias", f"bn{j}.gamma", f"bn{j}.beta"))
-            + (BatchNormState.for_channels(spec.trb_filters),)
             for j in (1, 2)
         }
         for j in (1, 2):
-            k, b, gamma, beta, state = block[j]
+            k, b, gamma, beta = block[j]
             k.data[...] = 0.0
             b.data[...] = 0.0
             gamma.data[...] = 0.0
@@ -310,16 +308,38 @@ class TestTemporalResnet:
         rng = np.random.default_rng(12)
         x = Tensor(np.abs(rng.normal(size=(2, spec.trb_filters, 4))))
         mask = TimeMask.full(2, 4)
-        k1, b1, g1, be1, s1 = block[1]
-        k2, b2, g2, be2, s2 = block[2]
-        y = ad.relu(ad.batchnorm_time(ad.conv1d_same(x, k1, b1), mask, g1, be1, True, s1))
-        y = ad.batchnorm_time(ad.conv1d_same(y, k2, b2), mask, g2, be2, True, s2)
+        k1, b1, _, _ = block[1]
+        k2, b2, _, _ = block[2]
+        t = model.tensors
+        y = ad.relu(ad.batchnorm_time(t, "block0.bn1", ad.conv1d_same(x, k1, b1), mask, True))
+        y = ad.batchnorm_time(t, "block0.bn2", ad.conv1d_same(y, k2, b2), mask, True)
         out = ad.relu(x + y)
         assert np.array_equal(out.data, x.data)
 
     def test_gradients_at_toy_size(self):
         report = grad_check(toy_spec("temporal_resnet"), sample_count=3, seed=13)
         assert report.passed
+
+    def test_train_leaves_running_statistics_in_the_model_tensors(self, tmp_path, monkeypatch):
+        from videoseq import generate_synthetic, training
+
+        built = []
+
+        def build_and_keep(spec):
+            built.append(build_model(spec))
+            return built[-1]
+
+        monkeypatch.setattr(training, "build_model", build_and_keep)
+        data = str(tmp_path / "d.flvr")
+        generate_synthetic(data, vocab_size=5, video_count=6, seed=0, noise_sigma=0.3,
+                           visual_dim=7, audio_dim=3, max_frames=6)
+        spec = tiny_spec("temporal_resnet")
+        training.train(training.TrainConfig(model=spec, batch_size=3, epochs=2, train_data=data))
+        (model,) = built
+        for bn in (f"block{i}.bn{j}" for i in range(spec.trb_count) for j in (1, 2)):
+            assert model.tensors[f"{bn}.initialized"].data.tolist() == [1.0]
+            assert np.all(model.tensors[f"{bn}.running_mean"].data != 0.0)
+            assert np.all(model.tensors[f"{bn}.running_var"].data != 1.0)
 
     def test_eval_mode_requires_training_first(self):
         from videoseq import StateError
@@ -328,6 +348,11 @@ class TestTemporalResnet:
         model = build_ready(spec)
         with pytest.raises(StateError):
             model.forward(*random_batch(spec, 1, 3), train=False)
+
+
+def test_grad_check_negative_seed_names_value():
+    with pytest.raises(ConfigurationError, match="seed must be >= 0, got -1"):
+        grad_check(toy_spec("video_level"), seed=-1)
 
 
 class TestCheckpoint:

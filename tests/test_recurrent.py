@@ -5,7 +5,7 @@ from videoseq import DimensionError, PreconditionError, Tape, Tensor, TimeMask, 
 from videoseq.autodiff import masked_mean_time, tensor_sum
 from videoseq.recurrent import attention_pool, attention_table, cell_table, draw_table, run_bidirectional
 
-from oracles import composed_bidirectional, gru_step, lstm_step
+from oracles import composed_bidirectional, gru_step, lstm_step, reverse_valid_time
 
 
 def zeroed(params):
@@ -163,8 +163,6 @@ class TestRunBidirectional:
         x[1] = rng.normal(size=(2, 4))
         mask = TimeMask(2, 4, lengths)
         out = run_bidirectional(pair(fwd, bwd), "bi", Tensor(x), mask).data
-
-        from videoseq.autodiff import reverse_valid_time
 
         x_rev = reverse_valid_time(Tensor(x), mask).data
         out_swapped = run_bidirectional(pair(bwd, fwd), "bi", Tensor(x_rev), mask).data
