@@ -46,7 +46,6 @@ from .metrics import (
     topk_predictions,
     write_prediction_file,
 )
-from .gradcheck import check_gradients
 from .models import (
     ModelSpec,
     build_model,

@@ -2,6 +2,7 @@
 
 Exit code 0 on success; on failure a single machine-parsable line
 ``error: <Type>: <message>`` goes to stderr and the exit code is nonzero.
+A train config's ``model.*`` keys are the names in ``models.SPEC_FIELDS``.
 """
 
 from __future__ import annotations
@@ -9,25 +10,15 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import container
 from .dataio import generate_synthetic
 from .errors import ConfigurationError, FormatError, VideoseqError
 from .gradcheck import grad_check, toy_spec
-from .models import MODEL_KINDS, ModelSpec
+from .models import MODEL_KINDS, SPEC_FIELDS, ModelSpec
 from .training import TrainConfig, ensemble_average, evaluate, predict, train
 
 CONFIG_VERSION = 1
 
-_MODEL_INT_FIELDS = (
-    "vocab_size",
-    "visual_dim",
-    "audio_dim",
-    "hidden_size",
-    "depth",
-    "trb_count",
-    "trb_filters",
-    "vlad_clusters",
-    "seed",
-)
 _TRAIN_FIELDS = {
     "learning_rate": float,
     "batch_size": int,
@@ -53,21 +44,21 @@ def _cast(path: str, key: str, value: str, cast):
 def parse_train_config(path: str) -> TrainConfig:
     """Versioned key/value text file, one `key = value` per line.
 
-    Model fields are namespaced as ``model.<field>``; ``model.fc_sizes``
-    takes two comma-separated widths; ``clip_norm`` accepts ``none``.
+    Model fields are namespaced as ``model.<field>``, one key per
+    ``SPEC_FIELDS`` entry; a field that packs several values takes them
+    comma-separated. ``clip_norm`` accepts ``none``. Every error names the file.
     """
     entries = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise FormatError(f"{path}:{line_no}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key in entries:
-                raise FormatError(f"{path}:{line_no}: duplicate key {key!r}")
-            entries[key] = value
+    for line_no, raw in container.text_lines(path):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise FormatError(f"{path}:{line_no}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in entries:
+            raise FormatError(f"{path}:{line_no}: duplicate key {key!r}")
+        entries[key] = value
     version = entries.pop("config_version", None)
     if version is None:
         raise FormatError(f"{path}: missing config_version")
@@ -77,16 +68,11 @@ def parse_train_config(path: str) -> TrainConfig:
         raise ConfigurationError(f"{path}: model.kind and model.vocab_size are required")
 
     spec_kwargs = {"kind": entries.pop("model.kind")}
-    for name in _MODEL_INT_FIELDS:
+    for name in SPEC_FIELDS:
         key = f"model.{name}"
         if key in entries:
-            spec_kwargs[name] = _cast(path, key, entries.pop(key), int)
-    if "model.fc_sizes" in entries:
-        parts = entries.pop("model.fc_sizes").split(",")
-        if len(parts) != 2:
-            raise ConfigurationError(f"{path}: model.fc_sizes needs two widths")
-        spec_kwargs["fc_sizes"] = tuple(_cast(path, "model.fc_sizes", p, int) for p in parts)
-    config_kwargs = {"model": ModelSpec(**spec_kwargs)}
+            spec_kwargs[name] = [_cast(path, key, v, int) for v in entries.pop(key).split(",")]
+    config_kwargs = {}
     raw = entries.pop("clip_norm", "none")
     if raw.lower() != "none":
         config_kwargs["clip_norm"] = _cast(path, "clip_norm", raw, float)
@@ -95,7 +81,14 @@ def parse_train_config(path: str) -> TrainConfig:
             config_kwargs[name] = _cast(path, name, entries.pop(name), cast)
     if entries:
         raise ConfigurationError(f"{path}: unknown keys {sorted(entries)}")
-    return TrainConfig(**config_kwargs)
+    try:
+        spec = ModelSpec(**spec_kwargs)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: model.{exc}") from None
+    try:
+        return TrainConfig(model=spec, **config_kwargs)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:

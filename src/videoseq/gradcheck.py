@@ -1,7 +1,7 @@
 """Gradient verification against central finite differences.
 
-One engine serves both entry points: ``check_gradients`` for any loss
-closure over named tensors, and ``grad_check`` for a whole model.
+One engine, ``_worst_errors``, serves ``grad_check`` for a whole model here
+and the per-op checker ``check_gradients`` in the tests' oracles.
 """
 
 from __future__ import annotations
@@ -86,22 +86,6 @@ def _worst_errors(f, named_params, step, samples_per_block, rng, tolerance=0.0, 
             errors.append(err)
         worst[name] = max(errors)
     return worst
-
-
-def check_gradients(
-    f,
-    named_params,
-    step: float = 1e-4,
-    samples_per_block: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> dict:
-    """Compare analytic and numeric gradients for each parameter block.
-
-    ``f`` rebuilds the forward pass and returns the scalar loss tensor.
-    Returns ``{name: worst relative error}`` over the sampled coordinates
-    of each block (all coordinates when ``samples_per_block`` is None).
-    """
-    return _worst_errors(f, named_params, step, samples_per_block, rng or np.random.default_rng(0))
 
 
 def toy_spec(kind: str, seed: int = 0) -> ModelSpec:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .container import atomic_write
+from .container import atomic_write, text_lines
 from .errors import ConfigurationError, FormatError, PreconditionError
 
 TOP_K = 20
@@ -122,30 +122,23 @@ def read_prediction_file(path: str):
     or a non-finite score raises FormatError naming the file and line.
     """
     predictions = []
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
-        for line_no, line in enumerate(f, start=1):
+    for line_no, line in text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split()
+        video_id, raw_pairs = parts[0], parts[1:]
+        items = {}
+        for pair in raw_pairs:
             try:
-                line.encode("utf-8")  # undecodable bytes became lone surrogates
-            except UnicodeEncodeError:
-                raise FormatError(f"{path}:{line_no}: line is not UTF-8") from None
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            video_id, raw_pairs = parts[0], parts[1:]
-            items = {}
-            for pair in raw_pairs:
-                try:
-                    cls_str, score_str = pair.split(":")
-                    cls, score = int(cls_str), float(score_str)
-                except ValueError:
-                    raise FormatError(
-                        f"{path}:{line_no}: malformed class:score pair {pair!r}"
-                    ) from None
-                if cls in items:
-                    raise FormatError(f"{path}:{line_no}: class {cls} appears more than once")
-                if not np.isfinite(score):
-                    raise FormatError(f"{path}:{line_no}: class {cls} has a non-finite score")
-                items[cls] = score
-            predictions.append((video_id, list(items.items())))
+                cls_str, score_str = pair.split(":")
+                cls, score = int(cls_str), float(score_str)
+            except ValueError:
+                raise FormatError(f"{path}:{line_no}: malformed class:score pair {pair!r}") from None
+            if cls in items:
+                raise FormatError(f"{path}:{line_no}: class {cls} appears more than once")
+            if not np.isfinite(score):
+                raise FormatError(f"{path}:{line_no}: class {cls} has a non-finite score")
+            items[cls] = score
+        predictions.append((video_id, list(items.items())))
     return predictions

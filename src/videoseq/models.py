@@ -32,11 +32,14 @@ padded frame positions can never influence the output. ``build_model``
 draws the table in order from the spec-seeded generator;
 ``load_checkpoint`` (end of this module) walks it beside the file's tensors
 and adopts them, drawing nothing. Checkpoint framing (magic, version,
-strings, bounded reads, atomic writes) lives in ``container``.
+strings, bounded reads, atomic writes) lives in ``container``. ``SPEC_FIELDS``
+declares each spec field after ``kind`` once, and spec validation, the
+checkpoint's spec record and the CLI's ``model.*`` keys all walk it.
 """
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -64,6 +67,29 @@ MODEL_KINDS = (
 DEEP_STACK_KINDS = ("ff_lstm", "ff_gru", "stacked_lstm")
 
 
+# field -> (struct format in the spec record, which bounds it from above; least legal value)
+SPEC_FIELDS = dict(vocab_size=("<I", 1), visual_dim=("<I", 0), audio_dim=("<I", 0),
+                   hidden_size=("<I", 1), depth=("<I", 1), trb_count=("<I", 1),
+                   trb_filters=("<I", 1), fc_sizes=("<2I", 1), vlad_clusters=("<I", 1),
+                   seed=("<q", 0))
+
+
+def _field_value(name: str, value):
+    """``value`` (an int or a sequence of ints) as field ``name`` holds it, or a ConfigurationError."""
+    fmt, least = SPEC_FIELDS[name]
+    size = struct.calcsize("<" + fmt[-1])
+    count, most = struct.calcsize(fmt) // size, 2 ** (8 * size - fmt[-1].islower()) - 1
+    values = tuple(value) if isinstance(value, (tuple, list)) else (value,)
+    if len(values) != count:
+        raise ConfigurationError(f"{name} must hold {count} integer{'s' * (count > 1)}, got {len(values)}")
+    values = tuple(map(operator.index, values))  # a float or a string is a TypeError
+    for i, v in enumerate(values):
+        if not least <= v <= most:
+            bound = f">= {least}" if v < least else f"<= {most}"
+            raise ConfigurationError(f"{name if count == 1 else f'{name}[{i}]'} must be {bound}, got {v}")
+    return values if count > 1 else values[0]
+
+
 @dataclass
 class ModelSpec:
     """Declarative description of one classifier; unused fields are ignored but validated."""
@@ -82,26 +108,17 @@ class ModelSpec:
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
-            raise ConfigurationError(
-                f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}"
-            )
-        for name, least in (("vocab_size", 1), ("feature_dim", 1), ("hidden_size", 1), ("depth", 1),
-                            ("trb_count", 1), ("trb_filters", 1), ("vlad_clusters", 1), ("seed", 0)):
-            if getattr(self, name) < least:
-                raise ConfigurationError(f"{name} must be >= {least}, got {getattr(self, name)}")
+            raise ConfigurationError(f"kind must be one of {MODEL_KINDS}, got {self.kind!r}")
         if self.fc_sizes is None:
             self.fc_sizes = (512, self.vocab_size)
-        else:
-            self.fc_sizes = tuple(int(s) for s in self.fc_sizes)
-            if len(self.fc_sizes) != 2:
-                raise ConfigurationError("fc_sizes must hold exactly two layer widths")
-            if self.fc_sizes[0] < 1:
-                raise ConfigurationError(f"fc_sizes[0] must be >= 1, got {self.fc_sizes[0]}")
-            if self.fc_sizes[1] != self.vocab_size:
-                raise ConfigurationError(
-                    f"final head width {self.fc_sizes[1]} must equal vocab_size "
-                    f"{self.vocab_size}"
-                )
+        for name in SPEC_FIELDS:
+            setattr(self, name, _field_value(name, getattr(self, name)))
+        if self.feature_dim < 1:
+            raise ConfigurationError(f"visual_dim + audio_dim must be >= 1, got {self.feature_dim}")
+        if self.fc_sizes[1] != self.vocab_size:
+            raise ConfigurationError(
+                f"fc_sizes[1] must equal vocab_size {self.vocab_size}, got {self.fc_sizes[1]}"
+            )
 
     @property
     def feature_dim(self) -> int:
@@ -363,26 +380,28 @@ def build_model(spec: ModelSpec) -> VideoLevelModel:
 
 _CKPT_MAGIC = b"FLCK"
 _CKPT_VERSION = 1
-# the spec record after the kind string: struct format per field, in file order
-_SPEC_FIELDS = dict(vocab_size="<I", visual_dim="<I", audio_dim="<I", hidden_size="<I",
-                    depth="<I", trb_count="<I", trb_filters="<I", fc_sizes="<2I",
-                    vlad_clusters="<I", seed="<q")
 
 
 def _spec_to_bytes(spec: ModelSpec) -> bytes:
     parts = [container.string(spec.kind)]
-    for name, fmt in _SPEC_FIELDS.items():
+    for name, (fmt, _) in SPEC_FIELDS.items():
         value = getattr(spec, name)
         parts.append(struct.pack(fmt, *(value if isinstance(value, tuple) else (value,))))
     return b"".join(parts)
 
 
 def _spec_from_reader(reader: container.Reader) -> ModelSpec:
+    """The spec record; a bad field is a FormatError naming the file, field, value and offset."""
+    start = reader.offset
     fields = {"kind": reader.string("spec kind")}
-    for name, fmt in _SPEC_FIELDS.items():
-        value = reader.unpack(fmt, f"spec field {name}")
-        fields[name] = value if len(value) > 1 else value[0]
-    return ModelSpec(**fields)
+    try:
+        for name, (fmt, _) in SPEC_FIELDS.items():
+            at = reader.offset
+            fields[name] = _field_value(name, reader.unpack(fmt, f"spec field {name}"))
+        at = start
+        return ModelSpec(**fields)
+    except ConfigurationError as exc:
+        raise FormatError(f"{reader.path}: spec at byte {at}: {exc}") from None
 
 
 def save_checkpoint(path: str, model: VideoLevelModel) -> None:

@@ -5,9 +5,22 @@ import numpy as np
 from videoseq import autodiff as ad
 from videoseq.autodiff import Tensor, TimeMask
 from videoseq.errors import ConfigurationError, DimensionError, PreconditionError
+from videoseq.gradcheck import _worst_errors
 from videoseq.metrics import TOP_K, GapResult, PredictionSet, _pooled_pairs
 from videoseq.recurrent import GRU_GATES, LSTM_GATES, _cell
 from videoseq.vlad import _DEGENERATE_NORM, Codebook, _squared_distances
+
+
+def check_gradients(f, named_params, step: float = 1e-4, samples_per_block: int | None = None,
+                    rng: np.random.Generator | None = None) -> dict:
+    """Compare analytic and numeric gradients for each parameter block.
+
+    ``f`` rebuilds the forward pass and returns the scalar loss tensor.
+    Returns ``{name: worst relative error}`` over the sampled coordinates
+    of each block (all coordinates when ``samples_per_block`` is None).
+    This is ``grad_check``'s engine, applied to any loss closure.
+    """
+    return _worst_errors(f, named_params, step, samples_per_block, rng or np.random.default_rng(0))
 
 
 def gap_oracle(preds: PredictionSet, k: int = TOP_K) -> GapResult:

@@ -136,7 +136,7 @@ def test_bad_learning_rate_or_clip_norm_names_field_and_value(workdir, capsys, l
     config.write_text(text + line + "\n")
     ckpt = tmp_path / "m.ckpt"
     rc = main(["train", "--config", str(config), "--data", str(data), "--out", str(ckpt)])
-    assert _one_line_error(capsys, rc) == f"error: ConfigurationError: {message}\n"
+    assert _one_line_error(capsys, rc) == f"error: ConfigurationError: {config}: {message}\n"
     assert not ckpt.exists()
 
 
@@ -153,7 +153,9 @@ def test_zero_width_checkpoint_is_a_one_line_error(workdir, capsys):
     ckpt.write_bytes(bytes(raw))
     rc = main(["predict", "--checkpoint", str(ckpt), "--data", str(data),
                "--out", str(tmp_path / "p.txt")])
-    _one_line_error(capsys, rc)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: FormatError: {ckpt}: spec at byte {at}: hidden_size must be >= 1, got 0\n"
 
 
 @pytest.mark.parametrize("batch_size", ["-1", "0"])
@@ -213,6 +215,11 @@ def test_gradcheck_tolerance_not_finite_and_positive_names_value(capsys, toleran
     ("seed = -2", "seed must be >= 0, got -2"),
     ("batch_size = 0", "batch_size must be >= 1, got 0"),
     ("epochs = -1", "epochs must be >= 1, got -1"),
+    # values the checkpoint's spec record cannot hold, caught before training starts
+    ("model.seed = 9223372036854775808", "seed must be <= 9223372036854775807, got 9223372036854775808"),
+    ("model.hidden_size = 4294967296", "hidden_size must be <= 4294967295, got 4294967296"),
+    ("model.visual_dim = -4", "visual_dim must be >= 0, got -4"),
+    ("model.fc_sizes = 8", "fc_sizes must hold 2 integers, got 1"),
 ])
 def test_bad_seed_batch_size_or_epochs_names_field_and_value(workdir, capsys, line, message):
     tmp_path, data, config = workdir
@@ -221,8 +228,10 @@ def test_bad_seed_batch_size_or_epochs_names_field_and_value(workdir, capsys, li
     config.write_text(text + line + "\n")
     ckpt = tmp_path / "m.ckpt"
     rc = main(["train", "--config", str(config), "--data", str(data), "--out", str(ckpt)])
-    assert _one_line_error(capsys, rc) == f"error: ConfigurationError: {message}\n"
+    namespace = "model." if key.startswith("model.") else ""
+    assert _one_line_error(capsys, rc) == f"error: ConfigurationError: {config}: {namespace}{message}\n"
     assert not ckpt.exists()
+    assert not (tmp_path / "m.ckpt.log").exists()
 
 
 def test_gradcheck_negative_seed_names_value(capsys):
@@ -258,6 +267,15 @@ def test_config_value_that_does_not_cast_names_file_key_and_value(workdir, capsy
                "--out", str(tmp_path / "m.ckpt")])
     err = _one_line_error(capsys, rc)
     assert f"{config}: {key} is not a valid " in err
+
+
+def test_config_line_that_is_not_utf8_names_file_and_line(workdir, capsys):
+    tmp_path, data, config = workdir
+    config.write_bytes(config.read_bytes() + b"train_data = \xff.bin\n")
+    rc = main(["train", "--config", str(config), "--data", str(data),
+               "--out", str(tmp_path / "m.ckpt")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: FormatError: {config}:13: line is not UTF-8\n"
 
 
 def test_config_parser_rejects_unknown_keys(tmp_path):

@@ -225,8 +225,9 @@ class TestMlpHead:
         assert np.array_equal(after[:, 0], before[:, 0])
 
     def test_gradient(self):
-        from videoseq import check_gradients
         from videoseq.autodiff import tensor_sum
+
+        from oracles import check_gradients
 
         head = mlp_head(4)
         x = Tensor(np.random.default_rng(5).normal(size=(3, 4)))

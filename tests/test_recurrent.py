@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from videoseq import DimensionError, PreconditionError, Tape, Tensor, TimeMask, backward, check_gradients
+from videoseq import DimensionError, PreconditionError, Tape, Tensor, TimeMask, backward
 from videoseq.autodiff import masked_mean_time, tensor_sum
 from videoseq.recurrent import attention_pool, attention_table, cell_table, draw_table, run_bidirectional
 
-from oracles import composed_bidirectional, gru_step, lstm_step, reverse_valid_time
+from oracles import check_gradients, composed_bidirectional, gru_step, lstm_step, reverse_valid_time
 
 
 def zeroed(params):

@@ -11,7 +11,6 @@ from videoseq import (
     Tensor,
     TrainingError,
     backward,
-    check_gradients,
     generate_synthetic,
 )
 from videoseq.metrics import PredictionSet, read_prediction_file, write_prediction_file
@@ -25,7 +24,7 @@ from videoseq.training import (
     train,
 )
 
-from oracles import gap_oracle
+from oracles import check_gradients, gap_oracle
 
 
 def spec_for(kind, vocab=6, **overrides):
