@@ -8,6 +8,7 @@ A train config's ``model.*`` keys are the names in ``models.SPEC_FIELDS``.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import container
@@ -18,6 +19,7 @@ from .models import MODEL_KINDS, SPEC_FIELDS, ModelSpec
 from .training import TrainConfig, ensemble_average, evaluate, predict, train
 
 CONFIG_VERSION = 1
+_SPEC_NAME = re.compile(rf"\b({'|'.join(['kind', *SPEC_FIELDS])})\b")
 
 _TRAIN_FIELDS = {
     "learning_rate": float,
@@ -46,11 +48,10 @@ def parse_train_config(path: str) -> TrainConfig:
 
     Model fields are namespaced as ``model.<field>``, one key per
     ``SPEC_FIELDS`` entry; a field that packs several values takes them
-    comma-separated. ``clip_norm`` accepts ``none``. Every error names the file.
+    comma-separated. ``clip_norm`` accepts ``none``. Errors name the file and each key.
     """
     entries = {}
-    for line_no, raw in container.text_lines(path):
-        line = raw.strip()
+    for line_no, line in container.text_lines(path):
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
@@ -71,7 +72,8 @@ def parse_train_config(path: str) -> TrainConfig:
     for name in SPEC_FIELDS:
         key = f"model.{name}"
         if key in entries:
-            spec_kwargs[name] = [_cast(path, key, v, int) for v in entries.pop(key).split(",")]
+            values = tuple(_cast(path, key, v, int) for v in entries.pop(key).split(","))
+            spec_kwargs[name] = values if len(values) > 1 else values[0]
     config_kwargs = {}
     raw = entries.pop("clip_norm", "none")
     if raw.lower() != "none":
@@ -83,8 +85,10 @@ def parse_train_config(path: str) -> TrainConfig:
         raise ConfigurationError(f"{path}: unknown keys {sorted(entries)}")
     try:
         spec = ModelSpec(**spec_kwargs)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{path}: model.{exc}") from None
+    except ConfigurationError as exc:  # each field the rule names becomes its key, not the value after "got"
+        rule, got, value = str(exc).rpartition(", got ")
+        rule = _SPEC_NAME.sub(r"model.\g<0>", rule)
+        raise ConfigurationError(f"{path}: {rule}{got}{value}") from None
     try:
         return TrainConfig(model=spec, **config_kwargs)
     except ConfigurationError as exc:
@@ -178,8 +182,7 @@ def _run(args) -> int:
             raise ConfigurationError("no training data given (config train_data or --data)")
         if not config.checkpoint_path:
             raise ConfigurationError("no checkpoint path given (config checkpoint_path or --out)")
-        if not config.log_path:
-            config.log_path = config.checkpoint_path + ".log"
+        config.log_path = config.log_path or config.checkpoint_path + ".log"
         result = train(config)
         for line in result.log_lines:
             print(line)

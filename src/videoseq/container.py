@@ -35,15 +35,15 @@ def atomic_write(path, mode: str = "wb"):
 
 
 def text_lines(path):
-    """``(line number, line)`` for each line of a UTF-8 text file; a line that
-    is not UTF-8 raises FormatError naming the file and the line."""
+    """``(line number, stripped line)`` for each line of a UTF-8 text file; a
+    line that is not UTF-8 raises FormatError naming the file and the line."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for line_no, line in enumerate(f, start=1):
             try:
                 line.encode("utf-8")  # undecodable bytes became lone surrogates
             except UnicodeEncodeError:
                 raise FormatError(f"{path}:{line_no}: line is not UTF-8") from None
-            yield line_no, line
+            yield line_no, line.strip()
 
 
 def header(magic: bytes, version: int) -> bytes:

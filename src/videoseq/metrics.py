@@ -123,11 +123,9 @@ def read_prediction_file(path: str):
     """
     predictions = []
     for line_no, line in text_lines(path):
-        line = line.strip()
         if not line:
             continue
-        parts = line.split()
-        video_id, raw_pairs = parts[0], parts[1:]
+        video_id, *raw_pairs = line.split()
         items = {}
         for pair in raw_pairs:
             try:

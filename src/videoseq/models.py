@@ -72,13 +72,13 @@ SPEC_FIELDS = dict(vocab_size=("<I", 1), visual_dim=("<I", 0), audio_dim=("<I", 
                    hidden_size=("<I", 1), depth=("<I", 1), trb_count=("<I", 1),
                    trb_filters=("<I", 1), fc_sizes=("<2I", 1), vlad_clusters=("<I", 1),
                    seed=("<q", 0))
+_MOST = {"I": 2**32 - 1, "q": 2**63 - 1}  # the largest value each struct code above packs
 
 
 def _field_value(name: str, value):
-    """``value`` (an int or a sequence of ints) as field ``name`` holds it, or a ConfigurationError."""
+    """``value`` (an int, or a tuple for a field that packs several) as field ``name`` holds it."""
     fmt, least = SPEC_FIELDS[name]
-    size = struct.calcsize("<" + fmt[-1])
-    count, most = struct.calcsize(fmt) // size, 2 ** (8 * size - fmt[-1].islower()) - 1
+    count, most = int(fmt[1:-1] or 1), _MOST[fmt[-1]]
     values = tuple(value) if isinstance(value, (tuple, list)) else (value,)
     if len(values) != count:
         raise ConfigurationError(f"{name} must hold {count} integer{'s' * (count > 1)}, got {len(values)}")
@@ -109,16 +109,16 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ConfigurationError(f"kind must be one of {MODEL_KINDS}, got {self.kind!r}")
-        if self.fc_sizes is None:
-            self.fc_sizes = (512, self.vocab_size)
-        for name in SPEC_FIELDS:
-            setattr(self, name, _field_value(name, getattr(self, name)))
+        for name in SPEC_FIELDS:  # vocab_size comes first, so the fc_sizes default reads it checked
+            value = getattr(self, name)
+            if name == "fc_sizes" and value is None:
+                value = (512, self.vocab_size)
+            setattr(self, name, _field_value(name, value))
         if self.feature_dim < 1:
             raise ConfigurationError(f"visual_dim + audio_dim must be >= 1, got {self.feature_dim}")
         if self.fc_sizes[1] != self.vocab_size:
-            raise ConfigurationError(
-                f"fc_sizes[1] must equal vocab_size {self.vocab_size}, got {self.fc_sizes[1]}"
-            )
+            vocab, got = self.vocab_size, self.fc_sizes[1]
+            raise ConfigurationError(f"fc_sizes[1] must equal vocab_size {vocab}, got {got}")
 
     @property
     def feature_dim(self) -> int:

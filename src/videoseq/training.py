@@ -67,10 +67,9 @@ class TrainConfig:
     def resolved_clip_norm(self) -> float | None:
         """Deep recurrent stacks get a default global-norm clip of 5.0."""
         if self.clip_norm is None:
-            if self.model.kind in DEEP_STACK_KINDS and self.model.depth >= 4:
-                return DEEP_STACK_CLIP_NORM
-            return None
-        return self.clip_norm if self.clip_norm > 0 else None
+            deep = self.model.kind in DEEP_STACK_KINDS and self.model.depth >= 4
+            return DEEP_STACK_CLIP_NORM if deep else None
+        return self.clip_norm or None  # 0 disables
 
 
 def bce_loss(probabilities: Tensor, targets) -> Tensor:

@@ -5,6 +5,7 @@ import pytest
 
 from videoseq import ModelSpec, build_model, save_checkpoint
 from videoseq.cli import main, parse_train_config
+from videoseq.models import MODEL_KINDS
 
 
 @pytest.fixture()
@@ -220,6 +221,9 @@ def test_gradcheck_tolerance_not_finite_and_positive_names_value(capsys, toleran
     ("model.hidden_size = 4294967296", "hidden_size must be <= 4294967295, got 4294967296"),
     ("model.visual_dim = -4", "visual_dim must be >= 0, got -4"),
     ("model.fc_sizes = 8", "fc_sizes must hold 2 integers, got 1"),
+    # a rule that joins fields names each as its key; the value given stays as given
+    ("model.fc_sizes = 8,7", "fc_sizes[1] must equal model.vocab_size 6, got 7"),
+    ("model.kind = seed", f"kind must be one of {MODEL_KINDS}, got 'seed'"),
 ])
 def test_bad_seed_batch_size_or_epochs_names_field_and_value(workdir, capsys, line, message):
     tmp_path, data, config = workdir
@@ -316,6 +320,15 @@ def test_config_roundtrip_values(tmp_path):
     assert config.learning_rate == 0.25
     assert config.clip_norm is None
     assert config.resolved_clip_norm() == 5.0  # depth >= 4 rule
+
+
+def test_config_without_fc_sizes_defaults_them_from_vocab_size(tmp_path):
+    # the README's example config: single-valued keys, no model.fc_sizes
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text("config_version = 1\nmodel.kind = two_stream_gru\nmodel.vocab_size = 8\n"
+                   "model.hidden_size = 64\nlearning_rate = 0.008\nbatch_size = 16\nepochs = 15\nseed = 2\n")
+    spec = parse_train_config(str(cfg)).model
+    assert (spec.vocab_size, spec.hidden_size, spec.fc_sizes) == (8, 64, (512, 8))
 
 
 def test_console_entry_point(tmp_path):
