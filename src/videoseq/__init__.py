@@ -25,7 +25,6 @@ from .autodiff import (
     relu,
     sigmoid,
     softmax_masked,
-    sqrt,
     tanh,
     transpose,
 )

@@ -13,9 +13,10 @@ Only the primitives the sequence models need are provided: broadcasting
 arithmetic, 2-D matmul, same-length temporal convolution, masked batch
 normalization / softmax / mean pooling, elementwise activations, and
 slicing. Batch norm reads its parameters and running statistics by prefix
-from a {name: Tensor} dict, such as a model's ``tensors``. A fused op
-elsewhere, such as ``recurrent.run_bidirectional``, is one ``Tensor._op``
-node whose backward calls ``_accumulate`` on each parent.
+from a {name: Tensor} dict, such as a model's ``tensors``, and is one fused
+node that keeps only x̂ and 1/σ for its closed-form backward. A fused op
+elsewhere, such as ``recurrent.run_bidirectional``, is likewise one
+``Tensor._op`` node whose backward calls ``_accumulate`` on each parent.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ __all__ = [
     "tanh",
     "exp",
     "log",
-    "sqrt",
     "clip",
     "softmax_masked",
     "masked_mean_time",
@@ -422,16 +422,6 @@ def log(a: Tensor) -> Tensor:
     return Tensor._op(data, (a,), bw)
 
 
-def sqrt(a: Tensor) -> Tensor:
-    a = _const(a)
-    data = np.sqrt(a.data)
-
-    def bw(g):
-        _accumulate(a, g / (2.0 * data))
-
-    return Tensor._op(data, (a,), bw)
-
-
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp values to [lo, hi]; gradient passes only where unclamped."""
     a = _const(a)
@@ -572,10 +562,12 @@ def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     """Cross-correlate along time with zero padding so the length is kept.
 
     x: [batch x c_in x time], kernels: [c_out x c_in x width] (width odd),
-    bias: [c_out]. Implemented as im2col + one BLAS matmul. The backward
-    closure keeps ``x`` rather than the [b·t x c_in·w] im2col matrix and
-    rebuilds that matrix from ``x`` when the kernels need their gradient
-    (the recompute trade of Chen et al. 2016, arXiv:1604.06174).
+    bias: [c_out]. Implemented as im2col + one BLAS matmul; a width-1 kernel
+    (a per-frame projection) needs no padding, so its im2col reads ``x``
+    without a padded copy. The backward closure keeps ``x`` rather than the
+    [b·t x c_in·w] im2col matrix and rebuilds that matrix from ``x`` when the
+    kernels need their gradient (the recompute trade of Chen et al. 2016,
+    arXiv:1604.06174).
     """
     x, kernels, bias = _const(x), _const(kernels), _const(bias)
     if x.data.ndim != 3 or kernels.data.ndim != 3:
@@ -598,7 +590,7 @@ def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     p = (w - 1) // 2
 
     def im2col():  # [b·t x c_in·w]: row (i, s) holds item i's zero-padded window at s
-        xp = np.pad(x.data, ((0, 0), (0, 0), (p, p)))
+        xp = np.pad(x.data, ((0, 0), (0, 0), (p, p))) if p else x.data
         win = np.lib.stride_tricks.sliding_window_view(xp, w, axis=2)  # (b, ci, t, w)
         return win.transpose(0, 2, 1, 3).reshape(b * t, ci * w)
 
@@ -640,6 +632,11 @@ def batchnorm_time(t: dict, prefix: str, x: Tensor, mask: TimeMask, train: bool)
     ``initialized``, later calls blend with momentum ``BN_MOMENTUM``). Eval mode
     applies the running statistics as a fixed affine map. Padded positions stay
     zero.
+
+    Either mode is one tape node over ``(x, gamma, beta)``. Train mode keeps
+    only x̂ and 1/σ for the closed-form backward of Ioffe & Szegedy 2015
+    (arXiv:1502.03167); eval mode keeps nothing beyond its parents. The output
+    is built in the one scratch buffer the batch mean was summed from.
     """
     gamma, beta, running_mean, running_var, seen = (
         t[f"{prefix}.{f}"] for f in ("gamma", "beta", "running_mean", "running_var", "initialized")
@@ -653,32 +650,67 @@ def batchnorm_time(t: dict, prefix: str, x: Tensor, mask: TimeMask, train: bool)
             f"{gamma.data.shape} and {beta.data.shape}"
         )
     m = mask.channel_mask()
-    gamma3 = reshape(gamma, (1, c, 1))
-    beta3 = reshape(beta, (1, c, 1))
+    g3, b3 = gamma.data.reshape(1, c, 1), beta.data.reshape(1, c, 1)
 
     if not train:
         if not seen.data[0]:
             raise StateError("eval-mode batch norm requires populated running statistics")
         rm = running_mean.data.reshape(1, c, 1)
-        rstd = np.sqrt(running_var.data + BN_EPS).reshape(1, c, 1)
-        xhat = mul(sub(x, rm), 1.0 / rstd)
-        return mul(add(mul(xhat, gamma3), beta3), m)
+        inv_std = 1.0 / np.sqrt(running_var.data + BN_EPS).reshape(1, c, 1)
+        out = x.data - rm
+        out *= inv_std
+        out *= g3
+        out += b3
+        out *= m
+
+        def bw_eval(g):
+            gm = g * m
+            _accumulate(beta, gm.sum(axis=(0, 2)))
+            if gamma.requires_grad:
+                _accumulate(gamma, (gm * ((x.data - rm) * inv_std)).sum(axis=(0, 2)))
+            if x.requires_grad:
+                gm *= g3
+                gm *= inv_std
+                _accumulate(x, gm)
+
+        return Tensor._op(out, (x, gamma, beta), bw_eval)
 
     n = float(mask.total_valid())
-    mean = mul(tensor_sum(mul(x, m), axis=(0, 2), keepdims=True), 1.0 / n)
-    centered = mul(sub(x, mean), m)
-    var = mul(tensor_sum(mul(centered, centered), axis=(0, 2), keepdims=True), 1.0 / n)
-    xhat = div(centered, sqrt(add(var, BN_EPS)))
-    out = mul(add(mul(xhat, gamma3), beta3), m)
+    out = x.data * m  # the scratch buffer: masked x, then squared deviations, then the output
+    mean = out.sum(axis=(0, 2), keepdims=True) * (1.0 / n)
+    xhat = x.data - mean
+    xhat *= m
+    np.multiply(xhat, xhat, out=out)
+    var = out.sum(axis=(0, 2), keepdims=True) * (1.0 / n)
+    std = np.sqrt(var + BN_EPS)
+    xhat /= std
+    inv_std = 1.0 / std
+    np.multiply(xhat, g3, out=out)
+    out += b3
+    out *= m
 
-    batch_mean = mean.data.reshape(c).copy()
-    batch_var = var.data.reshape(c).copy()
+    def bw(g):
+        gm = g * m
+        d_beta = gm.sum(axis=(0, 2), keepdims=True)
+        scratch = gm * xhat
+        d_gamma = scratch.sum(axis=(0, 2), keepdims=True)
+        _accumulate(beta, d_beta.reshape(c))
+        _accumulate(gamma, d_gamma.reshape(c))
+        if x.requires_grad:  # dx = γ/σ · (g − (Σg + x̂·Σg·x̂) / n), sums over valid frames
+            np.multiply(xhat, d_gamma * (1.0 / n), out=scratch)
+            scratch += d_beta * (1.0 / n)
+            np.subtract(gm, scratch, out=scratch)
+            scratch *= g3 * inv_std
+            scratch *= m
+            _accumulate(x, scratch)
+
+    batch_mean, batch_var = mean.reshape(c), var.reshape(c)
     if seen.data[0]:
         running_mean.data = BN_MOMENTUM * running_mean.data + (1.0 - BN_MOMENTUM) * batch_mean
         running_var.data = BN_MOMENTUM * running_var.data + (1.0 - BN_MOMENTUM) * batch_var
     else:
         running_mean.data, running_var.data, seen.data = batch_mean, batch_var, np.ones(1)
-    return out
+    return Tensor._op(out, (x, gamma, beta), bw)
 
 
 # ---------------------------------------------------------------------------

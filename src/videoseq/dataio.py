@@ -199,13 +199,16 @@ def generate_synthetic(
     two files with the same ``seed`` but different ``video_seed`` share
     class prototypes, which is how a matched validation split is made.
     """
-    for name, value, least in (("vocab_size", vocab_size, 2), ("video_count", video_count, 0),
-                               ("max_frames", max_frames, 1), ("visual_dim", visual_dim, 0),
-                               ("audio_dim", audio_dim, 0),
-                               ("visual_dim + audio_dim", visual_dim + audio_dim, 1),
-                               ("seed", seed, 0), ("video_seed", video_seed or 0, 0)):
-        if value < least:
-            raise ConfigurationError(f"{name} must be >= {least}, got {value}")
+    u32, u16, inf = 2**32 - 1, 2**16 - 1, np.inf  # header sizes are u32, a record's frame count u16
+    for name, value, least, most in (
+        ("vocab_size", vocab_size, 2, u32), ("video_count", video_count, 0, inf),
+        ("max_frames", max_frames, 1, u16), ("visual_dim", visual_dim, 0, u32),
+        ("audio_dim", audio_dim, 0, u32), ("visual_dim + audio_dim", visual_dim + audio_dim, 1, inf),
+        ("seed", seed, 0, inf), ("video_seed", video_seed or 0, 0, inf),
+    ):
+        if not least <= value <= most:
+            bound = f">= {least}" if value < least else f"<= {most}"
+            raise ConfigurationError(f"{name} must be {bound}, got {value}")
     if not 0.0 <= noise_sigma < np.inf:
         raise ConfigurationError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     rng = np.random.default_rng(seed)

@@ -314,8 +314,10 @@ class TemporalResnetModel(VideoLevelModel):
     """Stack of temporal residual blocks, then a bidirectional LSTM head.
 
     Each block is conv3 -> BN -> ReLU -> conv3 -> BN, an additive shortcut,
-    and a final ReLU; outputs are re-masked to zero at padded frames after
-    the width-1 projection and after every block.
+    and a final ReLU. The width-1 projection's output is re-masked to zero at
+    padded frames (its bias makes them nonzero); a block needs no mask of its
+    own, since batch norm zeroes its output there and the shortcut is zero
+    there already.
     """
 
     @classmethod
@@ -346,7 +348,7 @@ class TemporalResnetModel(VideoLevelModel):
         for i in range(self.spec.trb_count):
             y = ad.relu(self._conv_bn(x, f"block{i}", 1, mask, train))
             y = self._conv_bn(y, f"block{i}", 2, mask, train)
-            x = ad.relu(x + y) * m
+            x = ad.relu(x + y)
         return _birnn_attention(self.tensors, ["lstm"], "attn", x, mask)
 
 

@@ -130,3 +130,47 @@ def composed_bidirectional(t: dict, prefix: str, x: Tensor, mask: TimeMask) -> T
     fwd = direction(f"{prefix}.fwd", x)
     bwd = reverse_valid_time(direction(f"{prefix}.bwd", reverse_valid_time(x, mask)), mask)
     return ad.concat([fwd, bwd], axis=1) * mask.channel_mask()
+
+
+def sqrt(a: Tensor) -> Tensor:
+    """Elementwise square root as an autodiff op, for the composed batch norm below."""
+    data = np.sqrt(a.data)
+
+    def bw(g):
+        ad._accumulate(a, g / (2.0 * data))
+
+    return Tensor._op(data, (a,), bw)
+
+
+def composed_batchnorm_time(t: dict, prefix: str, x: Tensor, mask: TimeMask, train: bool) -> Tensor:
+    """``batchnorm_time`` composed of autodiff ops, one tape node per op: the backward is
+    the chain rule through every elementwise step and reduction, not the closed form.
+    Reads and writes the same table entries as the fused op."""
+    gamma, beta, running_mean, running_var, seen = (
+        t[f"{prefix}.{f}"] for f in ("gamma", "beta", "running_mean", "running_var", "initialized")
+    )
+    c = x.shape[1]
+    m = mask.channel_mask()
+    gamma3 = ad.reshape(gamma, (1, c, 1))
+    beta3 = ad.reshape(beta, (1, c, 1))
+    if not train:
+        rm = running_mean.data.reshape(1, c, 1)
+        rstd = np.sqrt(running_var.data + ad.BN_EPS).reshape(1, c, 1)
+        xhat = ad.mul(ad.sub(x, rm), 1.0 / rstd)
+        return ad.mul(ad.add(ad.mul(xhat, gamma3), beta3), m)
+
+    n = float(mask.total_valid())
+    mean = ad.mul(ad.tensor_sum(ad.mul(x, m), axis=(0, 2), keepdims=True), 1.0 / n)
+    centered = ad.mul(ad.sub(x, mean), m)
+    var = ad.mul(ad.tensor_sum(ad.mul(centered, centered), axis=(0, 2), keepdims=True), 1.0 / n)
+    xhat = ad.div(centered, sqrt(ad.add(var, ad.BN_EPS)))
+    out = ad.mul(ad.add(ad.mul(xhat, gamma3), beta3), m)
+
+    batch_mean = mean.data.reshape(c).copy()
+    batch_var = var.data.reshape(c).copy()
+    if seen.data[0]:
+        running_mean.data = ad.BN_MOMENTUM * running_mean.data + (1.0 - ad.BN_MOMENTUM) * batch_mean
+        running_var.data = ad.BN_MOMENTUM * running_var.data + (1.0 - ad.BN_MOMENTUM) * batch_var
+    else:
+        running_mean.data, running_var.data, seen.data = batch_mean, batch_var, np.ones(1)
+    return out

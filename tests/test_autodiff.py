@@ -21,7 +21,7 @@ from videoseq import (
 )
 from videoseq.autodiff import tensor_sum
 
-from oracles import check_gradients, reverse_valid_time
+from oracles import check_gradients, composed_batchnorm_time, reverse_valid_time
 
 
 def conv1d_naive(x, kernels, bias):
@@ -306,6 +306,41 @@ class TestBatchnormTime:
         x = np.ones((1, 1, 4))
         out = batchnorm_time(bn_table([1.0], [5.0]), "bn", Tensor(x), mask, True)
         assert np.array_equal(out.data[0, 0, 2:], [0.0, 0.0])
+
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    def test_one_tape_node_over_x_gamma_beta(self, train):
+        rng = np.random.default_rng(3)
+        mask = TimeMask(2, 4, np.array([3, 4]))
+        gamma, beta = (Tensor(rng.normal(size=3), requires_grad=True) for _ in range(2))
+        table = bn_table(gamma, beta, initialized=True)
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        with Tape() as tape:
+            out = batchnorm_time(table, "bn", x, mask, train)
+            assert tape.nodes == [out]
+            assert out._parents == (x, gamma, beta)
+
+    @pytest.mark.parametrize("lengths", [[1, 5, 3], [5, 5, 5]], ids=["one_frame_item", "equal_lengths"])
+    @pytest.mark.parametrize("train, initialized", [(True, False), (True, True), (False, True)],
+                             ids=["train_first", "train_blend", "eval"])
+    def test_matches_composed_oracle(self, lengths, train, initialized):
+        """Outputs, x/gamma/beta gradients and running statistics agree to 1e-12."""
+
+        def run(bn):
+            rng = np.random.default_rng(23)
+            mask = TimeMask(3, 5, np.array(lengths))
+            gamma, beta = (Tensor(rng.normal(size=4), requires_grad=True) for _ in range(2))
+            table = bn_table(gamma, beta, initialized)
+            table["bn.running_mean"].data = rng.normal(size=4)
+            table["bn.running_var"].data = rng.uniform(0.5, 2.0, size=4)
+            x = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
+            with Tape():
+                out = bn(table, "bn", x, mask, train)
+                backward(tensor_sum(out * rng.normal(size=out.shape)))
+            return (out.data, x.grad, gamma.grad, beta.grad,
+                    table["bn.running_mean"].data, table["bn.running_var"].data)
+
+        for fused, composed in zip(run(batchnorm_time), run(composed_batchnorm_time)):
+            assert np.max(np.abs(fused - composed)) <= 1e-12
 
 
 class TestBackward:

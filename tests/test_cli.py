@@ -175,8 +175,13 @@ def test_predict_batch_size_below_one_names_option_and_value(workdir, capsys, ba
 
 @pytest.mark.parametrize("option, value, message", [
     ("--vocab", "1", "vocab_size must be >= 2, got 1"),
+    ("--vocab", "4294967296", "vocab_size must be <= 4294967295, got 4294967296"),
     ("--videos", "-1", "video_count must be >= 0, got -1"),
     ("--max-frames", "0", "max_frames must be >= 1, got 0"),
+    ("--max-frames", "65536", "max_frames must be <= 65535, got 65536"),
+    ("--max-frames", "4294967297", "max_frames must be <= 65535, got 4294967297"),
+    ("--visual-dim", "4294967296", "visual_dim must be <= 4294967295, got 4294967296"),
+    ("--audio-dim", "4294967296", "audio_dim must be <= 4294967295, got 4294967296"),
     ("--visual-dim", "-5", "visual_dim must be >= 0, got -5"),
     ("--audio-dim", "-1", "audio_dim must be >= 0, got -1"),
     ("--visual-dim", "0", "visual_dim + audio_dim must be >= 1, got 0"),
@@ -185,8 +190,10 @@ def test_predict_batch_size_below_one_names_option_and_value(workdir, capsys, ba
     ("--noise", "nan", "noise_sigma must be finite and >= 0, got nan"),
     ("--noise", "inf", "noise_sigma must be finite and >= 0, got inf"),
     ("--noise", "-0.5", "noise_sigma must be finite and >= 0, got -0.5"),
-], ids=["vocab", "videos", "max_frames", "visual_dim", "audio_dim", "no_features", "seed",
-        "video_seed", "noise_nan", "noise_inf", "noise_negative"])
+], ids=["vocab", "vocab_above_u32", "videos", "max_frames", "max_frames_above_u16",
+        "max_frames_above_u32", "visual_dim_above_u32", "audio_dim_above_u32", "visual_dim",
+        "audio_dim", "no_features", "seed", "video_seed", "noise_nan", "noise_inf",
+        "noise_negative"])
 def test_gen_data_bad_size_names_argument_and_value(tmp_path, capsys, option, value, message):
     out = tmp_path / "d.bin"
     args = {"--vocab": "3", "--videos": "4", "--max-frames": "8", "--visual-dim": "3", "--audio-dim": "0"}
@@ -290,6 +297,20 @@ def test_config_parser_rejects_unknown_keys(tmp_path):
                    "model.vocab_size = 5\nturbo = yes\n")
     with pytest.raises(ConfigurationError, match="turbo"):
         parse_train_config(str(cfg))
+
+
+def test_every_train_config_field_is_a_config_key():
+    """A field added to TrainConfig must be added to the parser's table too. ``model`` and
+    ``clip_norm`` are parsed on their own; every other key casts to its field's type."""
+    import dataclasses
+
+    from videoseq import cli
+    from videoseq.training import TrainConfig
+
+    fields = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+    assert set(cli._TRAIN_FIELDS) == set(fields) - {"model", "clip_norm"}
+    for name, cast in cli._TRAIN_FIELDS.items():
+        assert fields[name].split(" | ")[0] == cast.__name__, name
 
 
 def test_config_parser_requires_version(tmp_path):
