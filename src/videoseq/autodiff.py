@@ -17,6 +17,7 @@ from a {name: Tensor} dict, such as a model's ``tensors``, and is one fused
 node that keeps only x̂ and 1/σ for its closed-form backward. A fused op
 elsewhere, such as ``recurrent.run_bidirectional``, is likewise one
 ``Tensor._op`` node whose backward calls ``_accumulate`` on each parent.
+``TimeMask.check`` is the one check that a [batch x c x time] input fits its mask.
 """
 
 from __future__ import annotations
@@ -379,12 +380,15 @@ def relu(a: Tensor) -> Tensor:
     return Tensor._op(data, (a,), bw)
 
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    # exp overflows to inf for very negative z; 1 / (1 + inf) is the exact limit 0
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
 def sigmoid(a: Tensor) -> Tensor:
     a = _const(a)
-    # exp may transiently overflow to inf for very negative inputs; the
-    # division then lands on exactly 0, which is the correct limit
-    with np.errstate(over="ignore"):
-        data = 1.0 / (1.0 + np.exp(-a.data))
+    data = _sigmoid(a.data)
 
     def bw(g):
         _accumulate(a, g * data * (1.0 - data))
@@ -517,13 +521,13 @@ class TimeMask:
         valid = self.bool_matrix()
         return np.where(valid, self.valid_lengths[:, None] - 1 - t, 0), valid
 
-
-def _check_time_shape(x: Tensor, mask: TimeMask, name: str) -> None:
-    if x.data.shape[0] != mask.batch or x.data.shape[-1] != mask.max_time:
-        raise DimensionError(
-            f"{name}: tensor shape {x.data.shape} does not match mask "
-            f"(batch {mask.batch}, time {mask.max_time})"
-        )
+    def check(self, x, name: str) -> None:
+        """Raise DimensionError naming ``name`` unless x (Tensor or array) is [batch x c x max_time]."""
+        if len(x.shape) != 3 or x.shape[0] != self.batch or x.shape[2] != self.max_time:
+            raise DimensionError(
+                f"{name}: input shape {x.shape} is not [batch {self.batch} x channels "
+                f"x time {self.max_time}]"
+            )
 
 
 def softmax_masked(scores: Tensor, mask: TimeMask) -> Tensor:
@@ -547,7 +551,7 @@ def softmax_masked(scores: Tensor, mask: TimeMask) -> Tensor:
 def masked_mean_time(x: Tensor, mask: TimeMask) -> Tensor:
     """Mean over each item's valid frames: [b x c x t] -> [b x c]."""
     x = _const(x)
-    _check_time_shape(x, mask, "masked_mean_time")
+    mask.check(x, "masked_mean_time")
     s = tensor_sum(mul(x, mask.channel_mask()), axis=2)
     counts = mask.valid_lengths.astype(np.float64)[:, None]
     return mul(s, 1.0 / counts)
@@ -642,7 +646,7 @@ def batchnorm_time(t: dict, prefix: str, x: Tensor, mask: TimeMask, train: bool)
         t[f"{prefix}.{f}"] for f in ("gamma", "beta", "running_mean", "running_var", "initialized")
     )
     x = _const(x)
-    _check_time_shape(x, mask, "batchnorm_time")
+    mask.check(x, "batchnorm_time")
     c = x.data.shape[1]
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise DimensionError(

@@ -53,16 +53,6 @@ from .recurrent import (ONES, ZEROS, Init, attention_pool, attention_table, cell
                         run_bidirectional)
 from .vlad import Codebook, vlad_encode
 
-MODEL_KINDS = (
-    "video_level",
-    "vlad_mlp",
-    "two_stream_lstm",
-    "two_stream_gru",
-    "ff_lstm",
-    "ff_gru",
-    "temporal_resnet",
-    "stacked_lstm",
-)
 # the deep bidirectional stacks: the default clip rule and the gradcheck toy depth read this
 DEEP_STACK_KINDS = ("ff_lstm", "ff_gru", "stacked_lstm")
 
@@ -207,25 +197,13 @@ class VideoLevelModel:
         return [(name, t) for name, t in self.tensors.items() if t.requires_grad]
 
     def forward(self, visual: Tensor, audio: Tensor, mask: TimeMask, train: bool = False) -> Tensor:
-        """Per-class probabilities [batch x vocab], every value strictly in (0, 1)."""
-        spec = self.spec
-        if visual.ndim != 3 or visual.shape[1] != spec.visual_dim:
-            raise DimensionError(
-                f"visual input {visual.shape} does not match visual_dim {spec.visual_dim}"
-            )
-        if audio.ndim != 3 or audio.shape[1] != spec.audio_dim:
-            raise DimensionError(
-                f"audio input {audio.shape} does not match audio_dim {spec.audio_dim}"
-            )
-        if visual.shape[0] != audio.shape[0] or visual.shape[2] != audio.shape[2]:
-            raise DimensionError(
-                f"visual {visual.shape} and audio {audio.shape} batches do not align"
-            )
-        if visual.shape[0] != mask.batch or visual.shape[2] != mask.max_time:
-            raise DimensionError(
-                f"inputs {visual.shape} do not match mask (batch {mask.batch}, "
-                f"time {mask.max_time})"
-            )
+        """Per-class probabilities [batch x vocab], every value strictly in (0, 1), once each
+        stream passes ``mask.check``, then its ``visual_dim``/``audio_dim`` width check."""
+        streams = (("visual", visual, self.spec.visual_dim), ("audio", audio, self.spec.audio_dim))
+        for name, x, width in streams:
+            mask.check(x, f"forward ({name})")
+            if x.shape[1] != width:
+                raise DimensionError(f"{name} input {x.shape} does not match {name}_dim {width}")
         return _mlp_head(self.tensors, self._pool(visual, audio, mask, train))
 
 
@@ -362,6 +340,7 @@ _BUILDERS = {
     "temporal_resnet": TemporalResnetModel,
     "stacked_lstm": StackedModel,
 }
+MODEL_KINDS = tuple(_BUILDERS)
 
 
 def tensor_table(spec: ModelSpec):

@@ -71,12 +71,6 @@ def _cell(t: dict, prefix: str, x: Tensor) -> tuple:
     return ("lstm" if f"{prefix}.w_forget" in t else "gru"), hidden
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp overflows to inf for very negative z; 1 / (1 + inf) is the exact limit 0
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-z))
-
-
 def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per direction, the sum over steps and items of a^T b:
     [2 x T x b x m], [2 x T x b x n] -> [2 x m x n]."""
@@ -94,7 +88,7 @@ def _lstm_sequence(pre_x: np.ndarray, w_h: np.ndarray):
     tanh_c = np.empty((2, steps, batch, h))
     for s in range(steps):
         pre, a = pre_x[:, s] + hs[:, s] @ w_h, gates[:, s]
-        a[..., : 3 * h] = _sigmoid(pre[..., : 3 * h])
+        a[..., : 3 * h] = ad._sigmoid(pre[..., : 3 * h])
         a[..., 3 * h :] = np.tanh(pre[..., 3 * h :])
         cs[:, s + 1] = a[..., h : 2 * h] * cs[:, s] + a[..., :h] * a[..., 3 * h :]
         tanh_c[:, s] = np.tanh(cs[:, s + 1])
@@ -128,7 +122,7 @@ def _gru_sequence(pre_x: np.ndarray, w_h: np.ndarray):
     reset_h = np.empty((2, steps, batch, h))  # r * h_prev, the candidate's recurrent input
     for s in range(steps):
         a, h_prev = gates[:, s], hs[:, s]
-        a[..., : 2 * h] = _sigmoid(pre_x[:, s, :, : 2 * h] + h_prev @ w_h[..., : 2 * h])
+        a[..., : 2 * h] = ad._sigmoid(pre_x[:, s, :, : 2 * h] + h_prev @ w_h[..., : 2 * h])
         reset_h[:, s] = a[..., h : 2 * h] * h_prev
         a[..., 2 * h :] = np.tanh(pre_x[:, s, :, 2 * h :] + reset_h[:, s] @ w_h[..., 2 * h :])
         hs[:, s + 1] = (1.0 - a[..., :h]) * h_prev + a[..., :h] * a[..., 2 * h :]
@@ -166,13 +160,7 @@ def run_bidirectional(t: dict, prefix: str, x: Tensor, mask: TimeMask) -> Tensor
     prefix. The node's backward is a hand-written BPTT loop, after which the
     input and weight gradients are one GEMM or sum each over all frames.
     """
-    if x.ndim != 3:
-        raise DimensionError(f"run_bidirectional: input shape {x.shape} is not [batch x in x time]")
-    if x.shape[0] != mask.batch or x.shape[2] != mask.max_time:
-        raise DimensionError(
-            f"run_bidirectional: input shape {x.shape} does not match mask "
-            f"(batch {mask.batch}, time {mask.max_time})"
-        )
+    mask.check(x, "run_bidirectional")
     kind, hidden = _cell(t, f"{prefix}.fwd", x)
     if _cell(t, f"{prefix}.bwd", x) != (kind, hidden):
         raise DimensionError(f"run_bidirectional: {prefix}.fwd and {prefix}.bwd differ in kind or width")
@@ -236,18 +224,14 @@ def attention_pool(t: dict, prefix: str, h: Tensor, mask: TimeMask) -> Tensor:
     """
     weight, bias, score = (t[f"{prefix}.{f}"] for f in ("proj_weight", "proj_bias", "score_vector"))
     attn, channels = weight.shape
-    if h.ndim != 3 or h.shape[1] != channels:
+    mask.check(h, "attention_pool")
+    if h.shape[1] != channels:
         raise DimensionError(
             f"attention_pool: input {h.shape} does not match projection width {channels}"
         )
     if score.shape != (attn,):
         raise DimensionError(
             f"attention_pool: score vector {score.shape} does not match projection rows {attn}"
-        )
-    if h.shape[0] != mask.batch or h.shape[2] != mask.max_time:
-        raise DimensionError(
-            f"attention_pool: input {h.shape} does not match mask "
-            f"(batch {mask.batch}, time {mask.max_time})"
         )
     u = ad.tanh(ad.conv1d_same(h, weight.reshape(attn, channels, 1), bias))
     scores = (u * score.reshape(1, attn, 1)).sum(axis=1)

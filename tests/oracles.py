@@ -96,7 +96,7 @@ def reverse_valid_time(x: Tensor, mask: TimeMask) -> Tensor:
     the same reversal applied to the incoming gradient.
     """
     x = ad._const(x)
-    ad._check_time_shape(x, mask, "reverse_valid_time")
+    mask.check(x, "reverse_valid_time")
     src, valid = mask.reversal()
     gather = src[:, None, :]
     keep = valid[:, None, :]

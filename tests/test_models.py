@@ -15,7 +15,9 @@ from videoseq import (
 )
 from videoseq.gradcheck import grad_check, toy_spec
 from videoseq import container
+from videoseq.autodiff import batchnorm_time, masked_mean_time
 from videoseq.models import _mlp_head, _spec_from_reader, tensor_table
+from videoseq.recurrent import attention_pool, attention_table, cell_table, draw_table, run_bidirectional
 
 ALL_KINDS = (
     "video_level",
@@ -160,6 +162,46 @@ class TestOutputContract:
         audio = Tensor(rng.normal(size=(2, spec.audio_dim, 3)))
         with pytest.raises(DimensionError):
             model.forward(bad_visual, audio, TimeMask.full(2, 3))
+
+
+def time_entry_points():
+    """name -> (channels, call(x, mask)) for every entry point that checks a
+    [batch x channels x time] input against its mask. The layers take 4 channels, as
+    many as the test's frames, so a 2-D [batch x time] input fits their width checks."""
+    rng = np.random.default_rng(5)
+    cells = draw_table([*cell_table("bi.fwd", "lstm", 4, 2), *cell_table("bi.bwd", "lstm", 4, 2)], rng)
+    attn = draw_table(attention_table("attn", 4, 2), rng)
+    bn = {"bn.gamma": Tensor(np.ones(4)), "bn.beta": Tensor(np.zeros(4)), "bn.running_mean": Tensor(np.zeros(4)),
+          "bn.running_var": Tensor(np.ones(4)), "bn.initialized": Tensor([0.0])}
+    spec = tiny_spec("video_level")
+    model = build_model(spec)
+
+    def zeros(mask, channels):
+        return Tensor(np.zeros((mask.batch, channels, mask.max_time)))
+
+    return {
+        "masked_mean_time": (4, masked_mean_time),
+        "batchnorm_time": (4, lambda x, mask: batchnorm_time(bn, "bn", x, mask, True)),
+        "run_bidirectional": (4, lambda x, mask: run_bidirectional(cells, "bi", x, mask)),
+        "attention_pool": (4, lambda x, mask: attention_pool(attn, "attn", x, mask)),
+        "forward (visual)": (spec.visual_dim,
+                             lambda x, mask: model.forward(x, zeros(mask, spec.audio_dim), mask)),
+        "forward (audio)": (spec.audio_dim,
+                            lambda x, mask: model.forward(zeros(mask, spec.visual_dim), x, mask)),
+    }
+
+
+@pytest.mark.parametrize("bad", ["2-D", "batch + 1", "time + 1"])
+@pytest.mark.parametrize("entry", list(time_entry_points()))
+def test_batch_time_contract(entry, bad):
+    """A 2-D input, or one whose batch or time is off by one, is a DimensionError
+    naming the entry point; the well-formed input passes."""
+    channels, call = time_entry_points()[entry]
+    mask = TimeMask(2, 4, np.array([4, 2]))
+    call(Tensor(np.ones((2, channels, 4))), mask)
+    shape = {"2-D": (2, 4), "batch + 1": (3, channels, 4), "time + 1": (2, channels, 5)}[bad]
+    with pytest.raises(DimensionError, match=re.escape(entry)):
+        call(Tensor(np.ones(shape)), mask)
 
 
 class TestVideoLevel:
