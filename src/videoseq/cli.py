@@ -16,7 +16,7 @@ from .dataio import generate_synthetic
 from .errors import ConfigurationError, FormatError, VideoseqError
 from .gradcheck import grad_check, toy_spec
 from .models import MODEL_KINDS, SPEC_FIELDS, ModelSpec
-from .training import TrainConfig, ensemble_average, evaluate, predict, train
+from .training import TOP_K, TrainConfig, ensemble_average, evaluate, predict, train
 
 CONFIG_VERSION = 1
 _SPEC_NAME = re.compile(rf"\b({'|'.join(['kind', *SPEC_FIELDS])})\b")
@@ -127,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--checkpoint", required=True)
     pr.add_argument("--data", required=True)
     pr.add_argument("--out", required=True)
-    pr.add_argument("--k", type=int, default=20)
+    pr.add_argument("--k", type=int, default=TOP_K)
     pr.add_argument("--full-scores", action="store_true",
                     help="emit every class score (input format for ensembling)")
     pr.add_argument("--batch-size", type=int, default=32)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import container
 from .autodiff import Tensor, TimeMask
-from .errors import ConfigurationError, PreconditionError, ValidationError
+from .errors import ConfigurationError, PreconditionError, ValidationError, check_int
 
 MAGIC = b"FLVR"
 VERSION = 1
@@ -200,15 +200,14 @@ def generate_synthetic(
     class prototypes, which is how a matched validation split is made.
     """
     u32, u16, inf = 2**32 - 1, 2**16 - 1, np.inf  # header sizes are u32, a record's frame count u16
-    for name, value, least, most in (
-        ("vocab_size", vocab_size, 2, u32), ("video_count", video_count, 0, inf),
+    for name, value, least, most in (  # a video draws up to 3 distinct labels, so vocab_size >= 3
+        ("vocab_size", vocab_size, 3, u32), ("video_count", video_count, 0, inf),
         ("max_frames", max_frames, 1, u16), ("visual_dim", visual_dim, 0, u32),
-        ("audio_dim", audio_dim, 0, u32), ("visual_dim + audio_dim", visual_dim + audio_dim, 1, inf),
-        ("seed", seed, 0, inf), ("video_seed", video_seed or 0, 0, inf),
+        ("audio_dim", audio_dim, 0, u32), ("seed", seed, 0, inf),
+        ("video_seed", 0 if video_seed is None else video_seed, 0, inf),
     ):
-        if not least <= value <= most:
-            bound = f">= {least}" if value < least else f"<= {most}"
-            raise ConfigurationError(f"{name} must be {bound}, got {value}")
+        check_int(name, value, least, most)
+    check_int("visual_dim + audio_dim", visual_dim + audio_dim, 1)  # summed once both are ints
     if not 0.0 <= noise_sigma < np.inf:
         raise ConfigurationError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     rng = np.random.default_rng(seed)

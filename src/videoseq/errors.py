@@ -1,8 +1,10 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and ``check_int``, the one integer rule.
 
 Each class maps to one failure category so callers can distinguish bad
 shapes from bad files from bad training state without string matching.
 """
+
+import numbers
 
 
 class VideoseqError(Exception):
@@ -47,3 +49,13 @@ class InputError(VideoseqError, ValueError):
 
 class TrainingError(VideoseqError, RuntimeError):
     """Optimization cannot proceed (e.g. non-finite gradients)."""
+
+
+def check_int(name: str, value, least: int, most: float = float("inf")) -> int:
+    """``value`` as an int in [least, most], or a ConfigurationError naming ``name``."""
+    if not isinstance(value, numbers.Integral):  # a float, a string or None
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if not least <= value <= most:
+        bound = f">= {least}" if value < least else f"<= {most}"
+        raise ConfigurationError(f"{name} must be {bound}, got {value}")
+    return int(value)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tape, Tensor, TimeMask, backward, numerical_gradient, relative_error
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_int
 from .models import DEEP_STACK_KINDS, ModelSpec, build_model
 from .training import bce_loss
 
@@ -118,12 +118,9 @@ def grad_check(
     central differences of step 1e-4. Failures are reported, never raised;
     a ``tolerance`` that is not finite and positive is.
     """
-    if sample_count < 1:
-        raise ConfigurationError(f"sample_count must be >= 1, got {sample_count}")
+    sample_count, seed = check_int("sample_count", sample_count, 1), check_int("seed", seed, 0)
     if not (np.isfinite(tolerance) and tolerance > 0):
         raise ConfigurationError(f"tolerance must be finite and > 0, got {tolerance}")
-    if seed < 0:
-        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     model = build_model(spec)
     if spec.kind == "vlad_mlp":

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import atomic_write, text_lines
-from .errors import ConfigurationError, FormatError, PreconditionError
+from .errors import ConfigurationError, FormatError, PreconditionError, check_int
 
 TOP_K = 20
 
@@ -66,8 +66,7 @@ def _pooled_pairs(preds: PredictionSet, k: int):
 
 def gap_at_k(preds: PredictionSet, k: int = TOP_K) -> GapResult:
     """Streaming computation with an incremental hit counter."""
-    if k < 1:
-        raise ConfigurationError(f"k must be >= 1, got {k}")
+    k = check_int("k", k, 1)
     pooled, total_positives = _pooled_pairs(preds, k)
     if total_positives == 0:
         return GapResult(0.0, len(pooled), 0)
@@ -87,8 +86,7 @@ def topk_predictions(probabilities, k: int, video_ids) -> list:
     if probs.ndim != 2:
         raise ConfigurationError(f"probabilities must be 2-D, got shape {probs.shape}")
     vocab = probs.shape[1]
-    if not 1 <= k <= vocab:
-        raise ConfigurationError(f"k={k} outside [1, vocab size {vocab}]")
+    k = check_int("k", k, 1, vocab)
     video_ids = list(video_ids)
     if len(video_ids) != probs.shape[0]:
         raise ConfigurationError(

@@ -39,7 +39,6 @@ checkpoint's spec record and the CLI's ``model.*`` keys all walk it.
 
 from __future__ import annotations
 
-import operator
 import struct
 from dataclasses import dataclass
 
@@ -48,7 +47,7 @@ import numpy as np
 from . import autodiff as ad
 from . import container
 from .autodiff import Tensor, TimeMask
-from .errors import ConfigurationError, DimensionError, FormatError
+from .errors import ConfigurationError, DimensionError, FormatError, check_int
 from .recurrent import (ONES, ZEROS, Init, attention_pool, attention_table, cell_table, draw_table,
                         run_bidirectional)
 from .vlad import Codebook, vlad_encode
@@ -72,11 +71,8 @@ def _field_value(name: str, value):
     values = tuple(value) if isinstance(value, (tuple, list)) else (value,)
     if len(values) != count:
         raise ConfigurationError(f"{name} must hold {count} integer{'s' * (count > 1)}, got {len(values)}")
-    values = tuple(map(operator.index, values))  # a float or a string is a TypeError
-    for i, v in enumerate(values):
-        if not least <= v <= most:
-            bound = f">= {least}" if v < least else f"<= {most}"
-            raise ConfigurationError(f"{name if count == 1 else f'{name}[{i}]'} must be {bound}, got {v}")
+    values = tuple(check_int(name if count == 1 else f"{name}[{i}]", v, least, most)
+                   for i, v in enumerate(values))
     return values if count > 1 else values[0]
 
 
@@ -104,8 +100,7 @@ class ModelSpec:
             if name == "fc_sizes" and value is None:
                 value = (512, self.vocab_size)
             setattr(self, name, _field_value(name, value))
-        if self.feature_dim < 1:
-            raise ConfigurationError(f"visual_dim + audio_dim must be >= 1, got {self.feature_dim}")
+        check_int("visual_dim + audio_dim", self.feature_dim, 1)
         if self.fc_sizes[1] != self.vocab_size:
             vocab, got = self.vocab_size, self.fc_sizes[1]
             raise ConfigurationError(f"fc_sizes[1] must equal vocab_size {vocab}, got {got}")

@@ -22,6 +22,7 @@ from .errors import (
     InputError,
     PreconditionError,
     TrainingError,
+    check_int,
 )
 from .metrics import (
     TOP_K,
@@ -61,8 +62,7 @@ class TrainConfig:
         if self.clip_norm not in (None, 0) and not 0.0 < self.clip_norm < np.inf:
             raise ConfigurationError(f"clip_norm must be None, 0, or finite and > 0, got {self.clip_norm}")
         for name, least in (("batch_size", 1), ("epochs", 1), ("seed", 0)):
-            if getattr(self, name) < least:
-                raise ConfigurationError(f"{name} must be >= {least}, got {getattr(self, name)}")
+            setattr(self, name, check_int(name, getattr(self, name), least))
 
     def resolved_clip_norm(self) -> float | None:
         """Deep recurrent stacks get a default global-norm clip of 5.0."""
@@ -266,8 +266,7 @@ def predict(
     ``full_scores`` emits every class's probability per video (the input
     format ensembling expects) instead of the top-k truncation.
     """
-    if batch_size < 1:
-        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
+    batch_size, k = check_int("batch_size", batch_size, 1), check_int("k", k, 1)
     model = load_checkpoint(checkpoint_path)
     header, records = load_records(data_path)
     _check_data_matches_spec(header, model.spec, data_path)

@@ -173,8 +173,16 @@ def test_predict_batch_size_below_one_names_option_and_value(workdir, capsys, ba
     assert not out.exists()
 
 
+def test_predict_k_below_one_is_refused_before_any_file_is_read(tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    rc = main(["predict", "--checkpoint", missing, "--data", missing, "--out", missing, "--k", "0"])
+    assert _one_line_error(capsys, rc) == "error: ConfigurationError: k must be >= 1, got 0\n"
+
+
 @pytest.mark.parametrize("option, value, message", [
-    ("--vocab", "1", "vocab_size must be >= 2, got 1"),
+    ("--vocab", "1", "vocab_size must be >= 3, got 1"),
+    # a video draws up to 3 distinct labels; vocab 2 used to crash inside numpy's choice
+    ("--vocab", "2", "vocab_size must be >= 3, got 2"),
     ("--vocab", "4294967296", "vocab_size must be <= 4294967295, got 4294967296"),
     ("--videos", "-1", "video_count must be >= 0, got -1"),
     ("--max-frames", "0", "max_frames must be >= 1, got 0"),
@@ -190,7 +198,7 @@ def test_predict_batch_size_below_one_names_option_and_value(workdir, capsys, ba
     ("--noise", "nan", "noise_sigma must be finite and >= 0, got nan"),
     ("--noise", "inf", "noise_sigma must be finite and >= 0, got inf"),
     ("--noise", "-0.5", "noise_sigma must be finite and >= 0, got -0.5"),
-], ids=["vocab", "vocab_above_u32", "videos", "max_frames", "max_frames_above_u16",
+], ids=["vocab", "vocab_2", "vocab_above_u32", "videos", "max_frames", "max_frames_above_u16",
         "max_frames_above_u32", "visual_dim_above_u32", "audio_dim_above_u32", "visual_dim",
         "audio_dim", "no_features", "seed", "video_seed", "noise_nan", "noise_inf",
         "noise_negative"])

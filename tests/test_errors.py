@@ -1,0 +1,90 @@
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import videoseq
+from videoseq import ConfigurationError, ModelSpec, generate_synthetic
+from videoseq.errors import check_int
+from videoseq.gradcheck import grad_check, toy_spec
+from videoseq.metrics import PredictionSet, gap_at_k, topk_predictions
+from videoseq.models import SPEC_FIELDS
+from videoseq.training import TrainConfig, predict
+
+_SPEC = dict(kind="video_level", vocab_size=5, visual_dim=3, audio_dim=1)
+
+
+def _spec_field(name):
+    def call(value, tmp_path):
+        return ModelSpec(**{**_SPEC, name: (value, 5) if name == "fc_sizes" else value})
+    return call
+
+
+def _train_config(name):
+    return lambda value, tmp_path: TrainConfig(model=ModelSpec(**_SPEC), **{name: value})
+
+
+def _gen_data(name):
+    sizes = dict(vocab_size=5, video_count=2, seed=0, visual_dim=3, audio_dim=1, max_frames=4)
+    return lambda value, tmp_path: generate_synthetic(
+        str(tmp_path / "d.bin"), noise_sigma=0.1, **{**sizes, name: value})
+
+
+def _predict(name):
+    # the checkpoint does not exist: a setting read after it would end in an OSError
+    return lambda value, tmp_path: predict(
+        str(tmp_path / "none.ckpt"), str(tmp_path / "none.bin"), str(tmp_path / "p.txt"),
+        **{name: value})
+
+
+_U32 = 2**32 - 1
+_FC0 = "fc_sizes[0]"  # the element of fc_sizes that _spec_field sets
+# test id -> (the setting as messages name it, call, an out-of-range int, the bound it breaks)
+_SURFACES = {
+    **{f"ModelSpec.{name}": (_FC0 if name == "fc_sizes" else name, _spec_field(name), least - 1,
+                             f">= {least}") for name, (_, least) in SPEC_FIELDS.items()},
+    "ModelSpec.hidden_size_above_u32": ("hidden_size", _spec_field("hidden_size"), _U32 + 1,
+                                        f"<= {_U32}"),
+    **{f"TrainConfig.{name}": (name, _train_config(name), least - 1, f">= {least}")
+       for name, least in (("batch_size", 1), ("epochs", 1), ("seed", 0))},
+    **{f"generate_synthetic.{name}": (name, _gen_data(name), bad, bound) for name, bad, bound in (
+        ("vocab_size", 2, ">= 3"), ("video_count", -1, ">= 0"), ("max_frames", 2**16, "<= 65535"),
+        ("visual_dim", _U32 + 1, f"<= {_U32}"), ("audio_dim", -1, ">= 0"), ("seed", -1, ">= 0"),
+        ("video_seed", -1, ">= 0"))},
+    "grad_check.sample_count": ("sample_count", lambda v, _: grad_check(toy_spec("video_level"), sample_count=v),
+                                0, ">= 1"),
+    "grad_check.seed": ("seed", lambda v, _: grad_check(toy_spec("video_level"), seed=v), -1, ">= 0"),
+    "predict.batch_size": ("batch_size", _predict("batch_size"), 0, ">= 1"),
+    "predict.k": ("k", _predict("k"), 0, ">= 1"),
+    "gap_at_k.k": ("k", lambda v, _: gap_at_k(PredictionSet([], {}), k=v), 0, ">= 1"),
+    "topk_predictions.k": ("k", lambda v, _: topk_predictions(np.zeros((1, 3)), v, ["a"]), 4, "<= 3"),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, "3", "out of range"])
+@pytest.mark.parametrize("surface", _SURFACES)
+def test_every_integer_setting_is_one_named_configuration_error(tmp_path, surface, value):
+    name, call, bad, bound = _SURFACES[surface]
+    if value == "out of range":
+        value, message = bad, f"{name} must be {bound}, got {bad}"
+    else:
+        message = f"{name} must be an integer, got {value!r}"
+    with pytest.raises(ConfigurationError) as exc:
+        call(value, tmp_path)
+    assert str(exc.value) == message
+    assert list(tmp_path.iterdir()) == []  # refused before any file is read or written
+
+
+def test_check_int_returns_a_plain_int_at_either_bound():
+    assert check_int("n", np.int64(3), 3, 5) == 3 and type(check_int("n", np.int64(3), 3)) is int
+    assert check_int("n", 5, 3, 5) == 5
+    config = TrainConfig(model=ModelSpec(**_SPEC), batch_size=np.int64(4), epochs=np.int32(2))
+    assert (type(config.batch_size), type(config.epochs)) == (int, int)
+
+
+def test_no_module_but_errors_formats_an_integer_bound():
+    package = Path(videoseq.__file__).parent
+    offenders = [path.name for path in sorted(package.glob("*.py"))
+                 if path.name != "errors.py"
+                 and any(rule in path.read_text() for rule in ("must be >=", "must be <="))]
+    assert offenders == []  # such a rule belongs in errors.check_int
