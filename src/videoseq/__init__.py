@@ -17,6 +17,7 @@ from .autodiff import (
     concat,
     conv1d_same,
     exp,
+    linear,
     log,
     masked_mean_time,
     matmul,

@@ -10,7 +10,8 @@ closed and emptied when the walk ends. Leaving the block closes the tape
 too, so a forward without a backward keeps nothing alive.
 
 Only the primitives the sequence models need are provided: broadcasting
-arithmetic, 2-D matmul, same-length temporal convolution, masked batch
+arithmetic, 2-D matmul, ``linear`` (one node for a fully-connected layer,
+``x @ w.T + b``), same-length temporal convolution, masked batch
 normalization / softmax / mean pooling, elementwise activations, and
 slicing. Batch norm reads its parameters and running statistics by prefix
 from a {name: Tensor} dict, such as a model's ``tensors``, and is one fused
@@ -40,6 +41,7 @@ __all__ = [
     "TimeMask",
     "backward",
     "matmul",
+    "linear",
     "transpose",
     "concat",
     "conv1d_same",
@@ -220,9 +222,10 @@ def _const(x) -> Tensor:
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.zeros(t.data.shape)
-    t.grad += g
+    if t.grad is None:  # one C-order pass, the bits of ``zeros + g`` (-0.0 becomes 0.0)
+        t.grad = np.add(g, 0.0, order="C")
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -305,6 +308,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accumulate(b, a.data.T @ g)
 
     return Tensor._op(data, (a, b), bw)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w.T + b`` as one node, for x [n x i], w [o x i], b [o]; bit-equal to
+    ``matmul(x, transpose(w)) + b``, but w's gradient is built as ``g.T @ x``, in w's layout."""
+    x, w, b = _const(x), _const(w), _const(b)
+    xs, ws, bs = x.data.shape, w.data.shape, b.data.shape
+    if len(xs) != 2 or len(ws) != 2 or bs != ws[:1] or xs[1] != ws[1]:
+        raise DimensionError(f"linear shapes incompatible: x {xs}, w {ws}, b {bs}")
+    data = x.data @ w.data.T
+    data += b.data
+
+    def bw(g):
+        if x.requires_grad:
+            _accumulate(x, g @ w.data)
+        if w.requires_grad:
+            _accumulate(w, g.T @ x.data)
+        if b.requires_grad:
+            _accumulate(b, g.sum(axis=0))
+
+    return Tensor._op(data, (x, w, b), bw)
 
 
 def transpose(a: Tensor) -> Tensor:

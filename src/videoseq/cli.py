@@ -95,6 +95,15 @@ def parse_train_config(path: str) -> TrainConfig:
         raise ConfigurationError(f"{path}: {exc}") from None
 
 
+def _integer(text: str):
+    """An integer option's value: ``int(text)``, or else the text itself, which the
+    library's one integer rule (``errors.check_int``) then refuses in one named line."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="videoseq",
@@ -104,15 +113,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen-data", help="write a seeded synthetic record file")
-    gen.add_argument("--vocab", type=int, default=25)
-    gen.add_argument("--videos", type=int, default=2000)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--vocab", type=_integer, default=25)
+    gen.add_argument("--videos", type=_integer, default=2000)
+    gen.add_argument("--seed", type=_integer, default=0)
     gen.add_argument("--noise", type=float, default=0.5)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--max-frames", type=int, default=300)
-    gen.add_argument("--visual-dim", type=int, default=1024)
-    gen.add_argument("--audio-dim", type=int, default=128)
-    gen.add_argument("--video-seed", type=int,
+    gen.add_argument("--max-frames", type=_integer, default=300)
+    gen.add_argument("--visual-dim", type=_integer, default=1024)
+    gen.add_argument("--audio-dim", type=_integer, default=128)
+    gen.add_argument("--video-seed", type=_integer,
                      help="separate stream for per-video draws; same --seed "
                      "plus a different --video-seed yields a matched "
                      "validation split (shared class prototypes)")
@@ -127,10 +136,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--checkpoint", required=True)
     pr.add_argument("--data", required=True)
     pr.add_argument("--out", required=True)
-    pr.add_argument("--k", type=int, default=TOP_K)
+    pr.add_argument("--k", type=_integer, default=TOP_K)
     pr.add_argument("--full-scores", action="store_true",
                     help="emit every class score (input format for ensembling)")
-    pr.add_argument("--batch-size", type=int, default=32)
+    pr.add_argument("--batch-size", type=_integer, default=32)
 
     ev = sub.add_parser("eval", help="GAP@20 of a prediction file against a record file")
     ev.add_argument("--predictions", required=True)
@@ -145,8 +154,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gc = sub.add_parser("gradcheck", help="finite-difference check of a model kind")
     gc.add_argument("--model", required=True, choices=MODEL_KINDS)
     gc.add_argument("--tolerance", type=float, default=1e-4)
-    gc.add_argument("--seed", type=int, default=0)
-    gc.add_argument("--samples", type=int, default=6)
+    gc.add_argument("--seed", type=_integer, default=0)
+    gc.add_argument("--samples", type=_integer, default=6)
 
     return parser
 

@@ -99,7 +99,7 @@ def write_records(path: str, header: DatasetHeader, records) -> int:
             f.write(struct.pack("<HH", record.frames.shape[0], len(record.labels)))
             if record.labels:
                 f.write(struct.pack(f"<{len(record.labels)}I", *record.labels))
-            f.write(record.frames.astype("<f4", copy=False).tobytes())
+            f.write(np.ascontiguousarray(record.frames, dtype="<f4"))
         written = f.tell()
     return written
 

@@ -149,8 +149,8 @@ def _masked_features(visual: Tensor, audio: Tensor, mask: TimeMask) -> Tensor:
 
 def _mlp_head(t: dict, x: Tensor) -> Tensor:
     """Two fully-connected layers (``head.*``) with a ReLU between and a sigmoid on top."""
-    h = ad.relu(ad.matmul(x, ad.transpose(t["head.w1"])) + t["head.b1"])
-    return ad.sigmoid(ad.matmul(h, ad.transpose(t["head.w2"])) + t["head.b2"])
+    h = ad.relu(ad.linear(x, t["head.w1"], t["head.b1"]))
+    return ad.sigmoid(ad.linear(h, t["head.w2"], t["head.b2"]))
 
 
 def _birnn_attention(t: dict, prefixes, attn_prefix: str, x: Tensor, mask: TimeMask) -> Tensor:
@@ -390,7 +390,7 @@ def save_checkpoint(path: str, model: VideoLevelModel) -> None:
             arr = tensor.data
             f.write(container.string(name))
             f.write(struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
-            f.write(arr.astype("<f8", copy=False).tobytes())
+            f.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def load_checkpoint(path: str) -> VideoLevelModel:

@@ -41,6 +41,7 @@ DEEP_STACK_CLIP_NORM = 5.0
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+ADAM_BLOCK = 1 << 15  # values per block of the update: two scratch buffers of 256 KiB
 
 
 @dataclass
@@ -88,7 +89,8 @@ def bce_loss(probabilities: Tensor, targets) -> Tensor:
 
 
 class Adam:
-    """Adam with the ``ADAM_*`` constants; one pair of moment buffers per parameter block."""
+    """Adam (Kingma & Ba 2015) with the ``ADAM_*`` constants; one pair of moment buffers per
+    parameter block. The elementwise update runs over flat blocks of ``ADAM_BLOCK`` values."""
 
     def __init__(self, named_params, learning_rate: float, clip_norm: float | None = None):
         self.named_params = list(named_params)
@@ -97,6 +99,7 @@ class Adam:
         self.moments1 = {name: np.zeros(p.data.shape) for name, p in self.named_params}
         self.moments2 = {name: np.zeros(p.data.shape) for name, p in self.named_params}
         self.step_count = 0
+        self._scratch = np.empty((2, ADAM_BLOCK))
 
     def zero_grad(self):
         for _, p in self.named_params:
@@ -104,33 +107,41 @@ class Adam:
 
     def step(self) -> float:
         """One bias-corrected Adam update; returns the pre-clip gradient norm."""
-        grads = {}
+        grads, squares = {}, []
         for name, p in self.named_params:
             g = p.grad if p.grad is not None else np.zeros(p.data.shape)
-            if not np.all(np.isfinite(g)):
+            squares.append(float((g * g).sum()))
+            # a finite sum rules out inf and nan; huge finite values can overflow it
+            if not np.isfinite(squares[-1]) and not np.all(np.isfinite(g)):
                 raise TrainingError(f"non-finite gradient in parameter block {name!r}")
             grads[name] = g
-        norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+        norm = float(np.sqrt(sum(squares)))
+        scale = None
         if self.clip_norm is not None and norm > self.clip_norm:
             scale = self.clip_norm / norm
-            grads = {name: g * scale for name, g in grads.items()}
         self.step_count += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.step_count
         bc2 = 1.0 - ADAM_BETA2 ** self.step_count
         for name, p in self.named_params:
-            # in place through two scratch buffers, in the order of
-            # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
-            g, m, v = grads[name], self.moments1[name], self.moments2[name]
-            a, b = np.empty(g.shape), np.empty(g.shape)
-            m *= ADAM_BETA1
-            m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
-            v *= ADAM_BETA2
-            np.multiply(g, g, out=a)
-            v += np.multiply(a, 1.0 - ADAM_BETA2, out=a)
-            np.sqrt(np.divide(v, bc2, out=a), out=a)
-            a += ADAM_EPSILON
-            np.multiply(np.divide(m, bc1, out=b), self.lr, out=b)
-            p.data -= np.divide(b, a, out=b)
+            if not p.data.flags.c_contiguous:  # the flat view below must write through
+                p.data = p.data.copy()
+            arrays = grads[name], self.moments1[name], self.moments2[name], p.data
+            flats = [x.reshape(-1) for x in arrays]
+            for start in range(0, flats[0].size, ADAM_BLOCK):
+                g, m, v, w = (x[start : start + ADAM_BLOCK] for x in flats)
+                a, b = self._scratch[:, : g.size]
+                # in the order of g *= scale; p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+                if scale is not None:
+                    g = np.multiply(g, scale, out=b)
+                m *= ADAM_BETA1
+                m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+                v *= ADAM_BETA2
+                np.multiply(g, g, out=a)
+                v += np.multiply(a, 1.0 - ADAM_BETA2, out=a)
+                np.sqrt(np.divide(v, bc2, out=a), out=a)
+                a += ADAM_EPSILON
+                np.multiply(np.divide(m, bc1, out=b), self.lr, out=b)
+                w -= np.divide(b, a, out=b)
         return norm
 
 
@@ -149,12 +160,13 @@ def _check_data_matches_spec(header: DatasetHeader, spec: ModelSpec, path: str):
 
 
 def fit_vlad_codebook(records, spec: ModelSpec, seed: int):
-    """K-means over a seeded subsample of at most 100k training frames."""
-    frames = np.concatenate([r.frames.astype(np.float64) for r in records], axis=0)
+    """K-means over a seeded subsample of at most 100k training frames, widened once drawn."""
+    frames = np.concatenate([r.frames for r in records], axis=0)
     if frames.shape[0] > CODEBOOK_SAMPLE_CAP:
         rng = np.random.default_rng(seed)
         idx = rng.choice(frames.shape[0], size=CODEBOOK_SAMPLE_CAP, replace=False)
         frames = frames[np.sort(idx)]
+    frames = frames.astype(np.float64)  # rebound, so the float32 copy is freed before k-means
     return kmeans_fit(frames, spec.vlad_clusters, max_iter=25, seed=seed)
 
 

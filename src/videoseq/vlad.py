@@ -17,11 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import container
-from .errors import DimensionError, PreconditionError, ValidationError
+from .errors import DimensionError, PreconditionError, ValidationError, check_int
 
 _CODEBOOK_MAGIC = b"FLCB"
 _CODEBOOK_VERSION = 1
 _DEGENERATE_NORM = 1e-12
+KMEANS_BLOCK_ROWS = 256  # rows per block of a k-means++ distance pass
 
 
 @dataclass
@@ -58,11 +59,21 @@ def _squared_distances(samples: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
+def _row_sq_dists(samples: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``((samples - c) ** 2).sum(axis=1)``, computed ``KMEANS_BLOCK_ROWS`` rows at a time."""
+    out = np.empty(samples.shape[0])
+    for start in range(0, len(out), KMEANS_BLOCK_ROWS):
+        rows = slice(start, start + KMEANS_BLOCK_ROWS)
+        diff = samples[rows] - c
+        np.square(diff, out=diff).sum(axis=1, out=out[rows])
+    return out
+
+
 def _kmeanspp_init(samples: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = samples.shape[0]
     centers = np.empty((k, samples.shape[1]))
     centers[0] = samples[rng.integers(n)]
-    closest = ((samples - centers[0]) ** 2).sum(axis=1)
+    closest = _row_sq_dists(samples, centers[0])
     for i in range(1, k):
         total = closest.sum()
         if total <= 0.0:
@@ -71,8 +82,7 @@ def _kmeanspp_init(samples: np.ndarray, k: int, rng: np.random.Generator) -> np.
         else:
             idx = rng.choice(n, p=closest / total)
         centers[i] = samples[idx]
-        d = ((samples - centers[i]) ** 2).sum(axis=1)
-        np.minimum(closest, d, out=closest)
+        np.minimum(closest, _row_sq_dists(samples, centers[i]), out=closest)
     return centers
 
 
@@ -87,6 +97,8 @@ def kmeans_fit(
     sum of squares after each assignment step lands in
     ``Codebook.inertia_history``.
     """
+    k, max_iter = check_int("k", k, 1), check_int("max_iter", max_iter, 1)
+    seed = check_int("seed", seed, 0)
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2:
         raise DimensionError(f"samples must be 2-D, got shape {samples.shape}")
@@ -104,12 +116,13 @@ def kmeans_fit(
         if assignments is not None and np.array_equal(new_assignments, assignments):
             break
         assignments = new_assignments
-        for c in range(k):
-            members = samples[assignments == c]
+        counts = np.bincount(assignments, minlength=k)
+        groups = np.split(np.argsort(assignments, kind="stable"), np.cumsum(counts)[:-1])
+        for c, members in enumerate(groups):  # cluster c's sample indices, in sample order
             if len(members):
-                centers[c] = members.mean(axis=0)
-        empty = [c for c in range(k) if not np.any(assignments == c)]
-        if empty:
+                centers[c] = samples[members].mean(axis=0)
+        empty = np.flatnonzero(counts == 0)
+        if len(empty):
             own_d2 = ((samples - centers[assignments]) ** 2).sum(axis=1)
             order = np.argsort(-own_d2, kind="stable")
             for c, idx in zip(empty, order):
@@ -144,7 +157,7 @@ def save_codebook(path: str, codebook: Codebook) -> None:
     with container.atomic_write(path) as f:
         f.write(container.header(_CODEBOOK_MAGIC, _CODEBOOK_VERSION))
         f.write(struct.pack("<II", codebook.k, codebook.d))
-        f.write(codebook.centers.astype("<f8", copy=False).tobytes())
+        f.write(np.ascontiguousarray(codebook.centers, dtype="<f8"))
 
 
 def load_codebook(path: str) -> Codebook:

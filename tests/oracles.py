@@ -8,6 +8,7 @@ from videoseq.errors import ConfigurationError, DimensionError, PreconditionErro
 from videoseq.gradcheck import _worst_errors
 from videoseq.metrics import TOP_K, GapResult, PredictionSet, _pooled_pairs
 from videoseq.recurrent import GRU_GATES, LSTM_GATES, _cell
+from videoseq.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, Adam, TrainingError
 from videoseq.vlad import _DEGENERATE_NORM, Codebook, _squared_distances
 
 
@@ -174,3 +175,80 @@ def composed_batchnorm_time(t: dict, prefix: str, x: Tensor, mask: TimeMask, tra
     else:
         running_mean.data, running_var.data, seen.data = batch_mean, batch_var, np.ones(1)
     return out
+
+
+def composed_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``linear`` as three tape nodes: transpose, matmul, broadcast add."""
+    return ad.matmul(x, ad.transpose(w)) + b
+
+
+class WholeArrayAdam(Adam):
+    """``Adam`` updating each parameter in one pass over whole arrays: a finite scan and
+    a scaled copy per gradient and two fresh scratch arrays per parameter."""
+
+    def step(self) -> float:
+        grads = {}
+        for name, p in self.named_params:
+            g = p.grad if p.grad is not None else np.zeros(p.data.shape)
+            if not np.all(np.isfinite(g)):
+                raise TrainingError(f"non-finite gradient in parameter block {name!r}")
+            grads[name] = g
+        norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+        if self.clip_norm is not None and norm > self.clip_norm:
+            scale = self.clip_norm / norm
+            grads = {name: g * scale for name, g in grads.items()}
+        self.step_count += 1
+        bc1 = 1.0 - ADAM_BETA1 ** self.step_count
+        bc2 = 1.0 - ADAM_BETA2 ** self.step_count
+        for name, p in self.named_params:
+            g, m, v = grads[name], self.moments1[name], self.moments2[name]
+            a, b = np.empty(g.shape), np.empty(g.shape)
+            m *= ADAM_BETA1
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+            v *= ADAM_BETA2
+            np.multiply(g, g, out=a)
+            v += np.multiply(a, 1.0 - ADAM_BETA2, out=a)
+            np.sqrt(np.divide(v, bc2, out=a), out=a)
+            a += ADAM_EPSILON
+            np.multiply(np.divide(m, bc1, out=b), self.lr, out=b)
+            p.data -= np.divide(b, a, out=b)
+        return norm
+
+
+def whole_array_kmeanspp_init(samples: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding with each distance pass over all rows at once."""
+    n = samples.shape[0]
+    centers = np.empty((k, samples.shape[1]))
+    centers[0] = samples[rng.integers(n)]
+    closest = ((samples - centers[0]) ** 2).sum(axis=1)
+    for i in range(1, k):
+        total = closest.sum()
+        idx = rng.integers(n) if total <= 0.0 else rng.choice(n, p=closest / total)
+        centers[i] = samples[idx]
+        np.minimum(closest, ((samples - centers[i]) ** 2).sum(axis=1), out=closest)
+    return centers
+
+
+def kmeans_oracle(samples: np.ndarray, k: int, max_iter: int, seed: int) -> Codebook:
+    """``kmeans_fit`` with whole-array seeding and one boolean scan per cluster."""
+    samples = np.asarray(samples, dtype=np.float64)
+    n = samples.shape[0]
+    centers = whole_array_kmeanspp_init(samples, k, np.random.default_rng(seed))
+    history, assignments = [], None
+    for _ in range(max_iter):
+        d2 = _squared_distances(samples, centers)
+        new_assignments = d2.argmin(axis=1)
+        history.append(float(d2[np.arange(n), new_assignments].sum()))
+        if assignments is not None and np.array_equal(new_assignments, assignments):
+            break
+        assignments = new_assignments
+        for c in range(k):
+            members = samples[assignments == c]
+            if len(members):
+                centers[c] = members.mean(axis=0)
+        empty = [c for c in range(k) if not np.any(assignments == c)]
+        if empty:
+            own_d2 = ((samples - centers[assignments]) ** 2).sum(axis=1)
+            for c, idx in zip(empty, np.argsort(-own_d2, kind="stable")):
+                centers[c] = samples[idx]
+    return Codebook(centers, inertia_history=history)

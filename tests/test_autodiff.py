@@ -12,6 +12,7 @@ from videoseq import (
     batchnorm_time,
     concat,
     conv1d_same,
+    linear,
     masked_mean_time,
     matmul,
     relu,
@@ -19,9 +20,9 @@ from videoseq import (
     softmax_masked,
     tanh,
 )
-from videoseq.autodiff import tensor_sum
+from videoseq.autodiff import _accumulate, tensor_sum
 
-from oracles import check_gradients, composed_batchnorm_time, reverse_valid_time
+from oracles import check_gradients, composed_batchnorm_time, composed_linear, reverse_valid_time
 
 
 def conv1d_naive(x, kernels, bias):
@@ -68,6 +69,36 @@ class TestMatmul:
 
         worst = check_gradients(f, [("a", a)], step=1e-5)
         assert worst["a"] < 1e-6
+
+
+class TestLinear:
+    # (batch, inputs, outputs); the last is the vlad_ensemble head's first layer
+    SHAPES = [(3, 4, 5), (1, 7, 2), (8, 300, 64), (8, 32 * 1152, 64)]
+
+    @pytest.mark.parametrize("n, i, o", SHAPES)
+    def test_matches_composed_matmul_bitwise(self, n, i, o):
+        rng = np.random.default_rng(n + i + o)
+        values = rng.normal(size=(n, i)), rng.normal(size=(o, i)), rng.normal(size=o)
+        upstream = rng.normal(size=(n, o))
+        results = []
+        for op in (linear, composed_linear):
+            x, w, b = (Tensor(v, requires_grad=True) for v in values)
+            with Tape() as tape:
+                out = op(x, w, b)
+                nodes = len(tape.nodes)
+                backward(tensor_sum(out * upstream))
+            results.append((nodes, out.data, x.grad, w.grad, b.grad))
+        (nodes, *fused), (composed_nodes, *composed) = results
+        assert (nodes, composed_nodes) == (1, 3)
+        for name, got, want in zip(["out", "x", "w", "b"], fused, composed):
+            assert got.flags.c_contiguous, name
+            assert np.array_equal(got, want), name
+
+    def test_shape_mismatch_names_all_three(self):
+        with pytest.raises(DimensionError, match=r"x \(2, 3\), w \(4, 2\), b \(4,\)"):
+            linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(4)))
+        with pytest.raises(DimensionError, match=r"b \(3,\)"):
+            linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 3))), Tensor(np.zeros(3)))
 
 
 class TestConv1dSame:
@@ -361,6 +392,22 @@ class TestBackward:
         with Tape():
             backward(tensor_sum(w + w))
         assert np.array_equal(w.grad, [2.0])
+
+    @pytest.mark.parametrize("case", ["transposed", "broadcast", "negative_zero"])
+    def test_first_gradient_is_a_c_order_copy_with_the_bits_of_zeros_plus_g(self, case):
+        rng = np.random.default_rng(4)
+        g = {
+            "transposed": rng.normal(size=(5, 3)).T,
+            "broadcast": np.broadcast_to(rng.normal(size=(1, 5)), (3, 5)),
+            "negative_zero": np.array([[-0.0, 1.5, -2.0, 0.0, -0.0]] * 3),
+        }[case]
+        t = Tensor(np.zeros((3, 5)), requires_grad=True)
+        _accumulate(t, g)
+        want = np.zeros((3, 5)) + g
+        assert t.grad.flags.c_contiguous and not np.shares_memory(t.grad, g)
+        assert t.grad.tobytes() == want.tobytes()  # tobytes tells -0.0 from 0.0
+        _accumulate(t, g)
+        assert t.grad.tobytes() == (want + g).tobytes()
 
     def test_non_scalar_loss_rejected(self):
         w = Tensor([1.0, 2.0], requires_grad=True)

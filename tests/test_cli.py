@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from videoseq import ModelSpec, build_model, save_checkpoint
-from videoseq.cli import main, parse_train_config
+from videoseq.cli import _build_parser, main, parse_train_config
 from videoseq.models import MODEL_KINDS
 
 
@@ -209,6 +209,33 @@ def test_gen_data_bad_size_names_argument_and_value(tmp_path, capsys, option, va
     rc = main(["gen-data", "--out", str(out), *(a for kv in args.items() for a in kv)])
     assert _one_line_error(capsys, rc) == f"error: ConfigurationError: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, setting", [
+    (["gen-data", "--out", "d.bin", "--vocab"], "vocab_size"),
+    (["gen-data", "--out", "d.bin", "--videos"], "video_count"),
+    (["gen-data", "--out", "d.bin", "--seed"], "seed"),
+    (["gen-data", "--out", "d.bin", "--max-frames"], "max_frames"),
+    (["gen-data", "--out", "d.bin", "--visual-dim"], "visual_dim"),
+    (["gen-data", "--out", "d.bin", "--audio-dim"], "audio_dim"),
+    (["gen-data", "--out", "d.bin", "--video-seed"], "video_seed"),
+    (["predict", "--checkpoint", "c", "--data", "d", "--out", "p", "--k"], "k"),
+    (["predict", "--checkpoint", "c", "--data", "d", "--out", "p", "--batch-size"], "batch_size"),
+    (["gradcheck", "--model", "video_level", "--seed"], "seed"),
+    (["gradcheck", "--model", "video_level", "--samples"], "sample_count"),
+])
+def test_non_integer_option_is_a_one_line_error(tmp_path, monkeypatch, capsys, args, setting):
+    # argparse's own int() would print its usage block and exit 2
+    monkeypatch.chdir(tmp_path)
+    rc = main([*args, "2.5"])
+    assert _one_line_error(capsys, rc) == f"error: ConfigurationError: {setting} must be an integer, got '2.5'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_no_option_parses_with_bare_int():
+    """A ``type=int`` option would answer '2.5' with argparse's usage block and exit 2."""
+    subcommands = next(a for a in _build_parser()._actions if a.choices).choices.values()
+    assert all(a.type is not int for p in subcommands for a in p._actions)
 
 
 @pytest.mark.parametrize("samples", ["0", "-1"])

@@ -29,7 +29,7 @@ from videoseq import (
     write_prediction_file,
     write_records,
 )
-from videoseq import container
+from videoseq import container, dataio, models, vlad
 
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -110,6 +110,43 @@ class TestAtomicWrite:
         with container.atomic_write(tmp_path / "atomic") as f:
             f.write(b"x")
         assert os.stat(tmp_path / "atomic").st_mode == os.stat(tmp_path / "plain").st_mode
+
+
+class TestWriterBytes:
+    """Each writer's bytes are the ``.tobytes()`` of its arrays at the file's dtype, also
+    when the arrays are neither C-ordered nor of that dtype."""
+
+    def test_codebook(self, tmp_path):
+        centers = np.asfortranarray(np.random.default_rng(1).normal(size=(3, 5)))
+        save_codebook(tmp_path / "c.cb", Codebook(centers))
+        want = container.header(vlad._CODEBOOK_MAGIC, vlad._CODEBOOK_VERSION)
+        want += struct.pack("<II", 3, 5) + centers.astype("<f8").tobytes()
+        assert (tmp_path / "c.cb").read_bytes() == want
+
+    def test_records(self, tmp_path):
+        rng = np.random.default_rng(2)
+        records = [VideoRecord("a", rng.normal(size=(4, 3)).astype(np.float32), [0, 2]),
+                   VideoRecord("b", rng.normal(size=(3, 2)).astype(np.float32).T, [1])]
+        assert not records[1].frames.flags.c_contiguous
+        header = DatasetHeader(vocab_size=3, visual_dim=2, audio_dim=1, max_frames=4, video_count=2)
+        write_records(tmp_path / "r.bin", header, records)
+        want = container.header(dataio.MAGIC, dataio.VERSION) + dataio._HEADER_STRUCT.pack(3, 2, 1, 4, 2)
+        for r in records:
+            want += container.string(r.id) + struct.pack("<HH", len(r.frames), len(r.labels))
+            want += struct.pack(f"<{len(r.labels)}I", *r.labels) + r.frames.astype("<f4").tobytes()
+        assert (tmp_path / "r.bin").read_bytes() == want
+
+    def test_checkpoint(self, tmp_path):
+        model = build_model(tiny_spec("two_stream_lstm"))
+        for t in model.tensors.values():
+            t.data = np.asfortranarray(t.data)
+        save_checkpoint(tmp_path / "m.ckpt", model)
+        want = container.header(models._CKPT_MAGIC, models._CKPT_VERSION)
+        want += models._spec_to_bytes(model.spec) + struct.pack("<I", len(model.tensors))
+        for name, t in model.tensors.items():
+            want += container.string(name) + struct.pack(f"<B{t.data.ndim}I", t.data.ndim, *t.data.shape)
+            want += t.data.astype("<f8").tobytes()
+        assert (tmp_path / "m.ckpt").read_bytes() == want
 
 
 class TestExplicitFaults:

@@ -12,19 +12,24 @@ from videoseq import (
     TrainingError,
     backward,
     generate_synthetic,
+    load_records,
+    training,
 )
 from videoseq.metrics import PredictionSet, read_prediction_file, write_prediction_file
 from videoseq.training import (
+    ADAM_BLOCK,
     Adam,
     TrainConfig,
     bce_loss,
     ensemble_average,
     evaluate,
+    fit_vlad_codebook,
     predict,
     train,
 )
+from videoseq.vlad import kmeans_fit
 
-from oracles import check_gradients, gap_oracle
+from oracles import WholeArrayAdam, check_gradients, gap_oracle
 
 
 def spec_for(kind, vocab=6, **overrides):
@@ -128,6 +133,64 @@ class TestAdam:
         with pytest.raises(TrainingError, match="encoder.w"):
             opt.step()
 
+    @staticmethod
+    def _twin_params(rng):
+        """Three blocks, the same values twice: one of over two ``ADAM_BLOCK``s, one
+        smaller than a block and not C-ordered, and one that never gets a gradient."""
+        shapes = {"big": (2, ADAM_BLOCK + 3), "small": (5, 7), "unused": (4,)}
+        values = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        values["small"] = np.asfortranarray(values["small"])
+        return [[(name, Tensor(v.copy(order="K"), requires_grad=True)) for name, v in values.items()]
+                for _ in range(2)]
+
+    @pytest.mark.parametrize("clip_norm", [None, 1.0])
+    def test_blocks_match_whole_array_step_bitwise(self, clip_norm):
+        rng = np.random.default_rng(11)
+        blocked_params, whole_params = self._twin_params(rng)
+        blocked = Adam(blocked_params, learning_rate=0.01, clip_norm=clip_norm)
+        whole = WholeArrayAdam(whole_params, learning_rate=0.01, clip_norm=clip_norm)
+        for _ in range(3):
+            grads = {name: rng.normal(size=p.shape) for name, p in blocked_params[:2]}
+            grads["small"] = np.asfortranarray(grads["small"])  # the update reads any layout
+            for params in (blocked_params, whole_params):
+                for name, p in params[:2]:
+                    p.grad = grads[name].copy()
+            norm = blocked.step()
+            assert norm == whole.step()
+            if clip_norm is not None:
+                assert norm > clip_norm  # so the clipped path ran
+        for (name, b), (_, w) in zip(blocked_params, whole_params):
+            assert np.array_equal(b.data, w.data), name
+            assert np.array_equal(blocked.moments1[name], whole.moments1[name]), name
+            assert np.array_equal(blocked.moments2[name], whole.moments2[name]), name
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entry_in_a_multi_block_parameter_names_it(self, bad):
+        params, _ = self._twin_params(np.random.default_rng(12))
+        before = [p.data.copy() for _, p in params]
+        opt = Adam(params, learning_rate=0.1)
+        params[0][1].grad = np.zeros(params[0][1].shape)
+        params[1][1].grad = np.ones(params[1][1].shape)
+        params[0][1].grad[1, ADAM_BLOCK + 1] = bad  # in the last block
+        with pytest.raises(TrainingError, match="parameter block 'big'"):
+            opt.step()
+        assert opt.step_count == 0
+        assert all(np.array_equal(p.data, b) for (_, p), b in zip(params, before))
+
+    @pytest.mark.parametrize("clip_norm", [None, 1.0])
+    def test_finite_huge_gradients_do_not_raise(self, clip_norm):
+        # (g * g).sum() overflows to inf, so the finite scan runs and finds nothing
+        blocked_params, whole_params = self._twin_params(np.random.default_rng(13))
+        blocked = Adam(blocked_params, learning_rate=0.1, clip_norm=clip_norm)
+        whole = WholeArrayAdam(whole_params, learning_rate=0.1, clip_norm=clip_norm)
+        for params in (blocked_params, whole_params):
+            for _, p in params[:2]:
+                p.grad = np.full(p.shape, 1e200)
+        with np.errstate(over="ignore"):
+            assert blocked.step() == whole.step() == np.inf
+        for (_, b), (_, w) in zip(blocked_params, whole_params):
+            assert np.array_equal(b.data, w.data)
+
     def test_descends_on_quadratic(self):
         p = Tensor(np.array([5.0]), requires_grad=True)
         opt = Adam([("p", p)], learning_rate=0.2)
@@ -184,6 +247,22 @@ class TestTrain:
         )
         result = train(config)
         assert result.epoch_losses[-1] < result.epoch_losses[0]
+
+    @pytest.mark.parametrize("cap", [50, 100_000])
+    def test_codebook_matches_widen_then_subsample(self, dataset, monkeypatch, cap):
+        monkeypatch.setattr(training, "CODEBOOK_SAMPLE_CAP", cap)
+        _, records = load_records(dataset)
+        spec, seed = spec_for("vlad_mlp"), 4
+        # the earlier form: widen every record, join them, then subsample
+        frames = np.concatenate([r.frames.astype(np.float64) for r in records], axis=0)
+        assert (frames.shape[0] > cap) == (cap == 50)
+        if frames.shape[0] > cap:
+            idx = np.random.default_rng(seed).choice(frames.shape[0], size=cap, replace=False)
+            frames = frames[np.sort(idx)]
+        expected = kmeans_fit(frames, spec.vlad_clusters, max_iter=25, seed=seed)
+        got = fit_vlad_codebook(records, spec, seed)
+        assert np.array_equal(got.centers, expected.centers)
+        assert got.inertia_history == expected.inertia_history
 
     def test_dimension_mismatch_fails_before_first_step(self, dataset, tmp_path):
         config = TrainConfig(

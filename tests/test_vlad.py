@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from videoseq import (
     Codebook,
+    ConfigurationError,
     DimensionError,
     PreconditionError,
     kmeans_fit,
@@ -13,7 +14,9 @@ from videoseq import (
     vlad_encode,
 )
 
-from oracles import vlad_encode_oracle
+from videoseq import vlad
+
+from oracles import kmeans_oracle, vlad_encode_oracle
 
 
 class TestKmeansFit:
@@ -47,6 +50,42 @@ class TestKmeansFit:
     def test_fewer_samples_than_clusters(self):
         with pytest.raises(PreconditionError):
             kmeans_fit(np.zeros((2, 3)), k=5)
+
+    @pytest.mark.parametrize("block_rows, n, d, k", [
+        (7, 50, 6, 5), (None, 3 * vlad.KMEANS_BLOCK_ROWS + 5, 8, 16),
+    ])
+    def test_matches_whole_array_oracle_over_row_blocks(self, monkeypatch, block_rows, n, d, k):
+        if block_rows is not None:
+            monkeypatch.setattr(vlad, "KMEANS_BLOCK_ROWS", block_rows)
+        assert n > 3 * vlad.KMEANS_BLOCK_ROWS
+        samples = np.random.default_rng(n).normal(size=(n, d))
+        for seed in range(3):
+            got, want = kmeans_fit(samples, k, max_iter=20, seed=seed), kmeans_oracle(samples, k, 20, seed)
+            assert np.array_equal(got.centers, want.centers)
+            assert got.inertia_history == want.inertia_history
+
+    def test_matches_oracle_when_clusters_go_empty(self, monkeypatch):
+        # three distinct points for five clusters: seeding repeats points, and a tie
+        # leaves a cluster empty until it is re-seeded
+        monkeypatch.setattr(vlad, "KMEANS_BLOCK_ROWS", 4)
+        samples = np.repeat(np.random.default_rng(5).normal(size=(3, 4)), 6, axis=0)
+        got, want = kmeans_fit(samples, 5, max_iter=10, seed=1), kmeans_oracle(samples, 5, 10, 1)
+        assert np.array_equal(got.centers, want.centers)
+        assert got.inertia_history == want.inertia_history
+
+    @pytest.mark.parametrize("setting, value, message", [
+        ("k", 0, "k must be >= 1, got 0"),
+        ("k", -1, "k must be >= 1, got -1"),
+        ("k", 2.5, "k must be an integer, got 2.5"),
+        ("max_iter", 0, "max_iter must be >= 1, got 0"),
+        ("max_iter", "3", "max_iter must be an integer, got '3'"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ])
+    def test_bad_integer_setting_names_it(self, setting, value, message):
+        samples = np.random.default_rng(0).normal(size=(10, 3))
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            kmeans_fit(samples, **{"k": 2, setting: value})
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
