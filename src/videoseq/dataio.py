@@ -154,25 +154,23 @@ def pad_batch(records, header: DatasetHeader):
     """Zero-pad a batch to its longest item.
 
     Returns (visual [b x visual_dim x T], audio [b x audio_dim x T], mask,
-    labels [b x vocab] multi-hot), features promoted to float64.
+    labels [b x vocab] multi-hot). Visual and audio are channel views of one
+    zeroed float64 [b x (visual_dim + audio_dim) x T] buffer, filled by one
+    copy per item that widens its float32 frames exactly.
     """
     records = list(records)
     if not records:
         raise PreconditionError("pad_batch needs a non-empty batch")
     lengths = np.array([r.frames.shape[0] for r in records], dtype=np.int64)
     t_max = int(lengths.max())
-    b = len(records)
-    visual = np.zeros((b, header.visual_dim, t_max))
-    audio = np.zeros((b, header.audio_dim, t_max))
+    b, v = len(records), header.visual_dim
+    features = np.zeros((b, header.feature_dim, t_max))
     labels = np.zeros((b, header.vocab_size))
     for i, record in enumerate(records):
-        t = record.frames.shape[0]
-        feats = record.frames.T  # [(v+a) x t]; the assignments widen float32 exactly
-        visual[i, :, :t] = feats[: header.visual_dim]
-        audio[i, :, :t] = feats[header.visual_dim :]
+        features[i, :, : lengths[i]] = record.frames.T
         labels[i, record.labels] = 1.0
     mask = TimeMask(b, t_max, lengths)
-    return Tensor(visual), Tensor(audio), mask, Tensor(labels)
+    return Tensor(features[:, :v]), Tensor(features[:, v:]), mask, Tensor(labels)
 
 
 def generate_synthetic(

@@ -27,7 +27,8 @@ fast-forwarded) -> attention" helper, which hands ``tensors`` itself to
 prefix in the table. ``temporal_resnet`` hands it to ``batchnorm_time`` the
 same way, which reads each batch norm by prefix and, in train mode, writes
 its running statistics back into the table. Every model ends in a
-per-class sigmoid and masks its raw inputs up front, so values stored at
+per-class sigmoid and masks its raw inputs before anything reads them
+(``video_level`` inside each stream's masked mean), so values stored at
 padded frame positions can never influence the output. ``build_model``
 draws the table in order from the spec-seeded generator;
 ``load_checkpoint`` (end of this module) walks it beside the file's tensors
@@ -143,8 +144,19 @@ def _birnn_attention_table(spec: ModelSpec, prefixes, in_dim: int, attn_prefix: 
 
 
 def _masked_features(visual: Tensor, audio: Tensor, mask: TimeMask) -> Tensor:
-    m = mask.channel_mask()
-    return ad.concat([visual * m, audio * m], axis=1)
+    """[visual; audio] zeroed at padded frames, as one node: both products go into
+    one buffer, and the backward is ``g * m`` split by channel."""
+    m, v = mask.channel_mask(), visual.shape[1]
+    out = np.empty((mask.batch, v + audio.shape[1], mask.max_time))
+    np.multiply(visual.data, m, out=out[:, :v])
+    np.multiply(audio.data, m, out=out[:, v:])
+
+    def bw(g):
+        for x, g_x in ((visual, g[:, :v]), (audio, g[:, v:])):
+            if x.requires_grad:
+                ad._accumulate(x, g_x * m)
+
+    return Tensor._op(out, (visual, audio), bw)
 
 
 def _mlp_head(t: dict, x: Tensor) -> Tensor:
@@ -186,7 +198,7 @@ class VideoLevelModel:
         return _head_table(spec, spec.feature_dim)
 
     def _pool(self, visual: Tensor, audio: Tensor, mask: TimeMask, train: bool) -> Tensor:
-        return ad.masked_mean_time(_masked_features(visual, audio, mask), mask)
+        return ad.concat([ad.masked_mean_time(visual, mask), ad.masked_mean_time(audio, mask)], axis=1)
 
     def named_parameters(self):
         return [(name, t) for name, t in self.tensors.items() if t.requires_grad]

@@ -182,6 +182,17 @@ def composed_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return ad.matmul(x, ad.transpose(w)) + b
 
 
+def composed_masked_features(visual: Tensor, audio: Tensor, mask: TimeMask) -> Tensor:
+    """``models._masked_features`` as three tape nodes: each stream times the mask, then concat."""
+    m = mask.channel_mask()
+    return ad.concat([visual * m, audio * m], axis=1)
+
+
+def composed_video_level_pool(visual: Tensor, audio: Tensor, mask: TimeMask) -> Tensor:
+    """``video_level``'s pool as one masked mean over the masked, concatenated streams."""
+    return ad.masked_mean_time(composed_masked_features(visual, audio, mask), mask)
+
+
 class WholeArrayAdam(Adam):
     """``Adam`` updating each parameter in one pass over whole arrays: a finite scan and
     a scaled copy per gradient and two fresh scratch arrays per parameter."""

@@ -7,6 +7,8 @@ from videoseq import (
     DatasetHeader,
     FormatError,
     PreconditionError,
+    Tensor,
+    TimeMask,
     ValidationError,
     VideoRecord,
     generate_synthetic,
@@ -168,6 +170,42 @@ class TestPadBatch:
     def test_empty_batch_rejected(self):
         with pytest.raises(PreconditionError):
             pad_batch([], small_header())
+
+    def test_streams_are_channel_views_of_one_zeroed_buffer(self):
+        header = small_header()
+        recs = make_records(np.random.default_rng(3), header, 4)
+        visual, audio, mask, _ = pad_batch(recs, header)
+        b, t_max, v, a = len(recs), mask.max_time, header.visual_dim, header.audio_dim
+        base = visual.data.base
+        assert base is audio.data.base
+        assert base.shape == (b, v + a, t_max) and base.dtype == np.float64
+        assert base.flags.c_contiguous
+        assert np.shares_memory(visual.data, base) and np.shares_memory(audio.data, base)
+        # the two-array form: each stream zero-padded in its own array
+        want_visual, want_audio = np.zeros((b, v, t_max)), np.zeros((b, a, t_max))
+        for i, rec in enumerate(recs):
+            t = rec.frames.shape[0]
+            want_visual[i, :, :t] = rec.frames[:, :v].T
+            want_audio[i, :, :t] = rec.frames[:, v:].T
+        assert np.array_equal(visual.data, want_visual)
+        assert np.array_equal(audio.data, want_audio)
+        padded = ~mask.bool_matrix()
+        assert padded.any()
+        for x in (visual, audio):
+            at_padding = x.data.transpose(0, 2, 1)[padded]
+            assert np.all(at_padding == 0.0) and not np.signbit(at_padding).any()
+
+    def test_what_the_bench_tracer_reads_is_unchanged(self):
+        # perfbench's pad_batch hook reads result[0:3], visual's shape and the streams' nbytes
+        header = small_header()
+        recs = make_records(np.random.default_rng(4), header, 3)
+        result = pad_batch(recs, header)
+        assert [type(x) for x in result] == [Tensor, Tensor, TimeMask, Tensor]
+        visual, audio, mask = result[0], result[1], result[2]
+        b, t_max = len(recs), mask.max_time
+        assert visual.shape == (b, header.visual_dim, t_max)
+        assert audio.shape == (b, header.audio_dim, t_max)
+        assert visual.data.nbytes + audio.data.nbytes == b * header.feature_dim * t_max * 8
 
 
 class TestGenerateSynthetic:

@@ -5,19 +5,27 @@ import pytest
 
 from videoseq import (
     ConfigurationError,
+    DatasetHeader,
     DimensionError,
     ModelSpec,
+    Tape,
     Tensor,
     TimeMask,
+    VideoRecord,
+    backward,
     build_model,
     load_checkpoint,
+    pad_batch,
     save_checkpoint,
 )
 from videoseq.gradcheck import grad_check, toy_spec
 from videoseq import container
+from videoseq import autodiff as ad
 from videoseq.autodiff import batchnorm_time, masked_mean_time
-from videoseq.models import _mlp_head, _spec_from_reader, tensor_table
+from videoseq.models import _masked_features, _mlp_head, _spec_from_reader, tensor_table
 from videoseq.recurrent import attention_pool, attention_table, cell_table, draw_table, run_bidirectional
+
+from oracles import composed_masked_features, composed_video_level_pool
 
 ALL_KINDS = (
     "video_level",
@@ -240,6 +248,66 @@ class TestVideoLevel:
             Tensor(visual.data[:, :, perm]), Tensor(audio.data[:, :, perm]), mask
         ).data
         assert not np.allclose(base, shuffled, atol=1e-9)
+
+
+def video_level_pool(visual, audio, mask):
+    spec = tiny_spec("video_level", visual_dim=visual.shape[1], audio_dim=audio.shape[1])
+    return build_model(spec)._pool(visual, audio, mask, False)
+
+
+class TestMaskedInput:
+    """The one-node masked concat and the per-stream ``video_level`` pool against
+    their composed forms, with garbage stored at every padded frame."""
+
+    @staticmethod
+    def run(op, v, a, lengths, grads):
+        rng = np.random.default_rng(v + a)
+        mask = TimeMask(len(lengths), max(lengths), np.array(lengths))
+        streams = [rng.normal(size=(mask.batch, c, mask.max_time)) for c in (v, a)]
+        padded = ~mask.bool_matrix()
+        for x in streams:
+            x.transpose(0, 2, 1)[padded] = rng.normal(scale=1e6, size=(padded.sum(), x.shape[1]))
+        visual, audio = (Tensor(x, requires_grad=r) for x, r in zip(streams, grads))
+        with Tape() as tape:
+            out = op(visual, audio, mask)
+            nodes = len(tape.nodes)
+            if any(grads):
+                backward(ad.tensor_sum(out * rng.normal(size=out.shape)))
+        return nodes, out.data, visual.grad, audio.grad
+
+    @pytest.mark.parametrize("fused_op, composed_op", [(_masked_features, composed_masked_features),
+                                                       (video_level_pool, composed_video_level_pool)],
+                             ids=["masked_features", "video_level_pool"])
+    # (visual_dim, audio_dim, valid lengths): desk width, and the paper's 1024+128 x 300 frames
+    @pytest.mark.parametrize("v, a, lengths", [(24, 8, (40, 17, 1)), (1024, 128, (300, 120, 1))])
+    @pytest.mark.parametrize("grads", [(True, True), (True, False), (False, True), (False, False)])
+    def test_matches_composed_bitwise(self, fused_op, composed_op, v, a, lengths, grads):
+        nodes, *fused = self.run(fused_op, v, a, lengths, grads)
+        _, *composed = self.run(composed_op, v, a, lengths, grads)
+        if fused_op is _masked_features:
+            assert nodes == (1 if any(grads) else 0)
+        for name, got, want, wanted in zip(["out", "visual", "audio"], fused, composed, (True, *grads)):
+            assert (got is not None) == wanted, name
+            if wanted:
+                assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), name
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_paper_width_forward_on_batch_views_equals_contiguous_copies(kind):
+    """An eval forward on ``pad_batch``'s channel views gives the bits of one on
+    C-contiguous copies, at the paper's 1024+128 features and up to 300 frames."""
+    header = DatasetHeader(vocab_size=5, visual_dim=1024, audio_dim=128, max_frames=300)
+    rng = np.random.default_rng(5)
+    records = [VideoRecord(f"v{t}", rng.normal(size=(t, header.feature_dim)).astype(np.float32), [0])
+               for t in (300, 97, 1)]
+    visual, audio, mask, _ = pad_batch(records, header)
+    assert not visual.data.flags.c_contiguous
+    copies = [Tensor(np.ascontiguousarray(x.data)) for x in (visual, audio)]
+    model = build_ready(tiny_spec(kind, visual_dim=1024, audio_dim=128, trb_count=1))
+    model.forward(*copies, mask, train=True)  # fills temporal_resnet's running statistics
+    got = model.forward(visual, audio, mask).data
+    want = model.forward(*copies, mask).data
+    assert np.array_equal(got, want)
 
 
 def mlp_head(seed):
