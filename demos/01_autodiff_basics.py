@@ -7,8 +7,9 @@ is built from the handful of primitives shown here.
 
 import numpy as np
 
-from videoseq import Tape, Tensor, TimeMask, backward, conv1d_same, matmul, softmax_masked
-from videoseq.autodiff import numerical_gradient, tensor_sum
+from videoseq import Tape, Tensor, TimeMask, backward, conv1d_same, linear, softmax_masked
+from videoseq.autodiff import tensor_sum
+from videoseq.gradcheck import numerical_gradient
 
 # --- tensors and the tape ---------------------------------------------------
 # A Tensor wraps a float64 ndarray. Inside a `with Tape():` block, operations
@@ -16,12 +17,16 @@ from videoseq.autodiff import numerical_gradient, tensor_sum
 # order, so one reverse sweep computes every gradient. The sweep lets go of
 # each node as it passes, and leaving the block empties the tape; outside a
 # Tape, operations record nothing.
+#
+# linear(x, w, b) is a fully-connected layer, x @ w.T + b, as one tape node:
+# x is [batch x inputs], w is [outputs x inputs] and b is [outputs].
 
 w = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
-x = Tensor(np.array([[0.5], [-1.0]]))
+x = Tensor(np.array([[0.5, -1.0]]))
+b = Tensor(np.zeros(2))
 
 with Tape() as tape:
-    y = matmul(w, x)          # [2x1]
+    y = linear(x, w, b)       # [1x2]
     loss = tensor_sum(y * y)  # scalar
     print("tape nodes    :", len(tape.nodes))
     backward(loss)
@@ -31,12 +36,13 @@ print("loss          :", loss.item())
 print("grad of w     :\n", w.grad)
 
 # The analytic gradient can always be cross-checked with central finite
-# differences; the library uses exactly this oracle in its test suite.
+# differences: videoseq.gradcheck holds the library's one finite-difference
+# checker, which the `gradcheck` command and the test suite both use.
 w2 = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
 
 
 def f():
-    return tensor_sum(matmul(w2, x) * matmul(w2, x)).data
+    return tensor_sum(linear(x, w2, b) * linear(x, w2, b)).data
 
 
 numeric = numerical_gradient(f, w2, step=1e-6)

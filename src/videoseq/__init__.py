@@ -20,14 +20,10 @@ from .autodiff import (
     linear,
     log,
     masked_mean_time,
-    matmul,
-    numerical_gradient,
-    relative_error,
     relu,
     sigmoid,
     softmax_masked,
     tanh,
-    transpose,
 )
 from .dataio import (
     DatasetHeader,

@@ -5,17 +5,17 @@ The engine is define-by-run: an operation records a node exactly when a
 order; outside one, operations give constants. ``backward(loss)`` walks the
 tape once in reverse, accumulating gradients into every reachable tensor
 with ``requires_grad=True``, and lets each node go as soon as its backward
-has run: its gradient, closure and parents are dropped, and the tape is
-closed and emptied when the walk ends. Leaving the block closes the tape
-too, so a forward without a backward keeps nothing alive.
+has run: its gradient and closure are dropped, and the tape is closed and
+emptied when the walk ends. Leaving the block closes the tape too, so a
+forward without a backward keeps nothing alive.
 
 Only the primitives the sequence models need are provided: broadcasting
-arithmetic, 2-D matmul, ``linear`` (one node for a fully-connected layer,
-``x @ w.T + b``), same-length temporal convolution, masked batch
-normalization / softmax / mean pooling, elementwise activations, and
-slicing. Batch norm reads its parameters and running statistics by prefix
-from a {name: Tensor} dict, such as a model's ``tensors``, and is one fused
-node that keeps only x̂ and 1/σ for its closed-form backward. A fused op
+arithmetic, ``linear`` (one node for a fully-connected layer,
+``x @ w.T + b``), concatenation, same-length temporal convolution, masked
+batch normalization / softmax / mean pooling, and elementwise activations.
+Batch norm reads its parameters and running statistics by prefix from a
+{name: Tensor} dict, such as a model's ``tensors``, and is one fused node
+that keeps only x̂ and 1/σ for its closed-form backward. A fused op
 elsewhere, such as ``recurrent.run_bidirectional``, is likewise one
 ``Tensor._op`` node whose backward calls ``_accumulate`` on each parent.
 ``TimeMask.check`` is the one check that a [batch x c x time] input fits its mask.
@@ -40,9 +40,7 @@ __all__ = [
     "Tape",
     "TimeMask",
     "backward",
-    "matmul",
     "linear",
-    "transpose",
     "concat",
     "conv1d_same",
     "batchnorm_time",
@@ -54,8 +52,6 @@ __all__ = [
     "clip",
     "softmax_masked",
     "masked_mean_time",
-    "numerical_gradient",
-    "relative_error",
 ]
 
 
@@ -95,7 +91,7 @@ class Tape:
         self.closed = True
         for node in self.nodes:
             if node is not None:
-                node.grad, node._backward, node._parents = None, None, ()
+                node.grad, node._backward = None, None
         self.nodes = []
 
 
@@ -105,7 +101,7 @@ _open: Tape | None = None  # the tape of the enclosing ``with Tape():`` block
 class Tensor:
     """A dense float64 array, optionally tracked for differentiation."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_graph", "_index")
+    __slots__ = ("data", "requires_grad", "grad", "_backward", "_graph", "_index")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -114,7 +110,6 @@ class Tensor:
         self.data = arr
         self.requires_grad = requires_grad
         self.grad = None
-        self._parents = ()
         self._backward = None
         self._graph = None
         self._index = -1
@@ -126,7 +121,6 @@ class Tensor:
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        out._parents = ()
         out._backward = None
         out._graph = None
         out._index = -1
@@ -138,7 +132,6 @@ class Tensor:
                 if p.requires_grad and p._graph is not None and p._graph.closed:
                     raise StateError("cannot extend a graph that has already been traversed")
             out.requires_grad = True
-            out._parents = parents
             out._backward = backward_fn
             out._graph = g
             out._index = len(g.nodes)
@@ -152,14 +145,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
     def item(self) -> float:
         return float(self.data)
@@ -197,9 +182,6 @@ class Tensor:
 
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __getitem__(self, idx):
-        return getitem(self, idx)
 
     def sum(self, axis=None, keepdims: bool = False):
         return tensor_sum(self, axis=axis, keepdims=keepdims)
@@ -292,27 +274,9 @@ def div(a, b) -> Tensor:
     return Tensor._op(data, (a, b), bw)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product with the standard transpose backward rules."""
-    a, b = _const(a), _const(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(
-            f"matmul shapes incompatible: {a.data.shape} x {b.data.shape}"
-        )
-    data = a.data @ b.data
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
-        if b.requires_grad:
-            _accumulate(b, a.data.T @ g)
-
-    return Tensor._op(data, (a, b), bw)
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w.T + b`` as one node, for x [n x i], w [o x i], b [o]; bit-equal to
-    ``matmul(x, transpose(w)) + b``, but w's gradient is built as ``g.T @ x``, in w's layout."""
+    """``x @ w.T + b`` as one node, for x [n x i], w [o x i], b [o]; w's gradient is
+    built as ``g.T @ x``, in w's layout."""
     x, w, b = _const(x), _const(w), _const(b)
     xs, ws, bs = x.data.shape, w.data.shape, b.data.shape
     if len(xs) != 2 or len(ws) != 2 or bs != ws[:1] or xs[1] != ws[1]:
@@ -331,18 +295,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return Tensor._op(data, (x, w, b), bw)
 
 
-def transpose(a: Tensor) -> Tensor:
-    a = _const(a)
-    if a.data.ndim != 2:
-        raise DimensionError(f"transpose expects a 2-D tensor, got shape {a.data.shape}")
-    data = a.data.T
-
-    def bw(g):
-        _accumulate(a, g.T)
-
-    return Tensor._op(data, (a,), bw)
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     a = _const(a)
     shape = tuple(shape)
@@ -350,18 +302,6 @@ def reshape(a: Tensor, shape) -> Tensor:
 
     def bw(g):
         _accumulate(a, g.reshape(a.data.shape))
-
-    return Tensor._op(data, (a,), bw)
-
-
-def getitem(a: Tensor, idx) -> Tensor:
-    """Basic (slice / integer) indexing. Advanced indexing is not supported."""
-    data = a.data[idx]
-
-    def bw(g):
-        if a.grad is None:
-            a.grad = np.zeros(a.data.shape)
-        a.grad[idx] += g
 
     return Tensor._op(data, (a,), bw)
 
@@ -751,8 +691,8 @@ def backward(loss: Tensor) -> None:
 
     Walks the loss's tape in reverse creation order, so each node is
     visited exactly once and gradients sum over all uses of a tensor. Each
-    interior node lets go of its gradient, closure and parents as soon as
-    its backward has run, and the tape is closed and emptied afterwards;
+    interior node lets go of its gradient and closure as soon as its
+    backward has run, and the tape is closed and emptied afterwards;
     the loss keeps its value, and calling backward on it again raises.
     """
     if loss.data.size != 1:
@@ -769,37 +709,6 @@ def backward(loss: Tensor) -> None:
         node, nodes[i] = nodes[i], None
         if node.grad is not None:
             node._backward(node.grad)
-        node.grad, node._backward, node._parents = None, None, ()
+        node.grad, node._backward = None, None
     g._close()
 
-
-# ---------------------------------------------------------------------------
-# finite differences
-# ---------------------------------------------------------------------------
-
-
-def numerical_gradient(f, tensor: Tensor, step: float = 1e-5, indices=None) -> np.ndarray:
-    """Central-difference gradient of scalar-valued ``f`` w.r.t. ``tensor``.
-
-    ``f`` takes no arguments and must re-read ``tensor.data`` on each call.
-    It runs outside a ``Tape``, so its ops record nothing. When ``indices``
-    is given only those flat coordinates are evaluated (others are returned
-    as 0).
-    """
-    grad = np.zeros(tensor.data.size)
-    coords = range(tensor.data.size) if indices is None else indices
-    for i in coords:
-        pos = np.unravel_index(i, tensor.data.shape)
-        orig = tensor.data[pos]
-        tensor.data[pos] = orig + step
-        hi = float(f())
-        tensor.data[pos] = orig - step
-        lo = float(f())
-        tensor.data[pos] = orig
-        grad[i] = (hi - lo) / (2.0 * step)
-    return grad.reshape(tensor.data.shape)
-
-
-def relative_error(analytic: float, numeric: float) -> float:
-    """|a - n| / max(|a|, |n|, 1e-5): relative, but absolute near zero."""
-    return abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-5)

@@ -104,8 +104,15 @@ def _integer(text: str):
         return text
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors raise ConfigurationError (one ``error:`` line), not usage and exit 2."""
+
+    def error(self, message):
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="videoseq",
         description="Train and evaluate temporal aggregation models on "
         "frame-level video features.",
@@ -241,9 +248,8 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        return _run(args)
+        return _run(_build_parser().parse_args(argv))
     except (VideoseqError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

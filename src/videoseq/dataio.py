@@ -19,6 +19,7 @@ import numpy as np
 from . import container
 from .autodiff import Tensor, TimeMask
 from .errors import ConfigurationError, PreconditionError, ValidationError, check_int
+from .metrics import check_video_id
 
 MAGIC = b"FLVR"
 VERSION = 1
@@ -50,6 +51,7 @@ class VideoRecord:
 
 
 def _validate_record(record: VideoRecord, header: DatasetHeader) -> None:
+    check_video_id(record.id)
     t = record.frames.shape[0]
     if record.frames.ndim != 2 or record.frames.shape[1] != header.feature_dim:
         raise ValidationError(

@@ -1,7 +1,7 @@
 """Gradient verification against central finite differences.
 
-One engine, ``_worst_errors``, serves ``grad_check`` for a whole model here
-and the per-op checker ``check_gradients`` in the tests' oracles.
+Finite differences live only here: ``numerical_gradient`` and ``relative_error`` feed
+the one engine, ``_worst_errors``, behind ``grad_check`` and the tests' ``check_gradients``.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, TimeMask, backward, numerical_gradient, relative_error
+from .autodiff import Tape, Tensor, TimeMask, backward
 from .errors import ConfigurationError, check_int
 from .models import DEEP_STACK_KINDS, ModelSpec, build_model
 from .training import bce_loss
@@ -46,6 +46,29 @@ class GradCheckReport:
     def lines(self):
         for b in self.blocks:
             yield f"{b.name}\t{b.worst_error:.3e}\t{'ok' if b.passed else 'FAIL'}"
+
+
+def numerical_gradient(f, tensor: Tensor, step: float = 1e-5, indices=None) -> np.ndarray:
+    """Central-difference gradient of scalar-valued ``f`` w.r.t. ``tensor``, at the flat
+    ``indices`` only when given (0 elsewhere). ``f`` takes no arguments, re-reads
+    ``tensor.data`` on each call and runs outside a ``Tape``, so it records nothing."""
+    grad = np.zeros(tensor.data.size)
+    coords = range(tensor.data.size) if indices is None else indices
+    for i in coords:
+        pos = np.unravel_index(i, tensor.data.shape)
+        orig = tensor.data[pos]
+        tensor.data[pos] = orig + step
+        hi = float(f())
+        tensor.data[pos] = orig - step
+        lo = float(f())
+        tensor.data[pos] = orig
+        grad[i] = (hi - lo) / (2.0 * step)
+    return grad.reshape(tensor.data.shape)
+
+
+def relative_error(analytic: float, numeric: float) -> float:
+    """|a - n| / max(|a|, |n|, 1e-5): relative, but absolute near zero."""
+    return abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-5)
 
 
 def _worst_errors(f, named_params, step, samples_per_block, rng, tolerance=0.0, refine_steps=()):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import atomic_write, text_lines
-from .errors import ConfigurationError, FormatError, PreconditionError, check_int
+from .errors import ConfigurationError, FormatError, PreconditionError, ValidationError, check_int
 
 TOP_K = 20
 
@@ -105,10 +105,18 @@ def topk_predictions(probabilities, k: int, video_ids) -> list:
 # ---------------------------------------------------------------------------
 
 
+def check_video_id(video_id) -> None:
+    """Raise ValidationError naming ``video_id`` unless a prediction-file line can carry
+    it: one non-empty field without whitespace, ``video_id.split() == [video_id]``."""
+    if not isinstance(video_id, str) or video_id.split() != [video_id]:
+        raise ValidationError(f"video id {video_id!r} is not a non-empty string without whitespace")
+
+
 def write_prediction_file(path: str, predictions) -> None:
     """Scores are serialized with 6 decimal digits; the file is written atomically."""
     with atomic_write(path, "w") as f:
         for video_id, items in predictions:
+            check_video_id(video_id)
             pairs = " ".join(f"{cls}:{score:.6f}" for cls, score in items)
             f.write(f"{video_id} {pairs}\n" if pairs else f"{video_id}\n")
 

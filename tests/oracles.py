@@ -7,7 +7,7 @@ from videoseq.autodiff import Tensor, TimeMask
 from videoseq.errors import ConfigurationError, DimensionError, PreconditionError
 from videoseq.gradcheck import _worst_errors
 from videoseq.metrics import TOP_K, GapResult, PredictionSet, _pooled_pairs
-from videoseq.recurrent import GRU_GATES, LSTM_GATES, _cell
+from videoseq.recurrent import _cell
 from videoseq.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, Adam, TrainingError
 from videoseq.vlad import _DEGENERATE_NORM, Codebook, _squared_distances
 
@@ -56,9 +56,9 @@ def vlad_encode_oracle(codebook: Codebook, frames: np.ndarray) -> np.ndarray:
     return np.zeros_like(flat) if norm < _DEGENERATE_NORM else flat / norm
 
 
-def _step_weights(t: dict, prefix: str, kind: str, gates, x_t: Tensor, h_prev: Tensor):
-    """The gate matrices of ``prefix`` as one [(input + hidden) x n*hidden] tensor and
-    the biases as one [n*hidden] tensor, once the cell is a ``kind`` cell fitting x_t, h_prev."""
+def _gates(t: dict, prefix: str, kind: str, x_t: Tensor, h_prev: Tensor):
+    """gate(name, inputs) -> ``linear(inputs, w_<name>, b_<name>)`` of ``prefix``, in
+    ``cell_table``'s layout, once the cell is a ``kind`` cell fitting x_t, h_prev."""
     cell, hidden = _cell(t, prefix, x_t)
     if h_prev.shape != (x_t.shape[0], hidden):
         raise DimensionError(
@@ -66,28 +66,36 @@ def _step_weights(t: dict, prefix: str, kind: str, gates, x_t: Tensor, h_prev: T
         )
     if cell != kind:
         raise PreconditionError(f"{kind}_step on the {cell.upper()} cell {prefix!r}")
-    w = ad.transpose(ad.concat([t[f"{prefix}.w_{g}"] for g in gates], axis=0))
-    return w, ad.concat([t[f"{prefix}.b_{g}"] for g in gates], axis=0)
+    return lambda gate, inputs: ad.linear(inputs, t[f"{prefix}.w_{gate}"], t[f"{prefix}.b_{gate}"])
 
 
 def lstm_step(t: dict, prefix: str, x_t: Tensor, h_prev: Tensor, c_prev: Tensor):
     """One step of the LSTM ``prefix`` in ``t``, composed of autodiff ops: returns (h_t, c_t)."""
-    w, b = _step_weights(t, prefix, "lstm", LSTM_GATES, x_t, h_prev)
-    h = h_prev.shape[1]
-    pre = ad.matmul(ad.concat([x_t, h_prev], axis=1), w) + b
-    i, f, o = (ad.sigmoid(pre[:, k * h : (k + 1) * h]) for k in range(3))
-    c_t = f * c_prev + i * ad.tanh(pre[:, 3 * h :])
+    gate = _gates(t, prefix, "lstm", x_t, h_prev)
+    xh = ad.concat([x_t, h_prev], axis=1)
+    i, f, o = (ad.sigmoid(gate(g, xh)) for g in ("input", "forget", "output"))
+    c_t = f * c_prev + i * ad.tanh(gate("candidate", xh))
     return o * ad.tanh(c_t), c_t
 
 
 def gru_step(t: dict, prefix: str, x_t: Tensor, h_prev: Tensor) -> Tensor:
     """One step of the GRU ``prefix`` in ``t``, composed of autodiff ops: returns h_t."""
-    w, b = _step_weights(t, prefix, "gru", GRU_GATES, x_t, h_prev)
-    h = h_prev.shape[1]
-    pre = ad.matmul(ad.concat([x_t, h_prev], axis=1), w[:, : 2 * h]) + b[: 2 * h]
-    z, r = ad.sigmoid(pre[:, :h]), ad.sigmoid(pre[:, h:])
-    h_bar = ad.tanh(ad.matmul(ad.concat([x_t, r * h_prev], axis=1), w[:, 2 * h :]) + b[2 * h :])
+    gate = _gates(t, prefix, "gru", x_t, h_prev)
+    xh = ad.concat([x_t, h_prev], axis=1)
+    z, r = (ad.sigmoid(gate(g, xh)) for g in ("update", "reset"))
+    h_bar = ad.tanh(gate("candidate", ad.concat([x_t, r * h_prev], axis=1)))
     return (1.0 - z) * h_prev + z * h_bar
+
+
+def time_step(x: Tensor, s: int) -> Tensor:
+    """Frame s of x [batch x d x time] as a [batch x d] autodiff op."""
+
+    def bw(g):
+        full = np.zeros(x.data.shape)
+        full[:, :, s] = g
+        ad._accumulate(x, full)
+
+    return Tensor._op(x.data[:, :, s], (x,), bw)
 
 
 def reverse_valid_time(x: Tensor, mask: TimeMask) -> Tensor:
@@ -122,9 +130,9 @@ def composed_bidirectional(t: dict, prefix: str, x: Tensor, mask: TimeMask) -> T
         outputs = []
         for s in range(steps):
             if kind == "lstm":
-                h, c = lstm_step(t, prefix, x[:, :, s], h, c)
+                h, c = lstm_step(t, prefix, time_step(x, s), h, c)
             else:
-                h = gru_step(t, prefix, x[:, :, s], h)
+                h = gru_step(t, prefix, time_step(x, s), h)
             outputs.append(h.reshape(batch, hidden, 1))
         return ad.concat(outputs, axis=2)
 
@@ -178,8 +186,14 @@ def composed_batchnorm_time(t: dict, prefix: str, x: Tensor, mask: TimeMask, tra
 
 
 def composed_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``linear`` as three tape nodes: transpose, matmul, broadcast add."""
-    return ad.matmul(x, ad.transpose(w)) + b
+    """``linear`` as two tape nodes: ``x @ w.T`` under the composed matmul and transpose
+    rules (x gets ``g @ w``, w gets ``(x.T @ g).T``), then a broadcast add of b."""
+
+    def bw(g):
+        ad._accumulate(x, g @ w.data)
+        ad._accumulate(w, (x.data.T @ g).T)
+
+    return Tensor._op(x.data @ w.data.T, (x, w), bw) + b
 
 
 def composed_masked_features(visual: Tensor, audio: Tensor, mask: TimeMask) -> Tensor:

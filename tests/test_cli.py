@@ -232,6 +232,28 @@ def test_non_integer_option_is_a_one_line_error(tmp_path, monkeypatch, capsys, a
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args", [
+    ["gen-data", "--out", "x.bin", "--noise", "abc"],
+    ["gradcheck", "--model", "video_level", "--tolerance", "abc"],
+    ["ensemble", "--inputs", "a", "b", "--weights", "1", "x", "--out", "e"],
+    ["gradcheck", "--model", "bogus"],
+    ["gen-data"],
+], ids=["float_option", "gradcheck_tolerance", "ensemble_weights", "unknown_choice", "missing_required"])
+def test_argument_parsing_error_is_a_one_line_error(tmp_path, monkeypatch, capsys, args):
+    # argparse's own error() would print its usage block and exit 2
+    monkeypatch.chdir(tmp_path)
+    err = _one_line_error(capsys, main(args))
+    assert err.startswith(f"error: ConfigurationError: videoseq {args[0]}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["gen-data", "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: videoseq gen-data")
+
+
 def test_no_option_parses_with_bare_int():
     """A ``type=int`` option would answer '2.5' with argparse's usage block and exit 2."""
     subcommands = next(a for a in _build_parser()._actions if a.choices).choices.values()

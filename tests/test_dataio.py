@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,26 @@ class TestRecordFile:
         data[second + 2] = ord("a")
         path.write_bytes(bytes(data))
         with pytest.raises(ValidationError, match=rf"'a' at byte {second}"):
+            load_records(path)
+
+    @pytest.mark.parametrize("video_id", ["a b", "", "c\n", "\x1f"], ids=["space", "empty", "newline", "unit_separator"])
+    def test_id_a_prediction_file_cannot_hold_rejected_before_write(self, tmp_path, video_id):
+        # predict writes `id class:score ...` lines that evaluate splits on whitespace
+        header = small_header(video_count=1)
+        frames = np.zeros((2, header.feature_dim), dtype=np.float32)
+        path = tmp_path / "ids.bin"
+        with pytest.raises(ValidationError, match=re.escape(repr(video_id))):
+            write_records(path, header, [VideoRecord(video_id, frames, [0])])
+        assert not path.exists()
+
+    def test_id_a_prediction_file_cannot_hold_rejected_on_read(self, tmp_path):
+        header = small_header(video_count=1)
+        frames = np.zeros((2, header.feature_dim), dtype=np.float32)
+        path = tmp_path / "ab.bin"
+        write_records(path, header, [VideoRecord("a_b", frames, [0])])
+        data = path.read_bytes()
+        path.write_bytes(data.replace(b"\x03\x00a_b", b"\x03\x00a b", 1))
+        with pytest.raises(ValidationError, match="'a b'"):
             load_records(path)
 
     def test_bad_magic(self, tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -168,6 +170,15 @@ class TestPredictionFile:
         path2 = tmp_path / "p2.txt"
         write_prediction_file(path2, parsed)
         assert path.read_bytes() == path2.read_bytes()
+
+    @pytest.mark.parametrize("video_id", ["a b", "", "c\n", "\x1f"], ids=["space", "empty", "newline", "unit_separator"])
+    def test_id_the_file_cannot_hold_rejected_before_write(self, tmp_path, video_id):
+        from videoseq import ValidationError
+
+        path = tmp_path / "p.txt"
+        with pytest.raises(ValidationError, match=re.escape(repr(video_id))):
+            write_prediction_file(path, [("ok", [(0, 0.5)]), (video_id, [(1, 0.5)])])
+        assert list(tmp_path.iterdir()) == []
 
     def test_six_decimal_digits(self, tmp_path):
         path = tmp_path / "p.txt"
