@@ -7,7 +7,7 @@ is built from the handful of primitives shown here.
 
 import numpy as np
 
-from videoseq import Tape, Tensor, TimeMask, backward, conv1d_same, linear, softmax_masked
+from videoseq import Tape, Tensor, TimeMask, backward, conv1d_same, linear, masked_mean_time
 from videoseq.autodiff import tensor_sum
 from videoseq.gradcheck import numerical_gradient
 
@@ -63,12 +63,12 @@ print("box kernel     :", conv1d_same(signal, box_kernel, zero_bias).data[0, 0])
 
 # --- masking ------------------------------------------------------------------
 # Batches of videos are zero-padded to a common length; a TimeMask records
-# each item's true frame count. Masked softmax gives padded positions weight
-# exactly 0, so whatever is stored there cannot matter.
+# each item's true frame count. Pooling over time reads valid frames only:
+# masked_mean_time averages each item's valid frames (attention_pool likewise
+# gives padded frames weight exactly 0), so whatever is stored there cannot
+# matter.
 
-scores = Tensor(np.array([[2.0, 1.0, 99.0], [0.0, 0.0, 0.0]]))
+frames = Tensor(np.array([[[2.0, 4.0, 99.0]], [[1.0, 2.0, 3.0]]]))  # [batch x 1 x time]
 mask = TimeMask(batch=2, max_time=3, valid_lengths=np.array([2, 3]))
-weights = softmax_masked(scores, mask)
-print("\nattention weights (item 0 has 2 valid frames):")
-print(weights.data)
-print("row sums:", weights.data.sum(axis=1))
+print("\nmasked mean over time (item 0 has 2 valid frames, then 99 as padding):")
+print(masked_mean_time(frames, mask).data[:, 0])

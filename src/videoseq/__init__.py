@@ -16,14 +16,11 @@ from .autodiff import (
     clip,
     concat,
     conv1d_same,
-    exp,
     linear,
     log,
     masked_mean_time,
     relu,
     sigmoid,
-    softmax_masked,
-    tanh,
 )
 from .dataio import (
     DatasetHeader,

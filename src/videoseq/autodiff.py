@@ -12,12 +12,13 @@ forward without a backward keeps nothing alive.
 Only the primitives the sequence models need are provided: broadcasting
 arithmetic, ``linear`` (one node for a fully-connected layer,
 ``x @ w.T + b``), concatenation, same-length temporal convolution, masked
-batch normalization / softmax / mean pooling, and elementwise activations.
+batch normalization and mean pooling, and elementwise activations.
 Batch norm reads its parameters and running statistics by prefix from a
 {name: Tensor} dict, such as a model's ``tensors``, and is one fused node
 that keeps only x̂ and 1/σ for its closed-form backward. A fused op
-elsewhere, such as ``recurrent.run_bidirectional``, is likewise one
-``Tensor._op`` node whose backward calls ``_accumulate`` on each parent.
+elsewhere, such as ``recurrent.run_bidirectional`` or
+``recurrent.attention_pool``, is likewise one ``Tensor._op`` node whose
+backward calls ``_accumulate`` on each parent.
 ``TimeMask.check`` is the one check that a [batch x c x time] input fits its mask.
 """
 
@@ -46,11 +47,8 @@ __all__ = [
     "batchnorm_time",
     "relu",
     "sigmoid",
-    "tanh",
-    "exp",
     "log",
     "clip",
-    "softmax_masked",
     "masked_mean_time",
 ]
 
@@ -174,12 +172,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(_const(other), self)
-
     def __neg__(self):
         return mul(self, -1.0)
 
@@ -188,11 +180,6 @@ class Tensor:
 
     def mean(self, axis=None, keepdims: bool = False):
         return tensor_mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
 
 
 def _const(x) -> Tensor:
@@ -261,19 +248,6 @@ def mul(a, b) -> Tensor:
     return Tensor._op(data, (a, b), bw)
 
 
-def div(a, b) -> Tensor:
-    a, b = _const(a), _const(b)
-    data = a.data / b.data
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g * data / b.data, b.data.shape))
-
-    return Tensor._op(data, (a, b), bw)
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w.T + b`` as one node, for x [n x i], w [o x i], b [o]; w's gradient is
     built as ``g.T @ x``, in w's layout."""
@@ -293,17 +267,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             _accumulate(b, g.sum(axis=0))
 
     return Tensor._op(data, (x, w, b), bw)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    a = _const(a)
-    shape = tuple(shape)
-    data = a.data.reshape(shape)
-
-    def bw(g):
-        _accumulate(a, g.reshape(a.data.shape))
-
-    return Tensor._op(data, (a,), bw)
 
 
 def concat(xs, axis: int) -> Tensor:
@@ -356,26 +319,6 @@ def sigmoid(a: Tensor) -> Tensor:
 
     def bw(g):
         _accumulate(a, g * data * (1.0 - data))
-
-    return Tensor._op(data, (a,), bw)
-
-
-def tanh(a: Tensor) -> Tensor:
-    a = _const(a)
-    data = np.tanh(a.data)
-
-    def bw(g):
-        _accumulate(a, g * (1.0 - data * data))
-
-    return Tensor._op(data, (a,), bw)
-
-
-def exp(a: Tensor) -> Tensor:
-    a = _const(a)
-    data = np.exp(a.data)
-
-    def bw(g):
-        _accumulate(a, g * data)
 
     return Tensor._op(data, (a,), bw)
 
@@ -468,12 +411,9 @@ class TimeMask:
         """[batch x time] boolean validity."""
         return np.arange(self.max_time)[None, :] < self.valid_lengths[:, None]
 
-    def float_matrix(self) -> np.ndarray:
-        return self.bool_matrix().astype(np.float64)
-
     def channel_mask(self) -> np.ndarray:
         """[batch x 1 x time] float mask, broadcastable over channels."""
-        return self.float_matrix()[:, None, :]
+        return self.bool_matrix().astype(np.float64)[:, None, :]
 
     def total_valid(self) -> int:
         return int(self.valid_lengths.sum())
@@ -492,24 +432,6 @@ class TimeMask:
                 f"{name}: input shape {x.shape} is not [batch {self.batch} x channels "
                 f"x time {self.max_time}]"
             )
-
-
-def softmax_masked(scores: Tensor, mask: TimeMask) -> Tensor:
-    """Per-item softmax over valid positions; masked positions weigh exactly 0."""
-    scores = _const(scores)
-    if scores.data.shape != (mask.batch, mask.max_time):
-        raise DimensionError(
-            f"softmax_masked: scores shape {scores.data.shape} does not match "
-            f"mask ({mask.batch}, {mask.max_time})"
-        )
-    m = mask.float_matrix()
-    # max over valid positions only, as a constant shift for stability
-    shifted = np.where(mask.bool_matrix(), scores.data, -np.inf)
-    shift = shifted.max(axis=1, keepdims=True)
-    z = mul(sub(scores, shift), m)
-    e = mul(exp(z), m)
-    denom = tensor_sum(e, axis=1, keepdims=True)
-    return div(e, denom)
 
 
 def masked_mean_time(x: Tensor, mask: TimeMask) -> Tensor:

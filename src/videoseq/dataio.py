@@ -110,9 +110,10 @@ def read_records(path: str):
     """Open a record file -> (header, record generator).
 
     The header is validated eagerly; records stream lazily in file order
-    with per-record bound checks, and a repeated id is rejected. Truncation
-    raises a corruption error naming the byte offset; records already
-    yielded stay valid.
+    with per-record bound checks, and a repeated id is rejected; either
+    error names the file and the record's byte offset. Truncation raises a
+    corruption error naming the byte offset; records already yielded stay
+    valid.
     """
     reader = container.Reader(path, MAGIC, VERSION, "record")
     try:
@@ -137,7 +138,10 @@ def read_records(path: str):
                 labels = list(reader.unpack(f"<{num_labels}I", "labels"))
                 frames = reader.array((num_frames, header.feature_dim), "<f4", "features")
                 record = VideoRecord(video_id, frames, labels)
-                _validate_record(record, header)
+                try:
+                    _validate_record(record, header)
+                except ValidationError as err:
+                    raise ValidationError(f"{reader.path}: record at byte {offset}: {err}") from None
                 yield record
             reader.finish()
         finally:

@@ -7,11 +7,14 @@ batch as one autodiff node: one input-projection GEMM over all frames of both
 directions, then one numpy time loop doing only the recurrent GEMM and the
 gate math, with a hand-written BPTT loop as its backward. The backward
 direction reads each item's reversed valid prefix, so padding never enters
-its states, and outputs at padded positions are exactly zero. Parameters are
-declared as (name, shape, ``Init``) tables (``cell_table``,
-``attention_table``) that ``draw_table`` draws; the sequence op and the pools
-read those names by prefix from a {name: Tensor} dict, such as a model's
-``tensors``, and a cell is an LSTM when it has a forget gate.
+its states, and outputs at padded positions are exactly zero. Attention
+pooling is one node too: the per-frame tanh projection, the scores, their
+softmax over valid frames and the weighted sum, with the composed chain rule
+written out as its backward. Parameters are declared as (name, shape,
+``Init``) tables (``cell_table``, ``attention_table``) that ``draw_table``
+draws; the sequence op and the pools read those names by prefix from a
+{name: Tensor} dict, such as a model's ``tensors``, and a cell is an LSTM
+when it has a forget gate.
 """
 
 from __future__ import annotations
@@ -217,10 +220,15 @@ def attention_table(prefix: str, channels: int, attn_size: int):
 
 
 def attention_pool(t: dict, prefix: str, h: Tensor, mask: TimeMask) -> Tensor:
-    """Additive attention ``prefix`` of ``t`` over time: [b x c x t] -> [b x c].
+    """Additive attention ``prefix`` of ``t`` over time: [b x c x t] -> [b x c], as one tape node.
 
-    Scores e_t = v . tanh(W h_t + b) are normalized with a masked softmax,
-    so the result is a convex combination of the valid frame vectors.
+    Scores e_t = v . tanh(W h_t + b) are normalized with a softmax over each
+    item's valid frames, so the result is a convex combination of the valid
+    frame vectors and padded frames weigh exactly 0. The forward evaluates the
+    composed expressions in their order, and the backward applies their chain
+    rule step by step in reverse, so both give the bits of the composed ops;
+    the backward rebuilds the [b·t x c] frame matrix from ``h`` rather than
+    keeping it.
     """
     weight, bias, score = (t[f"{prefix}.{f}"] for f in ("proj_weight", "proj_bias", "score_vector"))
     attn, channels = weight.shape
@@ -233,7 +241,39 @@ def attention_pool(t: dict, prefix: str, h: Tensor, mask: TimeMask) -> Tensor:
         raise DimensionError(
             f"attention_pool: score vector {score.shape} does not match projection rows {attn}"
         )
-    u = ad.tanh(ad.conv1d_same(h, weight.reshape(attn, channels, 1), bias))
-    scores = (u * score.reshape(1, attn, 1)).sum(axis=1)
-    alpha = ad.softmax_masked(scores, mask)
-    return (h * alpha.reshape(mask.batch, 1, mask.max_time)).sum(axis=2)
+    batch, _, steps = h.shape
+    v = score.data[:, None]
+
+    def frames():  # [b·t x c] frame-major copy of h
+        return h.data.transpose(0, 2, 1).reshape(batch * steps, channels)
+
+    u = np.tanh(frames() @ weight.data.T + bias.data).reshape(batch, steps, attn)
+    u = np.ascontiguousarray(u.transpose(0, 2, 1))  # [b x attn x t]
+    scores = (u * v).sum(axis=1)
+    valid = mask.bool_matrix()
+    m = valid.astype(np.float64)
+    shift = np.where(valid, scores, -np.inf).max(axis=1, keepdims=True)
+    e = np.exp((scores - shift) * m) * m
+    denom = e.sum(axis=1, keepdims=True)
+    alpha = e / denom
+
+    def bw(g):
+        g = g[:, :, None]
+        if h.requires_grad:
+            ad._accumulate(h, g * alpha[:, None, :])
+        g_alpha = (g * h.data).sum(axis=1)
+        g_e = g_alpha / denom
+        g_e += (-g_alpha * alpha / denom).sum(axis=1, keepdims=True)
+        g_scores = (g_e * e)[:, None, :]  # through exp and both masks: e is exp(z)·m, m 0 or 1
+        if score.requires_grad:
+            ad._accumulate(score, (g_scores * u).sum(axis=(0, 2)))
+        g_pre = (g_scores * v) * (1.0 - u * u)
+        g_pre = g_pre.transpose(0, 2, 1).reshape(batch * steps, attn)
+        if weight.requires_grad:
+            ad._accumulate(weight, g_pre.T @ frames())
+        if bias.requires_grad:
+            ad._accumulate(bias, g_pre.sum(axis=0))
+        if h.requires_grad:
+            ad._accumulate(h, (g_pre @ weight.data).reshape(batch, steps, channels).transpose(0, 2, 1))
+
+    return Tensor._op((h.data * alpha[:, None, :]).sum(axis=2), (h, weight, bias, score), bw)

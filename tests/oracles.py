@@ -56,6 +56,48 @@ def vlad_encode_oracle(codebook: Codebook, frames: np.ndarray) -> np.ndarray:
     return np.zeros_like(flat) if norm < _DEGENERATE_NORM else flat / norm
 
 
+def tanh(a: Tensor) -> Tensor:
+    """Elementwise tanh as an autodiff op, for the composed cells and attention."""
+    data = np.tanh(a.data)
+
+    def bw(g):
+        ad._accumulate(a, g * (1.0 - data * data))
+
+    return Tensor._op(data, (a,), bw)
+
+
+def exp(a: Tensor) -> Tensor:
+    """Elementwise exp as an autodiff op, for the composed masked softmax."""
+    data = np.exp(a.data)
+
+    def bw(g):
+        ad._accumulate(a, g * data)
+
+    return Tensor._op(data, (a,), bw)
+
+
+def div(a: Tensor, b: Tensor) -> Tensor:
+    """Broadcasting a / b as an autodiff op."""
+    data = a.data / b.data
+
+    def bw(g):
+        if a.requires_grad:
+            ad._accumulate(a, ad._unbroadcast(g / b.data, a.data.shape))
+        if b.requires_grad:
+            ad._accumulate(b, ad._unbroadcast(-g * data / b.data, b.data.shape))
+
+    return Tensor._op(data, (a, b), bw)
+
+
+def reshape(a: Tensor, shape: tuple) -> Tensor:
+    """a viewed as ``shape``, as an autodiff op."""
+
+    def bw(g):
+        ad._accumulate(a, g.reshape(a.data.shape))
+
+    return Tensor._op(a.data.reshape(shape), (a,), bw)
+
+
 def _gates(t: dict, prefix: str, kind: str, x_t: Tensor, h_prev: Tensor):
     """gate(name, inputs) -> ``linear(inputs, w_<name>, b_<name>)`` of ``prefix``, in
     ``cell_table``'s layout, once the cell is a ``kind`` cell fitting x_t, h_prev."""
@@ -74,8 +116,8 @@ def lstm_step(t: dict, prefix: str, x_t: Tensor, h_prev: Tensor, c_prev: Tensor)
     gate = _gates(t, prefix, "lstm", x_t, h_prev)
     xh = ad.concat([x_t, h_prev], axis=1)
     i, f, o = (ad.sigmoid(gate(g, xh)) for g in ("input", "forget", "output"))
-    c_t = f * c_prev + i * ad.tanh(gate("candidate", xh))
-    return o * ad.tanh(c_t), c_t
+    c_t = f * c_prev + i * tanh(gate("candidate", xh))
+    return o * tanh(c_t), c_t
 
 
 def gru_step(t: dict, prefix: str, x_t: Tensor, h_prev: Tensor) -> Tensor:
@@ -83,7 +125,7 @@ def gru_step(t: dict, prefix: str, x_t: Tensor, h_prev: Tensor) -> Tensor:
     gate = _gates(t, prefix, "gru", x_t, h_prev)
     xh = ad.concat([x_t, h_prev], axis=1)
     z, r = (ad.sigmoid(gate(g, xh)) for g in ("update", "reset"))
-    h_bar = ad.tanh(gate("candidate", ad.concat([x_t, r * h_prev], axis=1)))
+    h_bar = tanh(gate("candidate", ad.concat([x_t, r * h_prev], axis=1)))
     return (1.0 - z) * h_prev + z * h_bar
 
 
@@ -133,7 +175,7 @@ def composed_bidirectional(t: dict, prefix: str, x: Tensor, mask: TimeMask) -> T
                 h, c = lstm_step(t, prefix, time_step(x, s), h, c)
             else:
                 h = gru_step(t, prefix, time_step(x, s), h)
-            outputs.append(h.reshape(batch, hidden, 1))
+            outputs.append(reshape(h, (batch, hidden, 1)))
         return ad.concat(outputs, axis=2)
 
     fwd = direction(f"{prefix}.fwd", x)
@@ -160,8 +202,8 @@ def composed_batchnorm_time(t: dict, prefix: str, x: Tensor, mask: TimeMask, tra
     )
     c = x.shape[1]
     m = mask.channel_mask()
-    gamma3 = ad.reshape(gamma, (1, c, 1))
-    beta3 = ad.reshape(beta, (1, c, 1))
+    gamma3 = reshape(gamma, (1, c, 1))
+    beta3 = reshape(beta, (1, c, 1))
     if not train:
         rm = running_mean.data.reshape(1, c, 1)
         rstd = np.sqrt(running_var.data + ad.BN_EPS).reshape(1, c, 1)
@@ -172,7 +214,7 @@ def composed_batchnorm_time(t: dict, prefix: str, x: Tensor, mask: TimeMask, tra
     mean = ad.mul(ad.tensor_sum(ad.mul(x, m), axis=(0, 2), keepdims=True), 1.0 / n)
     centered = ad.mul(ad.sub(x, mean), m)
     var = ad.mul(ad.tensor_sum(ad.mul(centered, centered), axis=(0, 2), keepdims=True), 1.0 / n)
-    xhat = ad.div(centered, sqrt(ad.add(var, ad.BN_EPS)))
+    xhat = div(centered, sqrt(ad.add(var, ad.BN_EPS)))
     out = ad.mul(ad.add(ad.mul(xhat, gamma3), beta3), m)
 
     batch_mean = mean.data.reshape(c).copy()
@@ -194,6 +236,28 @@ def composed_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         ad._accumulate(w, (x.data.T @ g).T)
 
     return Tensor._op(x.data @ w.data.T, (x, w), bw) + b
+
+
+def softmax_masked(scores: Tensor, mask: TimeMask) -> Tensor:
+    """Per-item softmax of scores [b x t] over valid positions as six tape nodes: shift by
+    the maximum over valid positions, mask, exp, mask, sum, divide. Padded positions
+    weigh exactly 0."""
+    m = mask.bool_matrix().astype(np.float64)
+    shift = np.where(mask.bool_matrix(), scores.data, -np.inf).max(axis=1, keepdims=True)
+    e = exp((scores - shift) * m) * m
+    return div(e, e.sum(axis=1, keepdims=True))
+
+
+def composed_attention_pool(t: dict, prefix: str, h: Tensor, mask: TimeMask) -> Tensor:
+    """``attention_pool`` as 15 tape nodes: a width-1 ``conv1d_same`` projection, tanh,
+    the scores as a broadcast product summed over the attention axis, the six-node
+    masked softmax, and the weighted sum over time."""
+    weight, bias, score = (t[f"{prefix}.{f}"] for f in ("proj_weight", "proj_bias", "score_vector"))
+    attn, channels = weight.shape
+    u = tanh(ad.conv1d_same(h, reshape(weight, (attn, channels, 1)), bias))
+    scores = (u * reshape(score, (1, attn, 1))).sum(axis=1)
+    alpha = softmax_masked(scores, mask)
+    return (h * reshape(alpha, (mask.batch, 1, mask.max_time))).sum(axis=2)
 
 
 def composed_masked_features(visual: Tensor, audio: Tensor, mask: TimeMask) -> Tensor:

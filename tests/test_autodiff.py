@@ -19,13 +19,11 @@ from videoseq import (
     masked_mean_time,
     relu,
     sigmoid,
-    softmax_masked,
-    tanh,
 )
 from videoseq import autodiff
 from videoseq.autodiff import _accumulate, tensor_sum
 
-from oracles import check_gradients, composed_batchnorm_time, composed_linear, reverse_valid_time
+from oracles import check_gradients, composed_batchnorm_time, composed_linear, reverse_valid_time, tanh
 
 
 def conv1d_naive(x, kernels, bias):
@@ -144,50 +142,6 @@ class TestActivations:
 
         worst = check_gradients(f, [("x", x)], step=1e-5)
         assert worst["x"] < 1e-8
-
-
-class TestSoftmaxMasked:
-    def test_uniform_scores(self):
-        mask = TimeMask.full(1, 4)
-        w = softmax_masked(Tensor(np.zeros((1, 4))), mask)
-        assert np.allclose(w.data, 0.25)
-
-    def test_two_valid_positions_closed_form(self):
-        mask = TimeMask.full(1, 2)
-        w = softmax_masked(Tensor([[10.0, 0.0]]), mask)
-        expected_hi = 1.0 / (1.0 + np.exp(-10.0))
-        expected_lo = np.exp(-10.0) / (1.0 + np.exp(-10.0))
-        assert np.allclose(w.data, [[expected_hi, expected_lo]], atol=1e-15)
-
-    def test_masked_position_is_inert(self):
-        mask = TimeMask(1, 3, np.array([2]))
-        base = softmax_masked(Tensor([[10.0, 0.0, 0.0]]), mask)
-        poked = softmax_masked(Tensor([[10.0, 0.0, 1e6]]), mask)
-        assert np.array_equal(base.data[:, :2], poked.data[:, :2])
-        assert poked.data[0, 2] == 0.0
-
-    def test_weights_sum_to_one(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            b = int(rng.integers(1, 4))
-            t = int(rng.integers(1, 6))
-            lengths = rng.integers(1, t + 1, size=b)
-            mask = TimeMask(b, t, lengths)
-            w = softmax_masked(Tensor(rng.normal(size=(b, t)) * 10), mask)
-            assert np.all(w.data >= 0)
-            assert np.allclose(w.data.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_gradient(self):
-        rng = np.random.default_rng(13)
-        mask = TimeMask(2, 4, np.array([3, 4]))
-        s = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
-        coef = rng.normal(size=(2, 4))
-
-        def f():
-            return tensor_sum(softmax_masked(s, mask) * coef)
-
-        worst = check_gradients(f, [("s", s)], step=1e-5)
-        assert worst["s"] < 1e-6
 
 
 class TestMaskedMeanTime:
@@ -572,8 +526,14 @@ def _calls(node, inside=frozenset()):
 
 
 def test_every_exported_op_is_called_by_the_library():
-    """Each op in ``autodiff.__all__`` is called somewhere in the package outside its own def."""
-    called = {name for path in Path(autodiff.__file__).parent.glob("*.py")
+    """Each op in ``autodiff.__all__`` is called somewhere in the package outside its own def,
+    and the package re-exports from ``autodiff`` only names in ``autodiff.__all__``."""
+    package = Path(autodiff.__file__).parent
+    called = {name for path in package.glob("*.py")
               for name, inside in _calls(ast.parse(path.read_text())) if name not in inside}
     ops = set(autodiff.__all__) - {"Tensor", "Tape", "TimeMask", "backward"}
     assert sorted(ops - called) == []
+    reexported = {alias.name for node in ast.walk(ast.parse((package / "__init__.py").read_text()))
+                  if isinstance(node, ast.ImportFrom) and node.module == "autodiff"
+                  for alias in node.names}
+    assert reexported and sorted(reexported - set(autodiff.__all__)) == []

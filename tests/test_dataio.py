@@ -117,6 +117,23 @@ class TestRecordFile:
         with pytest.raises(ValidationError, match="'a b'"):
             load_records(path)
 
+    def test_invalid_record_on_read_names_file_and_offset(self, tmp_path):
+        header = small_header(video_count=2)
+        frames = np.ones((2, header.feature_dim), dtype=np.float32)
+        path = tmp_path / "ab.bin"
+        write_records(path, header, [VideoRecord("a_a", frames, [0]), VideoRecord("a_b", frames, [1])])
+        data = path.read_bytes()
+        second = data.index(b"\x03\x00a_b")  # u16 length 3, then the id bytes
+        features = second + 2 + 3 + 4 + 4  # id, frame/label counts, one label
+        inf = tmp_path / "inf.bin"
+        inf.write_bytes(data[:features] + np.float32(np.inf).tobytes() + data[features + 4 :])
+        spaced = tmp_path / "spaced.bin"
+        spaced.write_bytes(data.replace(b"\x03\x00a_b", b"\x03\x00a b", 1))
+        for bad, message in ((inf, "non-finite feature values"), (spaced, "'a b'")):
+            prefix = re.escape(f"{bad}: record at byte {second}: ")
+            with pytest.raises(ValidationError, match=f"^{prefix}.*{message}"):
+                load_records(bad)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"JUNKJUNKJUNKJUNKJUNKJUNKJUNK")

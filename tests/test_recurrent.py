@@ -5,7 +5,8 @@ from videoseq import DimensionError, PreconditionError, Tape, Tensor, TimeMask, 
 from videoseq.autodiff import masked_mean_time, tensor_sum
 from videoseq.recurrent import attention_pool, attention_table, cell_table, draw_table, run_bidirectional
 
-from oracles import check_gradients, composed_bidirectional, gru_step, lstm_step, reverse_valid_time
+from oracles import (check_gradients, composed_attention_pool, composed_bidirectional, gru_step, lstm_step,
+                     reverse_valid_time)
 
 
 def zeroed(params):
@@ -265,18 +266,101 @@ class TestAttentionPool:
             assert np.all(out[i] <= valid.max(axis=1) + 1e-12)
             assert np.all(out[i] >= valid.min(axis=1) - 1e-12)
 
+    def test_two_frames_closed_form(self):
+        # one channel, W = 1, b = 0: scores are v * tanh(h_t), so alpha_0 = sigmoid(s_0 - s_1)
+        params = rand_attention(1, 1, 31)
+        params["attn.proj_weight"].data[...] = 1.0
+        params["attn.proj_bias"].data[...] = 0.0
+        params["attn.score_vector"].data[...] = 10.0
+        h = np.array([[[0.5, -2.0, 7.0]]])
+        out = attention_pool(params, "attn", Tensor(h), TimeMask(1, 3, np.array([2])))
+        s0, s1 = 10.0 * np.tanh(h[0, 0, :2])
+        hi = 1.0 / (1.0 + np.exp(s1 - s0))
+        assert np.allclose(out.data, [[hi * 0.5 + (1.0 - hi) * -2.0]], rtol=0, atol=1e-14)
+
+    def test_weights_are_a_distribution_over_valid_frames(self):
+        # with h the identity in time (channel k is frame k's indicator), the output is alpha
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            b, t = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+            mask = TimeMask(b, t, rng.integers(1, t + 1, size=b))
+            params = rand_attention(t, 3, int(rng.integers(100)))
+            params["attn.proj_weight"].data *= 10.0
+            params["attn.score_vector"].data *= 10.0
+            alpha = attention_pool(params, "attn", Tensor(np.broadcast_to(np.eye(t), (b, t, t))), mask).data
+            assert np.all(alpha >= 0.0) and np.all(alpha[~mask.bool_matrix()] == 0.0)
+            assert np.allclose(alpha.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    def test_padded_frame_is_inert(self):
+        params = rand_attention(3, 2, 32)
+        mask = TimeMask(2, 4, np.array([2, 4]))
+        base = np.random.default_rng(33).normal(size=(2, 3, 4))
+        poked = base.copy()
+        poked[0, :, 3] = 1e6
+        outs, grads = [], []
+        for x in (base, poked):
+            h = Tensor(x, requires_grad=True)
+            with Tape():
+                out = attention_pool(params, "attn", h, mask)
+                backward(tensor_sum(out * out))
+            outs.append(out.data)
+            grads.append(h.grad)
+        assert outs[0].tobytes() == outs[1].tobytes()
+        for g in grads:
+            assert np.all(g[0, :, 2:] == 0.0) and not np.any(np.signbit(g[0, :, 2:]))
+
     def test_gradients(self):
         params = rand_attention(3, 2, 29)
         rng = np.random.default_rng(30)
-        h = Tensor(rng.normal(size=(2, 3, 4)))
+        h = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
         mask = TimeMask(2, 4, np.array([3, 4]))
 
         def f():
             out = attention_pool(params, "attn", h, mask)
             return tensor_sum(out * out)
 
-        worst = check_gradients(f, list(params.items()), step=1e-5)
+        worst = check_gradients(f, [("h", h), *params.items()], step=1e-5)
         assert max(worst.values()) < 1e-5
+
+    @staticmethod
+    def run(op, channels, attn, lengths, grads):
+        """(nodes, output, h/weight/bias/score gradients) of ``op`` on h with 1e6 garbage
+        at every padded frame, each input requiring a gradient as ``grads`` says."""
+        rng = np.random.default_rng(channels + attn)
+        mask = TimeMask(len(lengths), max(lengths), np.array(lengths))
+        h = rng.normal(size=(mask.batch, channels, mask.max_time))
+        padded = ~mask.bool_matrix()
+        h.transpose(0, 2, 1)[padded] = rng.normal(scale=1e6, size=(padded.sum(), channels))
+        params = rand_attention(channels, attn, 42)
+        inputs = [Tensor(h), *params.values()]
+        for x, r in zip(inputs, grads):
+            x.requires_grad = r
+        with Tape() as tape:
+            out = op(params, "attn", inputs[0], mask)
+            nodes = len(tape.nodes)
+            if any(grads):
+                backward(tensor_sum(out * rng.normal(size=out.shape)))
+        return nodes, out.data, *(x.grad for x in inputs)
+
+    # (channels, attention size, valid lengths): desk width, one item, and the paper's
+    # 1024+128 features x 300 frames
+    @pytest.mark.parametrize("channels, attn, lengths", [(16, 8, (40, 17, 1)), (6, 4, (5,)),
+                                                         (1152, 64, (300, 120, 1))])
+    @pytest.mark.parametrize("grads", [(True, True, True, True), (True, False, False, False),
+                                       (False, True, False, False), (False, False, True, False),
+                                       (False, False, False, True), (False, True, True, True),
+                                       (False, False, False, False)])
+    def test_matches_composed_bitwise(self, channels, attn, lengths, grads):
+        nodes, *fused = self.run(attention_pool, channels, attn, lengths, grads)
+        composed_nodes, *composed = self.run(composed_attention_pool, channels, attn, lengths, grads)
+        assert nodes == (1 if any(grads) else 0)
+        if all(grads):
+            assert composed_nodes == 15
+        names = ["out", "h", "proj_weight", "proj_bias", "score_vector"]
+        for name, got, want, wanted in zip(names, fused, composed, (True, *grads)):
+            assert (got is not None) == wanted, name
+            if wanted:
+                assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), name
 
 
 class TestDeterministicInit:
