@@ -34,6 +34,8 @@ from .errors import (
     DimensionError,
     PreconditionError,
     StateError,
+    ValidationError,
+    check_int,
 )
 
 __all__ = [
@@ -104,7 +106,10 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
-            raise ValueError("tensor values must be finite")
+            bad = np.argwhere(~np.isfinite(arr))
+            first = tuple(int(i) for i in bad[0])
+            raise ValidationError(f"tensor values must be finite: {len(bad)} of {arr.size} are "
+                                  f"not, the first {arr[first]} at index {first}")
         self.data = arr
         self.requires_grad = requires_grad
         self.grad = None
@@ -392,15 +397,19 @@ class TimeMask:
     valid_lengths: np.ndarray
 
     def __post_init__(self):
+        check_int("TimeMask batch", self.batch, 1)
+        check_int("TimeMask max_time", self.max_time, 1)
         lengths = np.asarray(self.valid_lengths, dtype=np.int64)
         object.__setattr__(self, "valid_lengths", lengths)
         if lengths.shape != (self.batch,):
             raise DimensionError(
                 f"valid_lengths shape {lengths.shape} does not match batch {self.batch}"
             )
-        if np.any(lengths < 1) or np.any(lengths > self.max_time):
+        bad = np.flatnonzero((lengths < 1) | (lengths > self.max_time))
+        if bad.size:
             raise PreconditionError(
-                "every item needs between 1 and max_time valid frames"
+                f"every item needs between 1 and max_time {self.max_time} valid frames; "
+                f"item {bad[0]} has {lengths[bad[0]]}"
             )
 
     @classmethod
@@ -452,12 +461,16 @@ def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     """Cross-correlate along time with zero padding so the length is kept.
 
     x: [batch x c_in x time], kernels: [c_out x c_in x width] (width odd),
-    bias: [c_out]. Implemented as im2col + one BLAS matmul; a width-1 kernel
-    (a per-frame projection) needs no padding, so its im2col reads ``x``
-    without a padded copy. The backward closure keeps ``x`` rather than the
-    [b·t x c_in·w] im2col matrix and rebuilds that matrix from ``x`` when the
-    kernels need their gradient (the recompute trade of Chen et al. 2016,
-    arXiv:1604.06174).
+    bias: [c_out]. Implemented as im2col + one BLAS matmul over a channel-major
+    [c_in·w x b·t] column matrix: row (c, j) holds every item's channel c
+    shifted by j - p along time, zero off the ends, copied in contiguous time
+    runs from ``x``'s own layout. The output and the input gradient are
+    computed frame-major, [b·t x c_out] and [b·t x c_in·w], because the BLAS
+    rounds a product by the layout of its result: laid out so, they keep the
+    bits of a frame-major im2col. The input gradient is folded back by ``w``
+    shifted adds along time. The backward closure keeps ``x`` rather than the
+    column matrix and rebuilds it when the kernels need their gradient (the
+    recompute trade of Chen et al. 2016, arXiv:1604.06174).
     """
     x, kernels, bias = _const(x), _const(kernels), _const(bias)
     if x.data.ndim != 3 or kernels.data.ndim != 3:
@@ -478,27 +491,31 @@ def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
             f"conv1d_same: bias shape {bias.data.shape} does not match {co} filters"
         )
     p = (w - 1) // 2
+    # (j, lo, src, n): tap j pairs output frames [lo, lo + n) with input frames [src, src + n)
+    taps = [(j, max(p - j, 0), max(j - p, 0), t - abs(j - p)) for j in range(w) if abs(j - p) < t]
 
-    def im2col():  # [b·t x c_in·w]: row (i, s) holds item i's zero-padded window at s
-        xp = np.pad(x.data, ((0, 0), (0, 0), (p, p))) if p else x.data
-        win = np.lib.stride_tricks.sliding_window_view(xp, w, axis=2)  # (b, ci, t, w)
-        return win.transpose(0, 2, 1, 3).reshape(b * t, ci * w)
+    def im2col():  # [c_in·w x b·t]: row (c, j) holds every item's channel c shifted by j - p
+        cols = np.empty((ci, w, b, t)) if w == 1 else np.zeros((ci, w, b, t))
+        xc = x.data.transpose(1, 0, 2)
+        for j, lo, src, n in taps:
+            cols[:, j, :, lo : lo + n] = xc[:, :, src : src + n]
+        return cols.reshape(ci * w, b * t)
 
     kmat = kernels.data.reshape(co, ci * w)
-    out = (im2col() @ kmat.T + bias.data).reshape(b, t, co).transpose(0, 2, 1)
+    out = (im2col().T @ kmat.T + bias.data).reshape(b, t, co).transpose(0, 2, 1)
 
     def bw(g):
         gmat = g.transpose(0, 2, 1).reshape(b * t, co)
         if kernels.requires_grad:
-            _accumulate(kernels, (gmat.T @ im2col()).reshape(co, ci, w))
+            _accumulate(kernels, (gmat.T @ im2col().T).reshape(co, ci, w))
         if bias.requires_grad:
             _accumulate(bias, gmat.sum(axis=0))
         if x.requires_grad:
-            gcol = (gmat @ kmat).reshape(b, t, ci, w).transpose(0, 2, 1, 3)
-            gxp = np.zeros((b, ci, t + 2 * p))
-            for j in range(w):
-                gxp[:, :, j : j + t] += gcol[:, :, :, j]
-            _accumulate(x, gxp[:, :, p : p + t])
+            gcols = (gmat @ kmat).reshape(b, t, ci, w)
+            gx = np.zeros((b, t, ci))
+            for j, lo, src, n in taps:
+                gx[:, src : src + n] += gcols[:, lo : lo + n, :, j]
+            _accumulate(x, gx.transpose(0, 2, 1))
 
     return Tensor._op(np.ascontiguousarray(out), (x, kernels, bias), bw)
 

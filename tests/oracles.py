@@ -238,6 +238,38 @@ def composed_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return Tensor._op(x.data @ w.data.T, (x, w), bw) + b
 
 
+def composed_conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
+    """``conv1d_same`` through a frame-major [b·t x c_in·w] im2col matrix gathered from
+    ``sliding_window_view``: the output is ``cols @ kernels.T``, the kernels get
+    ``g.T @ cols`` and x gets ``g @ kernels`` folded back over a zero-padded copy."""
+    b, ci, t = x.shape
+    co, _, w = kernels.shape
+    p = (w - 1) // 2
+
+    def im2col():  # row (i, s) holds item i's zero-padded window at s
+        xp = np.pad(x.data, ((0, 0), (0, 0), (p, p))) if p else x.data
+        win = np.lib.stride_tricks.sliding_window_view(xp, w, axis=2)  # (b, ci, t, w)
+        return win.transpose(0, 2, 1, 3).reshape(b * t, ci * w)
+
+    kmat = kernels.data.reshape(co, ci * w)
+    out = (im2col() @ kmat.T + bias.data).reshape(b, t, co).transpose(0, 2, 1)
+
+    def bw(g):
+        gmat = g.transpose(0, 2, 1).reshape(b * t, co)
+        if kernels.requires_grad:
+            ad._accumulate(kernels, (gmat.T @ im2col()).reshape(co, ci, w))
+        if bias.requires_grad:
+            ad._accumulate(bias, gmat.sum(axis=0))
+        if x.requires_grad:
+            gcol = (gmat @ kmat).reshape(b, t, ci, w).transpose(0, 2, 1, 3)
+            gxp = np.zeros((b, ci, t + 2 * p))
+            for j in range(w):
+                gxp[:, :, j : j + t] += gcol[:, :, :, j]
+            ad._accumulate(x, gxp[:, :, p : p + t])
+
+    return Tensor._op(np.ascontiguousarray(out), (x, kernels, bias), bw)
+
+
 def softmax_masked(scores: Tensor, mask: TimeMask) -> Tensor:
     """Per-item softmax of scores [b x t] over valid positions as six tape nodes: shift by
     the maximum over valid positions, mask, exp, mask, sum, divide. Padded positions
@@ -249,12 +281,12 @@ def softmax_masked(scores: Tensor, mask: TimeMask) -> Tensor:
 
 
 def composed_attention_pool(t: dict, prefix: str, h: Tensor, mask: TimeMask) -> Tensor:
-    """``attention_pool`` as 15 tape nodes: a width-1 ``conv1d_same`` projection, tanh,
-    the scores as a broadcast product summed over the attention axis, the six-node
+    """``attention_pool`` as 15 tape nodes: a width-1 ``composed_conv1d_same`` projection,
+    tanh, the scores as a broadcast product summed over the attention axis, the six-node
     masked softmax, and the weighted sum over time."""
     weight, bias, score = (t[f"{prefix}.{f}"] for f in ("proj_weight", "proj_bias", "score_vector"))
     attn, channels = weight.shape
-    u = tanh(ad.conv1d_same(h, reshape(weight, (attn, channels, 1)), bias))
+    u = tanh(composed_conv1d_same(h, reshape(weight, (attn, channels, 1)), bias))
     scores = (u * reshape(score, (1, attn, 1))).sum(axis=1)
     alpha = softmax_masked(scores, mask)
     return (h * reshape(alpha, (mask.batch, 1, mask.max_time))).sum(axis=2)

@@ -7,10 +7,12 @@ import pytest
 from videoseq import (
     ContractError,
     DimensionError,
+    PreconditionError,
     StateError,
     Tape,
     Tensor,
     TimeMask,
+    ValidationError,
     backward,
     batchnorm_time,
     concat,
@@ -23,7 +25,8 @@ from videoseq import (
 from videoseq import autodiff
 from videoseq.autodiff import _accumulate, tensor_sum
 
-from oracles import check_gradients, composed_batchnorm_time, composed_linear, reverse_valid_time, tanh
+from oracles import (check_gradients, composed_batchnorm_time, composed_conv1d_same, composed_linear,
+                     reverse_valid_time, tanh)
 
 
 def conv1d_naive(x, kernels, bias):
@@ -124,6 +127,59 @@ class TestConv1dSame:
 
         worst = check_gradients(f, [("x", x), ("k", k), ("bias", bias)], step=1e-5)
         assert max(worst.values()) < 1e-6
+
+    @staticmethod
+    def run(op, batch, c_in, c_out, width, time, grads):
+        """(nodes, output, x/kernels/bias gradients) of ``op``, each input requiring a
+        gradient as ``grads`` says."""
+        rng = np.random.default_rng(batch + c_in + c_out + width + time)
+        values = (rng.normal(size=(batch, c_in, time)), rng.normal(size=(c_out, c_in, width)),
+                  rng.normal(size=c_out))
+        inputs = [Tensor(v, requires_grad=r) for v, r in zip(values, grads)]
+        with Tape() as tape:
+            out = op(*inputs)
+            nodes = len(tape.nodes)
+            if any(grads):
+                backward(tensor_sum(out * rng.normal(size=out.shape)))
+        return nodes, out.data, *(x.grad for x in inputs)
+
+    # (batch, c_in, c_out, width, time): desk width at each odd width; the paper's
+    # 1024+128 features projected to 128 filters and a 128-filter block conv, three
+    # items of 300 frames; a window wider than the sequence
+    PAPER = [(3, 1152, 128, 1, 300), (3, 128, 128, 3, 300)]
+    SHAPES = [(3, 16, 16, w, 40) for w in (1, 3, 5, 7)] + PAPER + [(2, 4, 3, 3, 1), (2, 4, 3, 5, 2)]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    @pytest.mark.parametrize("grads", [(x, k, b) for x in (True, False) for k in (True, False)
+                                       for b in (True, False)], ids=str)
+    def test_matches_composed(self, shape, grads):
+        """Output, x and bias gradients keep the frame-major im2col's bits, zero signs
+        included; the kernel gradient is within 1e-12 and keeps them at paper shapes."""
+        nodes, *fused = self.run(conv1d_same, *shape, grads)
+        _, *composed = self.run(composed_conv1d_same, *shape, grads)
+        assert nodes == (1 if any(grads) else 0)
+        for name, got, want, wanted in zip(["out", "x", "kernels", "bias"], fused, composed,
+                                           (True, *grads)):
+            assert (got is not None) == wanted, name
+            if not wanted:
+                continue
+            assert got.flags.c_contiguous, name
+            if name == "kernels" and shape not in self.PAPER:
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+            else:
+                assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), name
+
+    def test_matches_composed_within_1e_12_at_random_shapes(self):
+        """Below the BLAS's blocked sizes, its small-matrix kernels may round the output
+        and kernel gradient in another order than the frame-major form; never by more."""
+        rng = np.random.default_rng(19)
+        for _ in range(40):
+            shape = (int(rng.integers(1, 6)), int(rng.choice([1, 3, 8, 24])), int(rng.choice([1, 2, 4, 16])),
+                     int(rng.choice([1, 3, 5, 7])), int(rng.integers(1, 30)))
+            _, *fused = self.run(conv1d_same, *shape, (True, True, True))
+            _, *composed = self.run(composed_conv1d_same, *shape, (True, True, True))
+            for got, want in zip(fused, composed):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), shape
 
 
 class TestActivations:
@@ -355,6 +411,28 @@ class TestBackward:
             backward(loss)
             with pytest.raises(StateError):
                 backward(loss)
+
+
+class TestValidation:
+    @pytest.mark.parametrize("lengths, item, length", [([2, 0, 5], 1, 0), ([4, 3, 1], 0, 4),
+                                                       ([1, 2, -1], 2, -1)])
+    def test_time_mask_names_the_first_offending_item(self, lengths, item, length):
+        message = f"between 1 and max_time 3 valid frames; item {item} has {length}$"
+        with pytest.raises(PreconditionError, match=message):
+            TimeMask(3, 3, np.array(lengths))
+
+    @pytest.mark.parametrize("data, count, first, index", [
+        ([1.0, np.nan, np.inf], 2, "nan", "(1,)"),
+        ([[1.0, 2.0], [3.0, -np.inf]], 1, "-inf", "(1, 1)"),
+        (np.inf, 1, "inf", "()"),
+    ])
+    def test_non_finite_tensor_names_count_first_value_and_index(self, data, count, first, index):
+        size = np.size(data)
+        with pytest.raises(ValidationError) as exc:
+            Tensor(data)
+        assert isinstance(exc.value, ValueError)
+        assert str(exc.value) == (f"tensor values must be finite: {count} of {size} are not, "
+                                  f"the first {first} at index {index}")
 
 
 class TestTimePlumbing:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import videoseq
-from videoseq import ConfigurationError, ModelSpec, generate_synthetic
+from videoseq import ConfigurationError, ModelSpec, TimeMask, generate_synthetic
 from videoseq.errors import check_int
 from videoseq.gradcheck import grad_check, toy_spec
 from videoseq.metrics import PredictionSet, gap_at_k, topk_predictions
@@ -56,6 +56,8 @@ _SURFACES = {
     "grad_check.seed": ("seed", lambda v, _: grad_check(toy_spec("video_level"), seed=v), -1, ">= 0"),
     "predict.batch_size": ("batch_size", _predict("batch_size"), 0, ">= 1"),
     "predict.k": ("k", _predict("k"), 0, ">= 1"),
+    "TimeMask.batch": ("TimeMask batch", lambda v, _: TimeMask(v, 3, np.ones(1)), 0, ">= 1"),
+    "TimeMask.max_time": ("TimeMask max_time", lambda v, _: TimeMask(1, v, np.ones(1)), 0, ">= 1"),
     "gap_at_k.k": ("k", lambda v, _: gap_at_k(PredictionSet([], {}), k=v), 0, ">= 1"),
     "topk_predictions.k": ("k", lambda v, _: topk_predictions(np.zeros((1, 3)), v, ["a"]), 4, "<= 3"),
 }
