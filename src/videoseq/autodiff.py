@@ -399,8 +399,10 @@ class TimeMask:
     def __post_init__(self):
         check_int("TimeMask batch", self.batch, 1)
         check_int("TimeMask max_time", self.max_time, 1)
-        lengths = np.asarray(self.valid_lengths, dtype=np.int64)
-        object.__setattr__(self, "valid_lengths", lengths)
+        lengths = np.asarray(self.valid_lengths)
+        if lengths.dtype.kind not in "iu":  # a float, bool, object or string array
+            raise ConfigurationError(f"TimeMask valid_lengths must be integers, got dtype {lengths.dtype}")
+        object.__setattr__(self, "valid_lengths", lengths.astype(np.int64))
         if lengths.shape != (self.batch,):
             raise DimensionError(
                 f"valid_lengths shape {lengths.shape} does not match batch {self.batch}"

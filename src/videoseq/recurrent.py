@@ -5,7 +5,11 @@ Cells keep one weight matrix and bias per gate, each gate matrix of shape
 ``run_bidirectional`` runs a forward and a backward cell over a zero-padded
 batch as one autodiff node: one input-projection GEMM over all frames of both
 directions, then one numpy time loop doing only the recurrent GEMM and the
-gate math, with a hand-written BPTT loop as its backward. The backward
+gate math, with a hand-written BPTT loop as its backward. Its buffers are
+time-major, [T x 2 x b x k], and both loops walk their per-step views; the
+sigmoid gates have a contiguous block of their own, every gate, cell and
+state value is written in place into its step's view, and one
+``np.errstate`` covers a whole sequence. The backward
 direction reads each item's reversed valid prefix, so padding never enters
 its states, and outputs at padded positions are exactly zero. Attention
 pooling is one node too: the per-frame tanh projection, the scores, their
@@ -76,75 +80,103 @@ def _cell(t: dict, prefix: str, x: Tensor) -> tuple:
 
 def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per direction, the sum over steps and items of a^T b:
-    [2 x T x b x m], [2 x T x b x n] -> [2 x m x n]."""
-    return np.matmul(a.reshape(2, -1, a.shape[-1]).transpose(0, 2, 1), b.reshape(2, -1, b.shape[-1]))
+    [T x 2 x b x m], [T x 2 x b x n] -> [2 x m x n]."""
+    a, b = (m.transpose(1, 0, 2, 3).reshape(2, -1, m.shape[-1]) for m in (a, b))  # [2 x T·b x k]
+    return np.matmul(a.transpose(0, 2, 1), b)
 
 
 def _lstm_sequence(pre_x: np.ndarray, w_h: np.ndarray):
-    """Both directions' LSTM over their projected inputs pre_x [2 x T x b x 4h] (gates
-    i, f, o, g) from zero state. Returns the states hs [2 x T+1 x b x h] (hs[:, 0] = 0)
-    and bptt(d_hs [2 x T x b x h]) -> (d_pre [2 x T x b x 4h], d_w_h [2 x h x 4h])."""
-    _, steps, batch, width = pre_x.shape
+    """Both directions' LSTM over their projected inputs pre_x [T x 2 x b x 4h] (gates
+    i, f, o, g) from zero state. Returns the states hs [T+1 x 2 x b x h] (hs[0] = 0)
+    and bptt(d_hs [T x 2 x b x h]) -> (d_pre [T x 2 x b x 4h], d_w_h [2 x h x 4h])."""
+    steps, _, batch, width = pre_x.shape
     h = width // 4
-    hs, cs = np.zeros((2, 2, steps + 1, batch, h))
-    gates = np.empty(pre_x.shape)
-    tanh_c = np.empty((2, steps, batch, h))
-    for s in range(steps):
-        pre, a = pre_x[:, s] + hs[:, s] @ w_h, gates[:, s]
-        a[..., : 3 * h] = ad._sigmoid(pre[..., : 3 * h])
-        a[..., 3 * h :] = np.tanh(pre[..., 3 * h :])
-        cs[:, s + 1] = a[..., h : 2 * h] * cs[:, s] + a[..., :h] * a[..., 3 * h :]
-        tanh_c[:, s] = np.tanh(cs[:, s + 1])
-        hs[:, s + 1] = a[..., 2 * h : 3 * h] * tanh_c[:, s]
+    hs, cs = np.zeros((2, steps + 1, 2, batch, h))
+    sig = np.empty((steps, 2, batch, 3 * h))  # i, f, o: one contiguous block per step
+    g, tanh_c = np.empty((2, steps, 2, batch, h))
+    pre, ig = np.empty((2, batch, width)), np.empty((2, batch, h))
+    # exp(-z) overflows to inf for very negative z, and 1/(1+inf) is the exact limit 0;
+    # each product and sum takes the operands of the composed step, so it rounds the same
+    with np.errstate(over="ignore"):
+        for px, h_prev, h_next, c_prev, c_next, sg, gs, tc in zip(
+                pre_x, hs[:-1], hs[1:], cs[:-1], cs[1:], sig, g, tanh_c):
+            np.matmul(h_prev, w_h, pre)
+            pre += px
+            np.negative(pre[..., : 3 * h], sg)
+            np.exp(sg, sg)
+            sg += 1.0
+            np.divide(1.0, sg, sg)
+            np.tanh(pre[..., 3 * h :], gs)
+            np.multiply(sg[..., :h], gs, ig)
+            np.multiply(sg[..., h : 2 * h], c_prev, c_next)
+            c_next += ig
+            np.tanh(c_next, tc)
+            np.multiply(sg[..., 2 * h :], tc, h_next)
 
     def bptt(d_hs):
-        i, f, o, g = (gates[..., k * h : (k + 1) * h] for k in range(4))
+        i, f, o = (sig[..., k * h : (k + 1) * h] for k in range(3))
         # d_pre at a step is [dc, dc, dh, dc] * factor, dc the cell-state gradient
-        factor = np.concatenate([g * i * (1.0 - i), cs[:, :-1] * f * (1.0 - f),
+        factor = np.concatenate([g * i * (1.0 - i), cs[:-1] * f * (1.0 - f),
                                  tanh_c * o * (1.0 - o), i * (1.0 - g * g)], axis=-1)
         dc_dh = o * (1.0 - tanh_c * tanh_c)
         d_pre, w_t = np.empty(pre_x.shape), w_h.transpose(0, 2, 1)
-        dh = dc = 0.0
-        for s in reversed(range(steps)):
-            dh = dh + d_hs[:, s]
-            dc = dc + dh * dc_dh[:, s]
-            np.multiply(np.concatenate([dc, dc, dh, dc], axis=-1), factor[:, s], out=d_pre[:, s])
-            dc = dc * f[:, s]
-            dh = d_pre[:, s] @ w_t
-        return d_pre, _gram(hs[:, :-1], d_pre)
+        dh, dc, dcat = np.zeros((2, batch, h)), np.zeros((2, batch, h)), np.empty((2, batch, width))
+        for d_h, fac, dcdh, fs, dp in zip(d_hs[::-1], factor[::-1], dc_dh[::-1], f[::-1], d_pre[::-1]):
+            dh += d_h
+            dc += dh * dcdh
+            np.concatenate((dc, dc, dh, dc), axis=-1, out=dcat)
+            np.multiply(dcat, fac, dp)
+            dc *= fs
+            np.matmul(dp, w_t, dh)
+        return d_pre, _gram(hs[:-1], d_pre)
 
     return hs, bptt
 
 
 def _gru_sequence(pre_x: np.ndarray, w_h: np.ndarray):
     """``_lstm_sequence`` for the GRU: gates z, r and the candidate, width 3h."""
-    _, steps, batch, width = pre_x.shape
+    steps, _, batch, width = pre_x.shape
     h = width // 3
-    hs = np.zeros((2, steps + 1, batch, h))
-    gates = np.empty(pre_x.shape)
-    reset_h = np.empty((2, steps, batch, h))  # r * h_prev, the candidate's recurrent input
-    for s in range(steps):
-        a, h_prev = gates[:, s], hs[:, s]
-        a[..., : 2 * h] = ad._sigmoid(pre_x[:, s, :, : 2 * h] + h_prev @ w_h[..., : 2 * h])
-        reset_h[:, s] = a[..., h : 2 * h] * h_prev
-        a[..., 2 * h :] = np.tanh(pre_x[:, s, :, 2 * h :] + reset_h[:, s] @ w_h[..., 2 * h :])
-        hs[:, s + 1] = (1.0 - a[..., :h]) * h_prev + a[..., :h] * a[..., 2 * h :]
+    hs = np.zeros((steps + 1, 2, batch, h))
+    zr = np.empty((steps, 2, batch, 2 * h))  # z, r: one contiguous block per step
+    cand, reset_h = np.empty((2, steps, 2, batch, h))  # reset_h = r * h_prev, the candidate's input
+    keep_h = np.empty((2, batch, h))
+    w_zr, w_c = w_h[..., : 2 * h], w_h[..., 2 * h :]
+    with np.errstate(over="ignore"):
+        for px, h_prev, h_next, sg, cd, rh in zip(pre_x, hs[:-1], hs[1:], zr, cand, reset_h):
+            np.matmul(h_prev, w_zr, sg)
+            sg += px[..., : 2 * h]
+            np.negative(sg, sg)
+            np.exp(sg, sg)
+            sg += 1.0
+            np.divide(1.0, sg, sg)
+            np.multiply(sg[..., h:], h_prev, rh)
+            np.matmul(rh, w_c, cd)
+            cd += px[..., 2 * h :]
+            np.tanh(cd, cd)
+            np.subtract(1.0, sg[..., :h], keep_h)  # h_next = (1 - z) * h_prev + z * cand
+            keep_h *= h_prev
+            np.multiply(sg[..., :h], cd, h_next)
+            h_next += keep_h
 
     def bptt(d_hs):
-        z, r, cand = (gates[..., k * h : (k + 1) * h] for k in range(3))
-        h_prev = hs[:, :-1]
+        z, r = zr[..., :h], zr[..., h:]
+        h_prev = hs[:-1]
         dz_dh, dc_dh = (cand - h_prev) * z * (1.0 - z), z * (1.0 - cand * cand)
         dr_drh, keep = h_prev * r * (1.0 - r), 1.0 - z
-        w_zr, w_c = w_h[..., : 2 * h].transpose(0, 2, 1), w_h[..., 2 * h :].transpose(0, 2, 1)
+        w_zr_t, w_c_t = w_zr.transpose(0, 2, 1), w_c.transpose(0, 2, 1)
         d_pre = np.empty(pre_x.shape)
-        dh = 0.0
-        for s in reversed(range(steps)):
-            dh, d = dh + d_hs[:, s], d_pre[:, s]
-            np.multiply(dh, dc_dh[:, s], out=d[..., 2 * h :])
-            drh = d[..., 2 * h :] @ w_c
-            np.multiply(dh, dz_dh[:, s], out=d[..., :h])
-            np.multiply(drh, dr_drh[:, s], out=d[..., h : 2 * h])
-            dh = dh * keep[:, s] + drh * r[:, s] + d[..., : 2 * h] @ w_zr
+        dh, drh = np.zeros((2, batch, h)), np.empty((2, batch, h))
+        for d_h, d, dzdh, dcdh, drdrh, k, rs in zip(d_hs[::-1], d_pre[::-1], dz_dh[::-1], dc_dh[::-1],
+                                                   dr_drh[::-1], keep[::-1], r[::-1]):
+            dh += d_h
+            np.multiply(dh, dcdh, d[..., 2 * h :])
+            np.matmul(d[..., 2 * h :], w_c_t, drh)
+            np.multiply(dh, dzdh, d[..., :h])
+            np.multiply(drh, drdrh, d[..., h : 2 * h])
+            dh *= k
+            dh += drh * rs
+            dh += d[..., : 2 * h] @ w_zr_t
         return d_pre, np.concatenate(
             [_gram(h_prev, d_pre[..., : 2 * h]), _gram(reset_h, d_pre[..., 2 * h :])], axis=-1
         )
@@ -184,31 +216,31 @@ def run_bidirectional(t: dict, prefix: str, x: Tensor, mask: TimeMask) -> Tensor
     def frames():  # [T·b x d] time-major copy of x, rebuilt in backward rather than kept
         return x.data.transpose(2, 0, 1).reshape(steps * batch, d)
 
-    pre_x = np.empty((2, steps, batch, n * h))
-    bias = np.array([[bt.data for _, bt in cell] for cell in cells]).reshape(2, 1, 1, n * h)
-    np.add((frames() @ w_x).reshape(steps, batch, 2, n * h).transpose(2, 0, 1, 3), bias, out=pre_x)
-    pre_x[1] = flip(pre_x[1])
+    pre_x = np.empty((steps, 2, batch, n * h))
+    bias = np.array([[bt.data for _, bt in cell] for cell in cells]).reshape(2, 1, n * h)
+    np.add((frames() @ w_x).reshape(steps, batch, 2, n * h).transpose(0, 2, 1, 3), bias, out=pre_x)
+    pre_x[:, 1] = flip(pre_x[:, 1])
     hs, bptt = (_lstm_sequence if kind == "lstm" else _gru_sequence)(pre_x, w_h)
-    states = hs[:, 1:] * valid
-    states[1] = flip(states[1])
+    states = hs[1:] * valid[:, None]
+    states[:, 1] = flip(states[:, 1])
 
     def bw(g):
-        d_hs = g.reshape(batch, 2, h, steps).transpose(1, 3, 0, 2) * valid
-        d_hs[1] = flip(d_hs[1])
+        d_hs = g.reshape(batch, 2, h, steps).transpose(3, 1, 0, 2) * valid[:, None]
+        d_hs[:, 1] = flip(d_hs[:, 1])
         d_pre, d_w_h = bptt(d_hs)
-        d_pre[1] = flip(d_pre[1])
-        d_flat = d_pre.transpose(1, 2, 0, 3).reshape(steps * batch, 2 * n * h)
+        d_pre[:, 1] = flip(d_pre[:, 1])
+        d_flat = d_pre.transpose(0, 2, 1, 3).reshape(steps * batch, 2 * n * h)
         if x.requires_grad:
             ad._accumulate(x, (d_flat @ w_x.T).reshape(steps, batch, d).transpose(1, 2, 0))
         d_w_x = (frames().T @ d_flat).reshape(d, 2, n * h).transpose(1, 2, 0)
         d_w = np.concatenate([d_w_x, d_w_h.transpose(0, 2, 1)], axis=2).reshape(2, n, h, d + h)
-        d_b = d_pre.sum(axis=(1, 2)).reshape(2, n, h)
+        d_b = d_flat.sum(axis=0).reshape(2, n, h)
         for k, cell in enumerate(cells):
             for j, (wt, bt) in enumerate(cell):
                 ad._accumulate(wt, d_w[k, j])
                 ad._accumulate(bt, d_b[k, j])
 
-    out = states.transpose(2, 0, 3, 1).reshape(batch, 2 * h, steps)
+    out = states.transpose(2, 1, 3, 0).reshape(batch, 2 * h, steps)
     return Tensor._op(out, (x, *(p for cell in cells for pair in cell for p in pair)), bw)
 
 

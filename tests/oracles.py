@@ -7,7 +7,7 @@ from videoseq.autodiff import Tensor, TimeMask
 from videoseq.errors import ConfigurationError, DimensionError, PreconditionError
 from videoseq.gradcheck import _worst_errors
 from videoseq.metrics import TOP_K, GapResult, PredictionSet, _pooled_pairs
-from videoseq.recurrent import _cell
+from videoseq.recurrent import GRU_GATES, LSTM_GATES, _cell
 from videoseq.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, Adam, TrainingError
 from videoseq.vlad import _DEGENERATE_NORM, Codebook, _squared_distances
 
@@ -181,6 +181,137 @@ def composed_bidirectional(t: dict, prefix: str, x: Tensor, mask: TimeMask) -> T
     fwd = direction(f"{prefix}.fwd", x)
     bwd = reverse_valid_time(direction(f"{prefix}.bwd", reverse_valid_time(x, mask)), mask)
     return ad.concat([fwd, bwd], axis=1) * mask.channel_mask()
+
+
+def _gate_major_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per direction, the sum over steps and items of a^T b:
+    [2 x T x b x m], [2 x T x b x n] -> [2 x m x n]."""
+    return np.matmul(a.reshape(2, -1, a.shape[-1]).transpose(0, 2, 1), b.reshape(2, -1, b.shape[-1]))
+
+
+def _gate_major_lstm(pre_x: np.ndarray, w_h: np.ndarray):
+    """Both directions' LSTM over pre_x [2 x T x b x 4h] (gates i, f, o, g) from zero
+    state, one fresh array per gate expression and step. Returns the states
+    hs [2 x T+1 x b x h] and bptt(d_hs [2 x T x b x h]) -> (d_pre, d_w_h [2 x h x 4h])."""
+    _, steps, batch, width = pre_x.shape
+    h = width // 4
+    hs, cs = np.zeros((2, 2, steps + 1, batch, h))
+    gates = np.empty(pre_x.shape)
+    tanh_c = np.empty((2, steps, batch, h))
+    for s in range(steps):
+        pre, a = pre_x[:, s] + hs[:, s] @ w_h, gates[:, s]
+        a[..., : 3 * h] = ad._sigmoid(pre[..., : 3 * h])
+        a[..., 3 * h :] = np.tanh(pre[..., 3 * h :])
+        cs[:, s + 1] = a[..., h : 2 * h] * cs[:, s] + a[..., :h] * a[..., 3 * h :]
+        tanh_c[:, s] = np.tanh(cs[:, s + 1])
+        hs[:, s + 1] = a[..., 2 * h : 3 * h] * tanh_c[:, s]
+
+    def bptt(d_hs):
+        i, f, o, g = (gates[..., k * h : (k + 1) * h] for k in range(4))
+        factor = np.concatenate([g * i * (1.0 - i), cs[:, :-1] * f * (1.0 - f),
+                                 tanh_c * o * (1.0 - o), i * (1.0 - g * g)], axis=-1)
+        dc_dh = o * (1.0 - tanh_c * tanh_c)
+        d_pre, w_t = np.empty(pre_x.shape), w_h.transpose(0, 2, 1)
+        dh = dc = 0.0
+        for s in reversed(range(steps)):
+            dh = dh + d_hs[:, s]
+            dc = dc + dh * dc_dh[:, s]
+            np.multiply(np.concatenate([dc, dc, dh, dc], axis=-1), factor[:, s], out=d_pre[:, s])
+            dc = dc * f[:, s]
+            dh = d_pre[:, s] @ w_t
+        return d_pre, _gate_major_gram(hs[:, :-1], d_pre)
+
+    return hs, bptt
+
+
+def _gate_major_gru(pre_x: np.ndarray, w_h: np.ndarray):
+    """``_gate_major_lstm`` for the GRU: gates z, r and the candidate, width 3h."""
+    _, steps, batch, width = pre_x.shape
+    h = width // 3
+    hs = np.zeros((2, steps + 1, batch, h))
+    gates = np.empty(pre_x.shape)
+    reset_h = np.empty((2, steps, batch, h))
+    for s in range(steps):
+        a, h_prev = gates[:, s], hs[:, s]
+        a[..., : 2 * h] = ad._sigmoid(pre_x[:, s, :, : 2 * h] + h_prev @ w_h[..., : 2 * h])
+        reset_h[:, s] = a[..., h : 2 * h] * h_prev
+        a[..., 2 * h :] = np.tanh(pre_x[:, s, :, 2 * h :] + reset_h[:, s] @ w_h[..., 2 * h :])
+        hs[:, s + 1] = (1.0 - a[..., :h]) * h_prev + a[..., :h] * a[..., 2 * h :]
+
+    def bptt(d_hs):
+        z, r, cand = (gates[..., k * h : (k + 1) * h] for k in range(3))
+        h_prev = hs[:, :-1]
+        dz_dh, dc_dh = (cand - h_prev) * z * (1.0 - z), z * (1.0 - cand * cand)
+        dr_drh, keep = h_prev * r * (1.0 - r), 1.0 - z
+        w_zr, w_c = w_h[..., : 2 * h].transpose(0, 2, 1), w_h[..., 2 * h :].transpose(0, 2, 1)
+        d_pre = np.empty(pre_x.shape)
+        dh = 0.0
+        for s in reversed(range(steps)):
+            dh, d = dh + d_hs[:, s], d_pre[:, s]
+            np.multiply(dh, dc_dh[:, s], out=d[..., 2 * h :])
+            drh = d[..., 2 * h :] @ w_c
+            np.multiply(dh, dz_dh[:, s], out=d[..., :h])
+            np.multiply(drh, dr_drh[:, s], out=d[..., h : 2 * h])
+            dh = dh * keep[:, s] + drh * r[:, s] + d[..., : 2 * h] @ w_zr
+        return d_pre, np.concatenate(
+            [_gate_major_gram(h_prev, d_pre[..., : 2 * h]), _gate_major_gram(reset_h, d_pre[..., 2 * h :])],
+            axis=-1,
+        )
+
+    return hs, bptt
+
+
+def gate_major_bidirectional(t: dict, prefix: str, x: Tensor, mask: TimeMask) -> Tensor:
+    """``run_bidirectional`` with direction-major [2 x T x b x k] buffers, one gate
+    buffer per cell, ``[:, s]`` step indexing and a sigmoid call per step: the form the
+    time-major loops replaced, kept to test them bit for bit."""
+    mask.check(x, "gate_major_bidirectional")
+    kind, hidden = _cell(t, f"{prefix}.fwd", x)
+    if _cell(t, f"{prefix}.bwd", x) != (kind, hidden):
+        raise DimensionError(f"gate_major_bidirectional: {prefix}.fwd and {prefix}.bwd differ")
+    batch, d, steps = x.shape
+    gates = LSTM_GATES if kind == "lstm" else GRU_GATES
+    n, h = len(gates), hidden
+    cells = [[(t[f"{prefix}.{side}.w_{g}"], t[f"{prefix}.{side}.b_{g}"]) for g in gates]
+             for side in ("fwd", "bwd")]
+    w = np.array([[wt.data for wt, _ in cell] for cell in cells]).reshape(2, n * h, d + h)
+    w_x = w[:, :, :d].transpose(2, 0, 1).reshape(d, 2 * n * h)
+    w_h = w[:, :, d:].transpose(0, 2, 1).copy()
+    src, valid = mask.reversal()
+    src, valid, items = src.T, valid.T[:, :, None], np.arange(batch)
+
+    def flip(a):
+        return a[src, items] * valid
+
+    def frames():
+        return x.data.transpose(2, 0, 1).reshape(steps * batch, d)
+
+    pre_x = np.empty((2, steps, batch, n * h))
+    bias = np.array([[bt.data for _, bt in cell] for cell in cells]).reshape(2, 1, 1, n * h)
+    np.add((frames() @ w_x).reshape(steps, batch, 2, n * h).transpose(2, 0, 1, 3), bias, out=pre_x)
+    pre_x[1] = flip(pre_x[1])
+    hs, bptt = (_gate_major_lstm if kind == "lstm" else _gate_major_gru)(pre_x, w_h)
+    states = hs[:, 1:] * valid
+    states[1] = flip(states[1])
+
+    def bw(g):
+        d_hs = g.reshape(batch, 2, h, steps).transpose(1, 3, 0, 2) * valid
+        d_hs[1] = flip(d_hs[1])
+        d_pre, d_w_h = bptt(d_hs)
+        d_pre[1] = flip(d_pre[1])
+        d_flat = d_pre.transpose(1, 2, 0, 3).reshape(steps * batch, 2 * n * h)
+        if x.requires_grad:
+            ad._accumulate(x, (d_flat @ w_x.T).reshape(steps, batch, d).transpose(1, 2, 0))
+        d_w_x = (frames().T @ d_flat).reshape(d, 2, n * h).transpose(1, 2, 0)
+        d_w = np.concatenate([d_w_x, d_w_h.transpose(0, 2, 1)], axis=2).reshape(2, n, h, d + h)
+        d_b = d_pre.sum(axis=(1, 2)).reshape(2, n, h)
+        for k, cell in enumerate(cells):
+            for j, (wt, bt) in enumerate(cell):
+                ad._accumulate(wt, d_w[k, j])
+                ad._accumulate(bt, d_b[k, j])
+
+    out = states.transpose(2, 0, 3, 1).reshape(batch, 2 * h, steps)
+    return Tensor._op(out, (x, *(p for cell in cells for pair in cell for p in pair)), bw)
 
 
 def sqrt(a: Tensor) -> Tensor:

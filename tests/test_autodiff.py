@@ -1,10 +1,12 @@
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from videoseq import (
+    ConfigurationError,
     ContractError,
     DimensionError,
     PreconditionError,
@@ -420,6 +422,27 @@ class TestValidation:
         message = f"between 1 and max_time 3 valid frames; item {item} has {length}$"
         with pytest.raises(PreconditionError, match=message):
             TimeMask(3, 3, np.array(lengths))
+
+    # an int64 cast would truncate the floats to [2, 1], read the bools as [1, 1] and turn
+    # NaN into -2**63 after a numpy warning
+    @pytest.mark.parametrize("lengths", [np.array([2.7, 1.2]), [True, True], np.array([np.nan, 1.0]),
+                                         np.array([2, 1], dtype=object)])
+    def test_time_mask_lengths_must_be_an_integer_array(self, lengths):
+        dtype = np.asarray(lengths).dtype
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError) as exc:
+                TimeMask(2, 3, lengths)
+        assert str(exc.value) == f"TimeMask valid_lengths must be integers, got dtype {dtype}"
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.uint64])
+    def test_time_mask_keeps_any_integer_dtype_as_int64(self, dtype):
+        mask = TimeMask(2, 3, np.array([3, 1], dtype=dtype))
+        assert mask.valid_lengths.dtype == np.int64 and mask.valid_lengths.tolist() == [3, 1]
+
+    def test_time_mask_names_a_length_before_the_int64_cast(self):
+        with pytest.raises(PreconditionError, match="item 0 has 18446744073709551615$"):
+            TimeMask(1, 3, np.array([2**64 - 1], dtype=np.uint64))  # -1 as int64
 
     @pytest.mark.parametrize("data, count, first, index", [
         ([1.0, np.nan, np.inf], 2, "nan", "(1,)"),

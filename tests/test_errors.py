@@ -56,8 +56,8 @@ _SURFACES = {
     "grad_check.seed": ("seed", lambda v, _: grad_check(toy_spec("video_level"), seed=v), -1, ">= 0"),
     "predict.batch_size": ("batch_size", _predict("batch_size"), 0, ">= 1"),
     "predict.k": ("k", _predict("k"), 0, ">= 1"),
-    "TimeMask.batch": ("TimeMask batch", lambda v, _: TimeMask(v, 3, np.ones(1)), 0, ">= 1"),
-    "TimeMask.max_time": ("TimeMask max_time", lambda v, _: TimeMask(1, v, np.ones(1)), 0, ">= 1"),
+    "TimeMask.batch": ("TimeMask batch", lambda v, _: TimeMask(v, 3, [1]), 0, ">= 1"),
+    "TimeMask.max_time": ("TimeMask max_time", lambda v, _: TimeMask(1, v, [1]), 0, ">= 1"),
     "gap_at_k.k": ("k", lambda v, _: gap_at_k(PredictionSet([], {}), k=v), 0, ">= 1"),
     "topk_predictions.k": ("k", lambda v, _: topk_predictions(np.zeros((1, 3)), v, ["a"]), 4, "<= 3"),
 }
@@ -75,6 +75,14 @@ def test_every_integer_setting_is_one_named_configuration_error(tmp_path, surfac
         call(value, tmp_path)
     assert str(exc.value) == message
     assert list(tmp_path.iterdir()) == []  # refused before any file is read or written
+
+
+@pytest.mark.parametrize("value", [2.5, True, "3", None])
+def test_an_integer_array_refuses_other_dtypes_by_name(value):
+    lengths = np.array([value])  # float64, bool, <U1 and object
+    with pytest.raises(ConfigurationError) as exc:
+        TimeMask(1, 3, lengths)
+    assert str(exc.value) == f"TimeMask valid_lengths must be integers, got dtype {lengths.dtype}"
 
 
 def test_check_int_returns_a_plain_int_at_either_bound():

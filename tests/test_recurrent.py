@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ from videoseq import DimensionError, PreconditionError, Tape, Tensor, TimeMask, 
 from videoseq.autodiff import masked_mean_time, tensor_sum
 from videoseq.recurrent import attention_pool, attention_table, cell_table, draw_table, run_bidirectional
 
-from oracles import (check_gradients, composed_attention_pool, composed_bidirectional, gru_step, lstm_step,
-                     reverse_valid_time)
+from oracles import (check_gradients, composed_attention_pool, composed_bidirectional, gate_major_bidirectional,
+                     gru_step, lstm_step, reverse_valid_time)
 
 
 def zeroed(params):
@@ -222,6 +224,53 @@ class TestRunBidirectional:
         fused, composed = results
         for name in fused:
             assert np.max(np.abs(fused[name] - composed[name])) <= 1e-12, name
+
+    @staticmethod
+    def run_both(kind, d, hidden, lengths, scale=1.0):
+        """{name: array} of the output and every gradient, x's and each w_*/b_* of both
+        cells, from ``run_bidirectional`` and from ``gate_major_bidirectional``."""
+        cells = pair(rand_cell(kind, d, hidden, 43), rand_cell(kind, d, hidden, 44))
+        rng = np.random.default_rng(45)
+        mask = TimeMask(len(lengths), max(lengths), np.array(lengths))
+        x = Tensor(rng.normal(size=(mask.batch, d, mask.max_time)) * scale, requires_grad=True)
+        coef = rng.normal(size=(mask.batch, 2 * hidden, mask.max_time))
+        results = []
+        for runner in (run_bidirectional, gate_major_bidirectional):
+            for tensor in [x, *cells.values()]:
+                tensor.zero_grad()
+            with Tape():
+                out = runner(cells, "bi", x, mask)
+                backward(tensor_sum(out * coef))
+            results.append({"out": out.data, "x": x.grad, **{n: p.grad for n, p in cells.items()}})
+        return cells, x, results
+
+    # (input width, hidden, valid lengths): one step, equal lengths, one-step item, one
+    # item of width 1, the desk spec (b 16, d 48, h 16, T 40) and b 4, d 128, h 32, T 187
+    SHAPES = [(5, 4, (1, 1, 1)), (5, 4, (6, 6, 6)), (5, 4, (1, 3, 5)), (3, 1, (4,)),
+              (48, 16, (40, *np.random.default_rng(46).integers(1, 41, size=15))),
+              (128, 32, (187, 52, 144, 102))]
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    @pytest.mark.parametrize("d, hidden, lengths", SHAPES)
+    def test_matches_gate_major_bitwise(self, kind, d, hidden, lengths):
+        # the time-major loops against the direction-major form they replaced
+        _, _, (fused, reference) = self.run_both(kind, d, hidden, lengths)
+        assert len(fused) == 2 + 4 * (4 if kind == "lstm" else 3)
+        for name in fused:
+            assert fused[name].tobytes() == reference[name].tobytes(), name  # tells -0.0 from 0.0
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    def test_saturated_gates_raise_no_warning(self, kind):
+        # inputs scaled so that exp(-z) overflows in the sigmoid gates
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cells, x, (fused, reference) = self.run_both(kind, 5, 4, (1, 3, 5), scale=1e4)
+        gate = "input" if kind == "lstm" else "update"
+        w = cells[f"bi.fwd.w_{gate}"].data[:, :5]
+        assert (x.data[:, :, 0] @ w.T).min() < -np.log(np.finfo(np.float64).max)
+        for name in fused:
+            assert np.all(np.isfinite(fused[name])), name
+            assert fused[name].tobytes() == reference[name].tobytes(), name
 
     def test_one_tape_node(self):
         cells = pair(rand_cell("lstm", 3, 2, 37), rand_cell("lstm", 3, 2, 38))
