@@ -8,7 +8,6 @@ is built from the handful of primitives shown here.
 import numpy as np
 
 from videoseq import Tape, Tensor, TimeMask, backward, conv1d_same, linear, masked_mean_time
-from videoseq.autodiff import tensor_sum
 from videoseq.gradcheck import numerical_gradient
 
 # --- tensors and the tape ---------------------------------------------------
@@ -19,20 +18,23 @@ from videoseq.gradcheck import numerical_gradient
 # Tape, operations record nothing.
 #
 # linear(x, w, b) is a fully-connected layer, x @ w.T + b, as one tape node:
-# x is [batch x inputs], w is [outputs x inputs] and b is [outputs].
+# x is [batch x inputs], w is [outputs x inputs] and b is [outputs]. A layer
+# with one output, weights of ones and no bias sums its inputs, so it turns
+# y * y into the scalar loss sum(y²), as a [1 x 1] tensor.
 
 w = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
 x = Tensor(np.array([[0.5, -1.0]]))
 b = Tensor(np.zeros(2))
+ones, zero = Tensor(np.ones((1, 2))), Tensor(np.zeros(1))
 
 with Tape() as tape:
     y = linear(x, w, b)       # [1x2]
-    loss = tensor_sum(y * y)  # scalar
+    loss = linear(y * y, ones, zero)  # [1x1]
     print("tape nodes    :", len(tape.nodes))
     backward(loss)
 print("after backward:", len(tape.nodes), "nodes")
 
-print("loss          :", loss.item())
+print("loss          :", loss.data[0, 0])
 print("grad of w     :\n", w.grad)
 
 # The analytic gradient can always be cross-checked with central finite
@@ -42,7 +44,8 @@ w2 = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
 
 
 def f():
-    return tensor_sum(linear(x, w2, b) * linear(x, w2, b)).data
+    y2 = linear(x, w2, b)
+    return linear(y2 * y2, ones, zero).data[0, 0]
 
 
 numeric = numerical_gradient(f, w2, step=1e-6)

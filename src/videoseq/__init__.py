@@ -13,11 +13,9 @@ from .autodiff import (
     TimeMask,
     backward,
     batchnorm_time,
-    clip,
     concat,
     conv1d_same,
     linear,
-    log,
     masked_mean_time,
     relu,
     sigmoid,

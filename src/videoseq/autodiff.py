@@ -10,15 +10,16 @@ emptied when the walk ends. Leaving the block closes the tape too, so a
 forward without a backward keeps nothing alive.
 
 Only the primitives the sequence models need are provided: broadcasting
-arithmetic, ``linear`` (one node for a fully-connected layer,
+``+`` and ``*``, ``linear`` (one node for a fully-connected layer,
 ``x @ w.T + b``), concatenation, same-length temporal convolution, masked
-batch normalization and mean pooling, and elementwise activations.
+batch normalization, the masked mean over time as one fused node, and the
+ReLU and sigmoid activations.
 Batch norm reads its parameters and running statistics by prefix from a
 {name: Tensor} dict, such as a model's ``tensors``, and is one fused node
 that keeps only x̂ and 1/σ for its closed-form backward. A fused op
-elsewhere, such as ``recurrent.run_bidirectional`` or
-``recurrent.attention_pool``, is likewise one ``Tensor._op`` node whose
-backward calls ``_accumulate`` on each parent.
+elsewhere, such as ``recurrent.run_bidirectional``,
+``recurrent.attention_pool`` or the loss ``training.bce_loss``, is likewise
+one ``Tensor._op`` node whose backward calls ``_accumulate`` on each parent.
 ``TimeMask.check`` is the one check that a [batch x c x time] input fits its mask.
 """
 
@@ -49,8 +50,6 @@ __all__ = [
     "batchnorm_time",
     "relu",
     "sigmoid",
-    "log",
-    "clip",
     "masked_mean_time",
 ]
 
@@ -166,25 +165,10 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_const(other), self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def sum(self, axis=None, keepdims: bool = False):
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        return tensor_mean(self, axis=axis, keepdims=keepdims)
 
 
 def _const(x) -> Tensor:
@@ -225,17 +209,6 @@ def add(a, b) -> Tensor:
     def bw(g):
         _accumulate(a, _unbroadcast(g, a.data.shape))
         _accumulate(b, _unbroadcast(g, b.data.shape))
-
-    return Tensor._op(data, (a, b), bw)
-
-
-def sub(a, b) -> Tensor:
-    a, b = _const(a), _const(b)
-    data = a.data - b.data
-
-    def bw(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(-g, b.data.shape))
 
     return Tensor._op(data, (a, b), bw)
 
@@ -328,61 +301,6 @@ def sigmoid(a: Tensor) -> Tensor:
     return Tensor._op(data, (a,), bw)
 
 
-def log(a: Tensor) -> Tensor:
-    a = _const(a)
-    data = np.log(a.data)
-
-    def bw(g):
-        _accumulate(a, g / a.data)
-
-    return Tensor._op(data, (a,), bw)
-
-
-def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp values to [lo, hi]; gradient passes only where unclamped."""
-    a = _const(a)
-    data = np.clip(a.data, lo, hi)
-    passthrough = (a.data >= lo) & (a.data <= hi)
-
-    def bw(g):
-        _accumulate(a, g * passthrough)
-
-    return Tensor._op(data, (a,), bw)
-
-
-# ---------------------------------------------------------------------------
-# reductions
-# ---------------------------------------------------------------------------
-
-
-def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = _const(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-    axes = axis if axis is None or isinstance(axis, tuple) else (axis,)
-
-    def bw(g):
-        if axes is None:
-            _accumulate(a, np.broadcast_to(g, a.data.shape))
-            return
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        _accumulate(a, np.broadcast_to(g, a.data.shape))
-
-    return Tensor._op(data, (a,), bw)
-
-
-def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = _const(a)
-    if axis is None:
-        count = a.data.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = 1
-        for ax in axes:
-            count *= a.data.shape[ax]
-    return mul(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
-
-
 # ---------------------------------------------------------------------------
 # masking over the time axis
 # ---------------------------------------------------------------------------
@@ -446,12 +364,17 @@ class TimeMask:
 
 
 def masked_mean_time(x: Tensor, mask: TimeMask) -> Tensor:
-    """Mean over each item's valid frames: [b x c x t] -> [b x c]."""
+    """Mean over each item's valid frames, ``(x·m).sum(time) · 1/len``: [b x c x t] -> [b x c],
+    as one node. The backward spreads ``g · 1/len`` over the valid frames; padded frames get 0."""
     x = _const(x)
     mask.check(x, "masked_mean_time")
-    s = tensor_sum(mul(x, mask.channel_mask()), axis=2)
-    counts = mask.valid_lengths.astype(np.float64)[:, None]
-    return mul(s, 1.0 / counts)
+    m = mask.channel_mask()
+    scale = 1.0 / mask.valid_lengths.astype(np.float64)[:, None]
+
+    def bw(g):
+        _accumulate(x, (g * scale)[:, :, None] * m)
+
+    return Tensor._op((x.data * m).sum(axis=2) * scale, (x,), bw)
 
 
 # ---------------------------------------------------------------------------

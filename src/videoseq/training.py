@@ -75,17 +75,34 @@ class TrainConfig:
 
 def bce_loss(probabilities: Tensor, targets) -> Tensor:
     """Mean binary cross-entropy over batch and classes, probs clamped
-    to [1e-7, 1 - 1e-7]."""
+    to [1e-7, 1 - 1e-7], as one node over ``probabilities``.
+
+    The forward is ``-(sum(log(p)·y + log(1 - p)·(1 - y)) · 1/count)``; the backward
+    is its chain rule, passed only where the probabilities were not clamped."""
     y = targets.data if isinstance(targets, Tensor) else np.asarray(targets, dtype=np.float64)
     if probabilities.shape != y.shape:
         raise DimensionError(
             f"probabilities {probabilities.shape} and targets {y.shape} disagree"
         )
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise PreconditionError("targets must be multi-hot (0/1)")
-    p = ad.clip(probabilities, 1e-7, 1.0 - 1e-7)
-    loss = ad.log(p) * y + ad.log(1.0 - p) * (1.0 - y)
-    return -loss.mean()
+    bad = np.argwhere((y != 0.0) & (y != 1.0))
+    if len(bad):
+        first = tuple(int(i) for i in bad[0])
+        raise PreconditionError(f"targets must be multi-hot (0/1): {len(bad)} of {y.size} are "
+                                f"not, the first {y[first]} at index {first}")
+    p = np.clip(probabilities.data, 1e-7, 1.0 - 1e-7)
+    passthrough = (probabilities.data >= 1e-7) & (probabilities.data <= 1.0 - 1e-7)
+    q, not_y, scale = 1.0 - p, 1.0 - y, 1.0 / y.size
+    loss = np.log(p) * y + np.log(q) * not_y
+
+    def bw(g):
+        # the composed chain's ``+ 0.0``s would change only zero signs, which
+        # ``_accumulate`` erases: the gradient keeps the composed form's bits
+        g = -g * scale
+        dp = -(g * not_y / q)
+        dp += g * y / p
+        ad._accumulate(probabilities, dp * passthrough)
+
+    return Tensor._op(-(loss.sum() * scale), (probabilities,), bw)
 
 
 class Adam:

@@ -5,6 +5,13 @@ what the library computes, and compare the two outputs line by line:
 
     python tests/identity_digest.py > after.txt
 
+The first line names the host: numpy's version, its OpenBLAS's version and the
+OpenBLAS core picked at run time, which choose the BLAS kernels and so the bits
+of every product. ``tests/identity_digests.txt`` is this output on one host,
+and ``test_identity.py`` checks every run on a host of the same name against
+it. A change that moves a digest on purpose rewrites that file with the
+command above.
+
 It imports ``videoseq`` from the ``src/`` next to this file, so a copy of the
 script dropped into another checkout measures that checkout. Everything it
 writes goes to a temporary directory that is removed on exit.
@@ -19,6 +26,8 @@ last. Not a pytest module: its name does not start with ``test_``.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import hashlib
 import os
 import sys
@@ -28,6 +37,8 @@ import tempfile
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+
+import numpy as np  # noqa: E402
 
 from videoseq import ModelSpec, build_model, generate_synthetic, save_checkpoint  # noqa: E402
 from videoseq.gradcheck import grad_check, toy_spec  # noqa: E402
@@ -55,6 +66,22 @@ def digest(data) -> str:
 def file_digest(path: str) -> str:
     with open(path, "rb") as f:
         return digest(f.read())
+
+
+def host_fingerprint() -> str:
+    """The versions of numpy and its OpenBLAS, and the OpenBLAS core in use."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["version"]
+    except (TypeError, KeyError):  # numpy before 1.26, or a build without that record
+        blas = "unknown"
+    core = "unknown"
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas64_*.so"))
+    if libs:
+        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        core = corename().decode()
+    return f"host: numpy {np.__version__}, OpenBLAS {blas}, core {core}"
 
 
 def run(directory: str):
@@ -101,6 +128,7 @@ def run(directory: str):
 
 
 def main() -> int:
+    print(host_fingerprint())
     with tempfile.TemporaryDirectory(prefix="identity_digest_") as directory:
         for name, sha in run(directory):
             print(f"{sha}  {name}")

@@ -56,6 +56,69 @@ def vlad_encode_oracle(codebook: Codebook, frames: np.ndarray) -> np.ndarray:
     return np.zeros_like(flat) if norm < _DEGENERATE_NORM else flat / norm
 
 
+def sub(a, b) -> Tensor:
+    """Broadcasting a - b as an autodiff op."""
+    a, b = ad._const(a), ad._const(b)
+
+    def bw(g):
+        ad._accumulate(a, ad._unbroadcast(g, a.data.shape))
+        ad._accumulate(b, ad._unbroadcast(-g, b.data.shape))
+
+    return Tensor._op(a.data - b.data, (a, b), bw)
+
+
+def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    """Sum over ``axis`` (every axis when None) as an autodiff op."""
+    data = a.data.sum(axis=axis, keepdims=keepdims)
+
+    def bw(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        ad._accumulate(a, np.broadcast_to(g, a.data.shape))
+
+    return Tensor._op(data, (a,), bw)
+
+
+def tensor_mean(a: Tensor) -> Tensor:
+    """Mean over every element as two autodiff ops: the sum, then times 1/size."""
+    return ad.mul(tensor_sum(a), 1.0 / a.data.size)
+
+
+def log(a: Tensor) -> Tensor:
+    """Elementwise natural log as an autodiff op."""
+
+    def bw(g):
+        ad._accumulate(a, g / a.data)
+
+    return Tensor._op(np.log(a.data), (a,), bw)
+
+
+def clip(a: Tensor, lo: float, hi: float) -> Tensor:
+    """Clamp values to [lo, hi] as an autodiff op; the gradient passes only where unclamped."""
+    passthrough = (a.data >= lo) & (a.data <= hi)
+
+    def bw(g):
+        ad._accumulate(a, g * passthrough)
+
+    return Tensor._op(np.clip(a.data, lo, hi), (a,), bw)
+
+
+def composed_bce_loss(probabilities: Tensor, targets) -> Tensor:
+    """``bce_loss`` as 10 tape nodes: clip, log, ``1 - p``, log, two products, their
+    sum, the mean as a sum and a scale, and the negation as a product with -1."""
+    y = np.asarray(targets, dtype=np.float64)
+    p = clip(probabilities, 1e-7, 1.0 - 1e-7)
+    loss = log(p) * y + log(sub(1.0, p)) * (1.0 - y)
+    return tensor_mean(loss) * -1.0
+
+
+def composed_masked_mean_time(x: Tensor, mask: TimeMask) -> Tensor:
+    """``masked_mean_time`` as three tape nodes: x times the mask, the sum over time,
+    then times 1/len."""
+    s = tensor_sum(ad.mul(x, mask.channel_mask()), axis=2)
+    return ad.mul(s, 1.0 / mask.valid_lengths.astype(np.float64)[:, None])
+
+
 def tanh(a: Tensor) -> Tensor:
     """Elementwise tanh as an autodiff op, for the composed cells and attention."""
     data = np.tanh(a.data)
@@ -126,7 +189,7 @@ def gru_step(t: dict, prefix: str, x_t: Tensor, h_prev: Tensor) -> Tensor:
     xh = ad.concat([x_t, h_prev], axis=1)
     z, r = (ad.sigmoid(gate(g, xh)) for g in ("update", "reset"))
     h_bar = tanh(gate("candidate", ad.concat([x_t, r * h_prev], axis=1)))
-    return (1.0 - z) * h_prev + z * h_bar
+    return sub(1.0, z) * h_prev + z * h_bar
 
 
 def time_step(x: Tensor, s: int) -> Tensor:
@@ -338,13 +401,13 @@ def composed_batchnorm_time(t: dict, prefix: str, x: Tensor, mask: TimeMask, tra
     if not train:
         rm = running_mean.data.reshape(1, c, 1)
         rstd = np.sqrt(running_var.data + ad.BN_EPS).reshape(1, c, 1)
-        xhat = ad.mul(ad.sub(x, rm), 1.0 / rstd)
+        xhat = ad.mul(sub(x, rm), 1.0 / rstd)
         return ad.mul(ad.add(ad.mul(xhat, gamma3), beta3), m)
 
     n = float(mask.total_valid())
-    mean = ad.mul(ad.tensor_sum(ad.mul(x, m), axis=(0, 2), keepdims=True), 1.0 / n)
-    centered = ad.mul(ad.sub(x, mean), m)
-    var = ad.mul(ad.tensor_sum(ad.mul(centered, centered), axis=(0, 2), keepdims=True), 1.0 / n)
+    mean = ad.mul(tensor_sum(ad.mul(x, m), axis=(0, 2), keepdims=True), 1.0 / n)
+    centered = ad.mul(sub(x, mean), m)
+    var = ad.mul(tensor_sum(ad.mul(centered, centered), axis=(0, 2), keepdims=True), 1.0 / n)
     xhat = div(centered, sqrt(ad.add(var, ad.BN_EPS)))
     out = ad.mul(ad.add(ad.mul(xhat, gamma3), beta3), m)
 
@@ -407,8 +470,8 @@ def softmax_masked(scores: Tensor, mask: TimeMask) -> Tensor:
     weigh exactly 0."""
     m = mask.bool_matrix().astype(np.float64)
     shift = np.where(mask.bool_matrix(), scores.data, -np.inf).max(axis=1, keepdims=True)
-    e = exp((scores - shift) * m) * m
-    return div(e, e.sum(axis=1, keepdims=True))
+    e = exp(sub(scores, shift) * m) * m
+    return div(e, tensor_sum(e, axis=1, keepdims=True))
 
 
 def composed_attention_pool(t: dict, prefix: str, h: Tensor, mask: TimeMask) -> Tensor:
@@ -418,9 +481,9 @@ def composed_attention_pool(t: dict, prefix: str, h: Tensor, mask: TimeMask) -> 
     weight, bias, score = (t[f"{prefix}.{f}"] for f in ("proj_weight", "proj_bias", "score_vector"))
     attn, channels = weight.shape
     u = tanh(composed_conv1d_same(h, reshape(weight, (attn, channels, 1)), bias))
-    scores = (u * reshape(score, (1, attn, 1))).sum(axis=1)
+    scores = tensor_sum(u * reshape(score, (1, attn, 1)), axis=1)
     alpha = softmax_masked(scores, mask)
-    return (h * reshape(alpha, (mask.batch, 1, mask.max_time))).sum(axis=2)
+    return tensor_sum(h * reshape(alpha, (mask.batch, 1, mask.max_time)), axis=2)
 
 
 def composed_masked_features(visual: Tensor, audio: Tensor, mask: TimeMask) -> Tensor:
@@ -430,8 +493,9 @@ def composed_masked_features(visual: Tensor, audio: Tensor, mask: TimeMask) -> T
 
 
 def composed_video_level_pool(visual: Tensor, audio: Tensor, mask: TimeMask) -> Tensor:
-    """``video_level``'s pool as one masked mean over the masked, concatenated streams."""
-    return ad.masked_mean_time(composed_masked_features(visual, audio, mask), mask)
+    """``video_level``'s pool as ``composed_masked_mean_time`` over the masked, concatenated
+    streams."""
+    return composed_masked_mean_time(composed_masked_features(visual, audio, mask), mask)
 
 
 class WholeArrayAdam(Adam):

@@ -25,10 +25,10 @@ from videoseq import (
     sigmoid,
 )
 from videoseq import autodiff
-from videoseq.autodiff import _accumulate, tensor_sum
+from videoseq.autodiff import _accumulate
 
 from oracles import (check_gradients, composed_batchnorm_time, composed_conv1d_same, composed_linear,
-                     reverse_valid_time, tanh)
+                     composed_masked_mean_time, reverse_valid_time, tanh, tensor_sum)
 
 
 def conv1d_naive(x, kernels, bias):
@@ -221,6 +221,32 @@ class TestMaskedMeanTime:
         x2 = x.copy()
         x2[0, :, 2:] = 99.0
         assert np.array_equal(base, masked_mean_time(Tensor(x2), mask).data)
+
+    # (channels, valid lengths): the desk streams' 24+8 features over 40 frames, and the
+    # paper's 1024+128 over 300
+    @pytest.mark.parametrize("channels, lengths", [(24, (40, 17, 1)), (8, (40, 17, 1)),
+                                                   (1024, (300, 120, 1)), (128, (300, 120, 1))])
+    def test_one_node_with_the_bits_of_the_composed_mean(self, channels, lengths):
+        """Output and gradient equal the 3-node composed form byte for byte, zero signs
+        included, with garbage of scale 1e6 at every padded frame."""
+        rng = np.random.default_rng(channels)
+        mask = TimeMask(len(lengths), max(lengths), np.array(lengths))
+        data = rng.normal(size=(mask.batch, channels, mask.max_time))
+        padded = ~mask.bool_matrix()
+        data.transpose(0, 2, 1)[padded] = rng.normal(scale=1e6, size=(padded.sum(), channels))
+        upstream = rng.normal(size=(mask.batch, channels))
+        upstream[:, ::3] = -0.0
+        results = []
+        for op in (masked_mean_time, composed_masked_mean_time):
+            x = Tensor(data, requires_grad=True)
+            with Tape() as tape:
+                out = op(x, mask)
+                nodes = len(tape.nodes)
+                backward(tensor_sum(out * upstream))
+            results.append((nodes, out.data.tobytes(), x.grad.tobytes()))
+        (nodes, *fused), (composed_nodes, *composed) = results
+        assert (nodes, composed_nodes) == (1, 3)
+        assert fused == composed
 
 
 class TestConcatChannels:

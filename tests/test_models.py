@@ -25,7 +25,7 @@ from videoseq.autodiff import batchnorm_time, masked_mean_time
 from videoseq.models import _masked_features, _mlp_head, _spec_from_reader, tensor_table
 from videoseq.recurrent import attention_pool, attention_table, cell_table, draw_table, run_bidirectional
 
-from oracles import composed_masked_features, composed_video_level_pool
+from oracles import composed_masked_features, composed_video_level_pool, tensor_sum
 
 ALL_KINDS = (
     "video_level",
@@ -272,7 +272,7 @@ class TestMaskedInput:
             out = op(visual, audio, mask)
             nodes = len(tape.nodes)
             if any(grads):
-                backward(ad.tensor_sum(out * rng.normal(size=out.shape)))
+                backward(tensor_sum(out * rng.normal(size=out.shape)))
         return nodes, out.data, visual.grad, audio.grad
 
     @pytest.mark.parametrize("fused_op, composed_op", [(_masked_features, composed_masked_features),
@@ -286,6 +286,8 @@ class TestMaskedInput:
         _, *composed = self.run(composed_op, v, a, lengths, grads)
         if fused_op is _masked_features:
             assert nodes == (1 if any(grads) else 0)
+        else:  # one masked mean per stream that needs a gradient, then the concat
+            assert nodes == sum(grads) + any(grads)
         for name, got, want, wanted in zip(["out", "visual", "audio"], fused, composed, (True, *grads)):
             assert (got is not None) == wanted, name
             if wanted:
@@ -335,8 +337,6 @@ class TestMlpHead:
         assert np.array_equal(after[:, 0], before[:, 0])
 
     def test_gradient(self):
-        from videoseq.autodiff import tensor_sum
-
         from oracles import check_gradients
 
         head = mlp_head(4)
@@ -456,7 +456,9 @@ class TestTemporalResnet:
         """Pinned, so that a batch norm recording more than one node shows: each of the 4 is one.
         Each head layer is one ``linear`` node, not transpose, matmul and add: 50 became 46.
         Attention pooling is one node, not 15 (projection, tanh, scores, a six-node masked
-        softmax and the weighted sum): 46 became 32."""
+        softmax and the weighted sum): 46 became 32. The loss is one node, not 10 (clip, two
+        logs, ``1 - p``, two products, their sum, the mean's sum and scale, the negation):
+        32 became 23."""
         from videoseq import Tape
         from videoseq.training import bce_loss
 
@@ -464,7 +466,7 @@ class TestTemporalResnet:
         visual, audio, mask = random_batch(spec, 2, 6, seed=30)
         with Tape() as tape:
             bce_loss(build_model(spec).forward(visual, audio, mask, train=True), np.eye(5)[[0, 1]])
-            assert len(tape.nodes) == 32
+            assert len(tape.nodes) == 23
 
     def test_eval_mode_requires_training_first(self):
         from videoseq import StateError
@@ -473,6 +475,23 @@ class TestTemporalResnet:
         model = build_ready(spec)
         with pytest.raises(StateError):
             model.forward(*random_batch(spec, 1, 3), train=False)
+
+
+@pytest.mark.parametrize("input_grads, count", [(False, 5), (True, 8)], ids=["train_step", "input_gradients"])
+def test_video_level_tape_node_count(input_grads, count):
+    """Pinned beside the temporal resnet's count: the head's two ``linear`` nodes, ReLU,
+    sigmoid and the one-node loss (14 before the loss was one node). The inputs of a train
+    step need no gradient, so its masked means record nothing; where they do, each masked
+    mean is one node, not 3 (mask, sum, scale), and the concat one more (21 became 8)."""
+    from videoseq import Tape
+    from videoseq.training import bce_loss
+
+    spec = toy_spec("video_level")
+    visual, audio, mask = random_batch(spec, 2, 6, seed=30)
+    visual.requires_grad = audio.requires_grad = input_grads
+    with Tape() as tape:
+        bce_loss(build_model(spec).forward(visual, audio, mask, train=True), np.eye(5)[[0, 1]])
+        assert len(tape.nodes) == count
 
 
 def test_grad_check_negative_seed_names_value():

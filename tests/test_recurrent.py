@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from videoseq import DimensionError, PreconditionError, Tape, Tensor, TimeMask, backward
-from videoseq.autodiff import masked_mean_time, tensor_sum
+from videoseq.autodiff import masked_mean_time
 from videoseq.recurrent import attention_pool, attention_table, cell_table, draw_table, run_bidirectional
 
 from oracles import (check_gradients, composed_attention_pool, composed_bidirectional, gate_major_bidirectional,
-                     gru_step, lstm_step, reverse_valid_time)
+                     gru_step, lstm_step, reverse_valid_time, tensor_sum)
 
 
 def zeroed(params):

@@ -7,6 +7,7 @@ from videoseq import (
     FormatError,
     InputError,
     ModelSpec,
+    PreconditionError,
     Tape,
     Tensor,
     TrainingError,
@@ -29,7 +30,7 @@ from videoseq.training import (
 )
 from videoseq.vlad import kmeans_fit
 
-from oracles import WholeArrayAdam, check_gradients, gap_oracle
+from oracles import WholeArrayAdam, check_gradients, composed_bce_loss, gap_oracle, tensor_sum
 
 
 def spec_for(kind, vocab=6, **overrides):
@@ -90,6 +91,41 @@ class TestBceLoss:
         for _ in range(20):
             other = Tensor(rng.uniform(0.01, 0.99, size=(2, 3)))
             assert bce_loss(other, y).item() >= at_target
+
+    @pytest.mark.parametrize("targets", ["zeros", "ones", "mixed"])
+    @pytest.mark.parametrize("probabilities", ["inside", "outside", "edges"])
+    def test_one_node_with_the_bits_of_the_composed_loss(self, probabilities, targets):
+        """Loss and gradient equal the 10-node composed form byte for byte, zero signs
+        included, inside and outside the clip range and exactly at 0, 1 and 1e-7."""
+        rng = np.random.default_rng(7)
+        shape = (4, 6)
+        p_values = {"inside": rng.uniform(0.01, 0.99, size=shape),
+                    "outside": rng.uniform(-0.5, 1.5, size=shape),
+                    "edges": rng.choice([0.0, 1.0, 1e-7, 1.0 - 1e-7, 0.5], size=shape)}[probabilities]
+        y = {"zeros": np.zeros(shape), "ones": np.ones(shape),
+             "mixed": (rng.random(size=shape) < 0.3).astype(np.float64)}[targets]
+        results = []
+        for op in (bce_loss, composed_bce_loss):
+            p = Tensor(p_values, requires_grad=True)
+            with Tape() as tape:
+                loss = op(p, y)
+                nodes = len(tape.nodes)
+                backward(loss)
+            results.append((nodes, np.asarray(loss.data).tobytes(), p.grad.tobytes()))
+        (nodes, *fused), (composed_nodes, *composed) = results
+        assert (nodes, composed_nodes) == (1, 10)
+        assert fused == composed
+
+    @pytest.mark.parametrize("y, count, first, index", [
+        ([[0.0, 0.5, 1.0]], 1, "0.5", "(0, 1)"),
+        ([[1.0, 2.0], [np.nan, -1.0]], 3, "2.0", "(0, 1)"),
+    ])
+    def test_bad_targets_named_by_count_first_value_and_index(self, y, count, first, index):
+        y = np.array(y)
+        with pytest.raises(PreconditionError) as exc:
+            bce_loss(Tensor(np.full(y.shape, 0.5)), y)
+        assert str(exc.value) == (f"targets must be multi-hot (0/1): {count} of {y.size} are not, "
+                                  f"the first {first} at index {index}")
 
 
 class TestAdam:
@@ -197,7 +233,7 @@ class TestAdam:
         for _ in range(200):
             opt.zero_grad()
             with Tape():
-                loss = (p * p).sum()
+                loss = tensor_sum(p * p)
                 backward(loss)
             opt.step()
         assert abs(p.data[0]) < 1e-2
