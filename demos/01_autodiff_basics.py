@@ -34,7 +34,7 @@ with Tape() as tape:
     backward(loss)
 print("after backward:", len(tape.nodes), "nodes")
 
-print("loss          :", loss.data[0, 0])
+print("loss          :", loss.item())
 print("grad of w     :\n", w.grad)
 
 # The analytic gradient can always be cross-checked with central finite

@@ -35,7 +35,7 @@ from .errors import (
     DimensionError,
     PreconditionError,
     StateError,
-    ValidationError,
+    check_each,
     check_int,
 )
 
@@ -104,11 +104,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
-            bad = np.argwhere(~np.isfinite(arr))
-            first = tuple(int(i) for i in bad[0])
-            raise ValidationError(f"tensor values must be finite: {len(bad)} of {arr.size} are "
-                                  f"not, the first {arr[first]} at index {first}")
+        check_each("tensor values must be finite", np.isfinite(arr), arr)
         self.data = arr
         self.requires_grad = requires_grad
         self.grad = None
@@ -149,7 +145,7 @@ class Tensor:
         return self.data.shape
 
     def item(self) -> float:
-        return float(self.data)
+        return self.data.item()
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import CorruptionError, FormatError, ValidationError
+from .errors import CorruptionError, FormatError, check_each
 
 
 @contextmanager
@@ -116,8 +116,7 @@ class Reader:
     def tensor(self, shape, what: str) -> np.ndarray:
         """A float64 array that must hold only finite values."""
         out = self.array(shape, "<f8", what)
-        if not np.all(np.isfinite(out)):
-            raise ValidationError(f"{self.path}: {what} before byte {self.offset} is not finite")
+        check_each(f"{self.path}: {what} before byte {self.offset} must be finite", np.isfinite(out), out)
         return out
 
     def finish(self) -> None:

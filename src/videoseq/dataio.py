@@ -18,7 +18,7 @@ import numpy as np
 
 from . import container
 from .autodiff import Tensor, TimeMask
-from .errors import ConfigurationError, PreconditionError, ValidationError, check_int
+from .errors import PreconditionError, ValidationError, check_each, check_int, check_real
 from .metrics import check_video_id
 
 MAGIC = b"FLVR"
@@ -72,8 +72,8 @@ def _validate_record(record: VideoRecord, header: DatasetHeader) -> None:
         )
     if len(record.id.encode("utf-8")) > 0xFFFF:
         raise ValidationError(f"record id too long ({len(record.id)} chars)")
-    if not np.all(np.isfinite(record.frames)):
-        raise ValidationError(f"record {record.id!r}: non-finite feature values")
+    check_each(f"record {record.id!r}: feature values must be finite", np.isfinite(record.frames),
+               record.frames)
 
 
 def write_records(path: str, header: DatasetHeader, records) -> int:
@@ -212,8 +212,7 @@ def generate_synthetic(
     ):
         check_int(name, value, least, most)
     check_int("visual_dim + audio_dim", visual_dim + audio_dim, 1)  # summed once both are ints
-    if not 0.0 <= noise_sigma < np.inf:
-        raise ConfigurationError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    noise_sigma = check_real("noise_sigma", noise_sigma, positive=False)
     rng = np.random.default_rng(seed)
     d = visual_dim + audio_dim
     prototypes = rng.normal(size=(vocab_size, d))

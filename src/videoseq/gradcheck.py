@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tape, Tensor, TimeMask, backward
-from .errors import ConfigurationError, check_int
-from .models import DEEP_STACK_KINDS, ModelSpec, build_model
+from .errors import check_int, check_real
+from .models import ModelSpec, build_model
 from .training import bce_loss
 
 FD_STEP = 1e-4
@@ -113,14 +113,13 @@ def _worst_errors(f, named_params, step, samples_per_block, rng, tolerance=0.0, 
 
 def toy_spec(kind: str, seed: int = 0) -> ModelSpec:
     """A spec small enough for finite differencing in seconds."""
-    depth = 3 if kind in DEEP_STACK_KINDS else 1
     return ModelSpec(
         kind=kind,
         vocab_size=5,
         visual_dim=9,
         audio_dim=4,
         hidden_size=6,
-        depth=depth,
+        depth=3,  # only the deep stacks read it
         trb_count=2,
         trb_filters=8,
         fc_sizes=(8, 5),
@@ -142,8 +141,7 @@ def grad_check(
     a ``tolerance`` that is not finite and positive is.
     """
     sample_count, seed = check_int("sample_count", sample_count, 1), check_int("seed", seed, 0)
-    if not (np.isfinite(tolerance) and tolerance > 0):
-        raise ConfigurationError(f"tolerance must be finite and > 0, got {tolerance}")
+    tolerance = check_real("tolerance", tolerance, positive=True)
     rng = np.random.default_rng(seed)
     model = build_model(spec)
     if spec.kind == "vlad_mlp":

@@ -53,7 +53,7 @@ from .recurrent import (ONES, ZEROS, Init, attention_pool, attention_table, cell
                         run_bidirectional)
 from .vlad import Codebook, vlad_encode
 
-# the deep bidirectional stacks: the default clip rule and the gradcheck toy depth read this
+# the deep bidirectional stacks: the default clip rule reads this
 DEEP_STACK_KINDS = ("ff_lstm", "ff_gru", "stacked_lstm")
 
 

@@ -22,7 +22,9 @@ from .errors import (
     InputError,
     PreconditionError,
     TrainingError,
+    check_each,
     check_int,
+    check_real,
 )
 from .metrics import (
     TOP_K,
@@ -58,10 +60,9 @@ class TrainConfig:
     log_path: str | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.learning_rate < np.inf:
-            raise ConfigurationError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.clip_norm not in (None, 0) and not 0.0 < self.clip_norm < np.inf:
-            raise ConfigurationError(f"clip_norm must be None, 0, or finite and > 0, got {self.clip_norm}")
+        self.learning_rate = check_real("learning_rate", self.learning_rate, positive=True)
+        if self.clip_norm is not None:  # 0 turns clipping off
+            self.clip_norm = check_real("clip_norm", self.clip_norm, positive=False)
         for name, least in (("batch_size", 1), ("epochs", 1), ("seed", 0)):
             setattr(self, name, check_int(name, getattr(self, name), least))
 
@@ -84,11 +85,7 @@ def bce_loss(probabilities: Tensor, targets) -> Tensor:
         raise DimensionError(
             f"probabilities {probabilities.shape} and targets {y.shape} disagree"
         )
-    bad = np.argwhere((y != 0.0) & (y != 1.0))
-    if len(bad):
-        first = tuple(int(i) for i in bad[0])
-        raise PreconditionError(f"targets must be multi-hot (0/1): {len(bad)} of {y.size} are "
-                                f"not, the first {y[first]} at index {first}")
+    check_each("targets must be multi-hot (0/1)", (y == 0.0) | (y == 1.0), y, PreconditionError)
     p = np.clip(probabilities.data, 1e-7, 1.0 - 1e-7)
     passthrough = (probabilities.data >= 1e-7) & (probabilities.data <= 1.0 - 1e-7)
     q, not_y, scale = 1.0 - p, 1.0 - y, 1.0 / y.size
@@ -129,8 +126,9 @@ class Adam:
             g = p.grad if p.grad is not None else np.zeros(p.data.shape)
             squares.append(float((g * g).sum()))
             # a finite sum rules out inf and nan; huge finite values can overflow it
-            if not np.isfinite(squares[-1]) and not np.all(np.isfinite(g)):
-                raise TrainingError(f"non-finite gradient in parameter block {name!r}")
+            if not np.isfinite(squares[-1]):
+                check_each(f"gradient of parameter block {name!r} must be finite", np.isfinite(g), g,
+                           TrainingError)
             grads[name] = g
         norm = float(np.sqrt(sum(squares)))
         scale = None

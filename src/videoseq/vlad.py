@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import container
-from .errors import DimensionError, PreconditionError, ValidationError, check_int
+from .errors import DimensionError, PreconditionError, check_each, check_int
 
 _CODEBOOK_MAGIC = b"FLCB"
 _CODEBOOK_VERSION = 1
@@ -36,8 +36,7 @@ class Codebook:
         centers = np.asarray(self.centers, dtype=np.float64)
         if centers.ndim != 2:
             raise DimensionError(f"centers must be 2-D, got shape {centers.shape}")
-        if not np.all(np.isfinite(centers)):
-            raise ValidationError("codebook centers must be finite")
+        check_each("codebook centers must be finite", np.isfinite(centers), centers)
         self.centers = centers
 
     @property

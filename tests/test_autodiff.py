@@ -483,6 +483,12 @@ class TestValidation:
         assert str(exc.value) == (f"tensor values must be finite: {count} of {size} are not, "
                                   f"the first {first} at index {index}")
 
+    def test_item_reads_any_one_element_tensor(self):
+        assert Tensor(2.5).item() == 2.5 and type(Tensor(2.5).item()) is float
+        assert Tensor([[-1.5]]).item() == -1.5  # the [1 x 1] loss a one-output linear makes
+        with pytest.raises(ValueError):
+            Tensor([1.0, 2.0]).item()
+
 
 class TestTimePlumbing:
     def test_reverse_valid_time(self):

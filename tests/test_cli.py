@@ -126,8 +126,8 @@ def test_zero_width_config_is_a_one_line_error(workdir, capsys, line):
         ("learning_rate = nan", "learning_rate must be finite and > 0, got nan"),
         ("learning_rate = inf", "learning_rate must be finite and > 0, got inf"),
         ("learning_rate = 1e400", "learning_rate must be finite and > 0, got inf"),
-        ("clip_norm = nan", "clip_norm must be None, 0, or finite and > 0, got nan"),
-        ("clip_norm = -1", "clip_norm must be None, 0, or finite and > 0, got -1.0"),
+        ("clip_norm = nan", "clip_norm must be finite and >= 0, got nan"),
+        ("clip_norm = -1", "clip_norm must be finite and >= 0, got -1.0"),
     ],
 )
 def test_bad_learning_rate_or_clip_norm_names_field_and_value(workdir, capsys, line, message):

@@ -1,6 +1,7 @@
 """The shared container: atomic writes, and readers that reject every damaged file by name."""
 
 import os
+import re
 import struct
 import tracemalloc
 
@@ -187,14 +188,18 @@ class TestExplicitFaults:
         model = build_model(tiny_spec("video_level"))
         model.tensors["head.b1"].data[0] = np.nan
         save_checkpoint(tmp_path / "nan.flck", model)
-        with pytest.raises(ValidationError, match=r"tensor 'head.b1' before byte \d+ is not finite"):
+        message = (f"{tmp_path / 'nan.flck'}: tensor 'head.b1' before byte 441 must be finite: "
+                   "1 of 6 are not, the first nan at index (0,)")
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             load_checkpoint(tmp_path / "nan.flck")
 
     def test_non_finite_codebook_is_named(self, files, tmp_path):
         data = bytearray((files / "c.flcb").read_bytes())
         data[16:24] = struct.pack("<d", np.inf)
         (tmp_path / "inf.flcb").write_bytes(bytes(data))
-        with pytest.raises(ValidationError, match="codebook centers before byte 112 is not finite"):
+        message = (f"{tmp_path / 'inf.flcb'}: codebook centers before byte 112 must be finite: "
+                   "1 of 12 are not, the first inf at index (0, 0)")
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             load_codebook(tmp_path / "inf.flcb")
 
     def test_codebook_rejects_non_finite_centers_by_name(self):

@@ -129,7 +129,9 @@ class TestRecordFile:
         inf.write_bytes(data[:features] + np.float32(np.inf).tobytes() + data[features + 4 :])
         spaced = tmp_path / "spaced.bin"
         spaced.write_bytes(data.replace(b"\x03\x00a_b", b"\x03\x00a b", 1))
-        for bad, message in ((inf, "non-finite feature values"), (spaced, "'a b'")):
+        non_finite = re.escape("record 'a_b': feature values must be finite: 1 of 12 are not, "
+                               "the first inf at index (0, 0)") + "$"
+        for bad, message in ((inf, non_finite), (spaced, "'a b'")):
             prefix = re.escape(f"{bad}: record at byte {second}: ")
             with pytest.raises(ValidationError, match=f"^{prefix}.*{message}"):
                 load_records(bad)

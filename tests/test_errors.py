@@ -5,7 +5,7 @@ import pytest
 
 import videoseq
 from videoseq import ConfigurationError, ModelSpec, TimeMask, generate_synthetic
-from videoseq.errors import check_int
+from videoseq.errors import ValidationError, check_each, check_int, check_real
 from videoseq.gradcheck import grad_check, toy_spec
 from videoseq.metrics import PredictionSet, gap_at_k, topk_predictions
 from videoseq.models import SPEC_FIELDS
@@ -27,7 +27,7 @@ def _train_config(name):
 def _gen_data(name):
     sizes = dict(vocab_size=5, video_count=2, seed=0, visual_dim=3, audio_dim=1, max_frames=4)
     return lambda value, tmp_path: generate_synthetic(
-        str(tmp_path / "d.bin"), noise_sigma=0.1, **{**sizes, name: value})
+        str(tmp_path / "d.bin"), **{"noise_sigma": 0.1, **sizes, name: value})
 
 
 def _predict(name):
@@ -77,6 +77,61 @@ def test_every_integer_setting_is_one_named_configuration_error(tmp_path, surfac
     assert list(tmp_path.iterdir()) == []  # refused before any file is read or written
 
 
+# test id -> (the setting as messages name it, call, the bound a finite value must meet)
+_REAL_SURFACES = {
+    "TrainConfig.learning_rate": ("learning_rate", _train_config("learning_rate"), "> 0"),
+    "TrainConfig.clip_norm": ("clip_norm", _train_config("clip_norm"), ">= 0"),
+    "generate_synthetic.noise_sigma": ("noise_sigma", _gen_data("noise_sigma"), ">= 0"),
+    "grad_check.tolerance": ("tolerance", lambda v, _: grad_check(toy_spec("video_level"), tolerance=v),
+                             "> 0"),
+}
+
+
+@pytest.mark.parametrize("surface, value", [
+    (surface, value) for surface in _REAL_SURFACES
+    for value in ("0.5", None, float("nan"), float("inf"), -1.0)
+    if not (surface == "TrainConfig.clip_norm" and value is None)  # None picks the depth rule
+])
+def test_every_float_setting_is_one_named_configuration_error(tmp_path, surface, value):
+    name, call, bound = _REAL_SURFACES[surface]
+    if isinstance(value, float):
+        message = f"{name} must be finite and {bound}, got {value}"
+    else:
+        message = f"{name} must be a real number, got {value!r}"
+    with pytest.raises(ConfigurationError) as exc:
+        call(value, tmp_path)
+    assert str(exc.value) == message
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_check_real_returns_a_plain_float_and_reads_positive_as_strict():
+    assert check_real("x", 0, positive=False) == 0.0
+    assert type(check_real("x", np.float32(0.5), positive=True)) is float
+    with pytest.raises(ConfigurationError, match=r"^x must be finite and > 0, got 0.0$"):
+        check_real("x", 0, positive=True)
+    with pytest.raises(ConfigurationError, match=r"^x must be finite and >= 0, got inf$"):
+        check_real("x", 10**400, positive=False)  # float() of it overflows
+
+
+@pytest.mark.parametrize("values, count, first, index", [
+    (np.array(-1.0), 1, "-1.0", "()"),
+    (np.array([0.5, -2.0, -3.0]), 2, "-2.0", "(1,)"),
+    (np.array([[1.0, 2.0], [-0.5, 4.0]]), 1, "-0.5", "(1, 0)"),
+])
+def test_check_each_names_the_count_the_first_value_and_its_index(values, count, first, index):
+    class Refused(Exception):
+        pass
+
+    message = f"values must be positive: {count} of {values.size} are not, the first {first} at index {index}"
+    with pytest.raises(Refused) as exc:
+        check_each("values must be positive", values > 0, values, Refused)
+    assert str(exc.value) == message
+    with pytest.raises(ValidationError) as exc:
+        check_each("values must be positive", values > 0, values)
+    assert str(exc.value) == message
+    assert check_each("values must be positive", np.abs(values) > 0, values) is None
+
+
 @pytest.mark.parametrize("value", [2.5, True, "3", None])
 def test_an_integer_array_refuses_other_dtypes_by_name(value):
     lengths = np.array([value])  # float64, bool, <U1 and object
@@ -98,3 +153,10 @@ def test_no_module_but_errors_formats_an_integer_bound():
                  if path.name != "errors.py"
                  and any(rule in path.read_text() for rule in ("must be >=", "must be <="))]
     assert offenders == []  # such a rule belongs in errors.check_int
+
+
+def test_no_module_but_errors_scans_an_array_for_offenders():
+    package = Path(videoseq.__file__).parent
+    offenders = [path.name for path in sorted(package.glob("*.py"))
+                 if path.name != "errors.py" and "argwhere" in path.read_text()]
+    assert offenders == []  # such a scan belongs in errors.check_each
