@@ -2,34 +2,33 @@
 
 Exit code 0 on success; on failure a single machine-parsable line
 ``error: <Type>: <message>`` goes to stderr and the exit code is nonzero.
+Each option's ``dest`` is the keyword of the library call it feeds; an option left out
+is not passed on, so the library's own default applies. The parser keeps only defaults
+the library lacks (gen-data's --vocab, --videos, --seed, --noise) and gradcheck's --seed.
 A train config's ``model.*`` keys are the names in ``models.SPEC_FIELDS``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
+import typing
 
 from . import container
 from .dataio import generate_synthetic
 from .errors import ConfigurationError, FormatError, VideoseqError
 from .gradcheck import grad_check, toy_spec
 from .models import MODEL_KINDS, SPEC_FIELDS, ModelSpec
-from .training import TOP_K, TrainConfig, ensemble_average, evaluate, predict, train
+from .training import TrainConfig, ensemble_average, evaluate, predict, train
 
 CONFIG_VERSION = 1
 _SPEC_NAME = re.compile(rf"\b({'|'.join(['kind', *SPEC_FIELDS])})\b")
 
-_TRAIN_FIELDS = {
-    "learning_rate": float,
-    "batch_size": int,
-    "epochs": int,
-    "seed": int,
-    "train_data": str,
-    "val_data": str,
-    "checkpoint_path": str,
-    "log_path": str,
+_TRAIN_FIELDS = {  # each TrainConfig key but these two, cast to its type (str for str | None)
+    name: (*typing.get_args(hint), hint)[0] for name, hint in typing.get_type_hints(TrainConfig).items()
+    if name not in ("model", "clip_norm")
 }
 
 
@@ -118,82 +117,70 @@ def _build_parser() -> argparse.ArgumentParser:
         "frame-level video features.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
-    gen = sub.add_parser("gen-data", help="write a seeded synthetic record file")
-    gen.add_argument("--vocab", type=_integer, default=25)
-    gen.add_argument("--videos", type=_integer, default=2000)
+    gen = add("gen-data", help="write a seeded synthetic record file")
+    gen.add_argument("--vocab", dest="vocab_size", type=_integer, default=25)
+    gen.add_argument("--videos", dest="video_count", type=_integer, default=2000)
     gen.add_argument("--seed", type=_integer, default=0)
-    gen.add_argument("--noise", type=float, default=0.5)
-    gen.add_argument("--out", required=True)
-    gen.add_argument("--max-frames", type=_integer, default=300)
-    gen.add_argument("--visual-dim", type=_integer, default=1024)
-    gen.add_argument("--audio-dim", type=_integer, default=128)
+    gen.add_argument("--noise", dest="noise_sigma", type=float, default=0.5)
+    gen.add_argument("--out", dest="path", required=True)
+    gen.add_argument("--max-frames", type=_integer)
+    gen.add_argument("--visual-dim", type=_integer)
+    gen.add_argument("--audio-dim", type=_integer)
     gen.add_argument("--video-seed", type=_integer,
                      help="separate stream for per-video draws; same --seed "
                      "plus a different --video-seed yields a matched "
                      "validation split (shared class prototypes)")
 
-    tr = sub.add_parser("train", help="train a model from a config file")
-    tr.add_argument("--config", required=True)
-    tr.add_argument("--data", help="override train_data from the config")
-    tr.add_argument("--val", help="override val_data from the config")
-    tr.add_argument("--out", help="override checkpoint_path from the config")
+    tr = add("train", help="train a model from a config file")
+    tr.add_argument("--config", dest="path", required=True)
+    tr.add_argument("--data", dest="train_data", help="override train_data from the config")
+    tr.add_argument("--val", dest="val_data", help="override val_data from the config")
+    tr.add_argument("--out", dest="checkpoint_path", help="override checkpoint_path from the config")
 
-    pr = sub.add_parser("predict", help="write predictions from a checkpoint")
-    pr.add_argument("--checkpoint", required=True)
-    pr.add_argument("--data", required=True)
-    pr.add_argument("--out", required=True)
-    pr.add_argument("--k", type=_integer, default=TOP_K)
+    pr = add("predict", help="write predictions from a checkpoint")
+    pr.add_argument("--checkpoint", dest="checkpoint_path", required=True)
+    pr.add_argument("--data", dest="data_path", required=True)
+    pr.add_argument("--out", dest="out_path", required=True)
+    pr.add_argument("--k", type=_integer)
     pr.add_argument("--full-scores", action="store_true",
                     help="emit every class score (input format for ensembling)")
-    pr.add_argument("--batch-size", type=_integer, default=32)
+    pr.add_argument("--batch-size", type=_integer)
 
-    ev = sub.add_parser("eval", help="GAP@20 of a prediction file against a record file")
-    ev.add_argument("--predictions", required=True)
-    ev.add_argument("--data", required=True)
+    ev = add("eval", help="GAP@20 of a prediction file against a record file")
+    ev.add_argument("--predictions", dest="prediction_path", required=True)
+    ev.add_argument("--data", dest="data_path", required=True)
 
-    en = sub.add_parser("ensemble", help="weighted average of full-score prediction files")
-    en.add_argument("--inputs", nargs="+", required=True)
+    en = add("ensemble", help="weighted average of full-score prediction files")
+    en.add_argument("--inputs", dest="input_paths", nargs="+", required=True)
     en.add_argument("--weights", nargs="+", type=float)
-    en.add_argument("--out", required=True)
+    en.add_argument("--out", dest="out_path", required=True)
     en.add_argument("--full-scores", action="store_true")
 
-    gc = sub.add_parser("gradcheck", help="finite-difference check of a model kind")
-    gc.add_argument("--model", required=True, choices=MODEL_KINDS)
-    gc.add_argument("--tolerance", type=float, default=1e-4)
-    gc.add_argument("--seed", type=_integer, default=0)
-    gc.add_argument("--samples", type=_integer, default=6)
+    gc = add("gradcheck", help="finite-difference check of a model kind")
+    gc.add_argument("--model", dest="kind", required=True, choices=MODEL_KINDS)
+    gc.add_argument("--tolerance", type=float)
+    gc.add_argument("--seed", type=_integer, default=0)  # seeds both the toy spec and the check
+    gc.add_argument("--samples", dest="sample_count", type=_integer)
 
     return parser
 
 
-def _run(args) -> int:
-    if args.command == "gen-data":
-        header = generate_synthetic(
-            args.out,
-            vocab_size=args.vocab,
-            video_count=args.videos,
-            seed=args.seed,
-            noise_sigma=args.noise,
-            visual_dim=args.visual_dim,
-            audio_dim=args.audio_dim,
-            max_frames=args.max_frames,
-            video_seed=args.video_seed,
-        )
+def _run(command: str, **options) -> int:
+    if command == "gen-data":
+        header = generate_synthetic(**options)
         print(
-            f"wrote {args.out}: {header.video_count} videos, vocab {header.vocab_size}, "
+            f"wrote {options['path']}: {header.video_count} videos, vocab {header.vocab_size}, "
             f"{header.visual_dim}+{header.audio_dim} features"
         )
         return 0
 
-    if args.command == "train":
-        config = parse_train_config(args.config)
-        if args.data:
-            config.train_data = args.data
-        if args.val:
-            config.val_data = args.val
-        if args.out:
-            config.checkpoint_path = args.out
+    if command == "train":
+        config = parse_train_config(options.pop("path"))
+        for name, value in options.items():
+            if value:  # an empty --data, --val or --out keeps the config's value
+                setattr(config, name, value)
         if not config.train_data:
             raise ConfigurationError("no training data given (config train_data or --data)")
         if not config.checkpoint_path:
@@ -205,51 +192,29 @@ def _run(args) -> int:
         print(f"best gap {result.best_gap:.6f} at epoch {result.best_epoch}")
         return 0
 
-    if args.command == "predict":
-        predict(
-            args.checkpoint,
-            args.data,
-            args.out,
-            k=args.k,
-            full_scores=args.full_scores,
-            batch_size=args.batch_size,
-        )
-        print(f"wrote {args.out}")
+    if command in ("predict", "ensemble"):
+        (predict if command == "predict" else ensemble_average)(**options)
+        print(f"wrote {options['out_path']}")
         return 0
 
-    if args.command == "eval":
-        result = evaluate(args.predictions, args.data)
+    if command == "eval":
+        result = evaluate(**options)
         print(
             f"gap@20 {result.gap:.6f} pooled_pairs {result.pooled_pairs} "
             f"positives {result.total_positives}"
         )
         return 0
 
-    if args.command == "ensemble":
-        ensemble_average(
-            args.inputs, args.out, weights=args.weights, full_scores=args.full_scores
-        )
-        print(f"wrote {args.out}")
-        return 0
-
-    if args.command == "gradcheck":
-        report = grad_check(
-            toy_spec(args.model, seed=args.seed),
-            sample_count=args.samples,
-            tolerance=args.tolerance,
-            seed=args.seed,
-        )
-        for line in report.lines():
-            print(line)
-        print(f"{'PASS' if report.passed else 'FAIL'} worst {report.worst:.3e}")
-        return 0 if report.passed else 1
-
-    raise ConfigurationError(f"unknown command {args.command!r}")
+    report = grad_check(toy_spec(options.pop("kind"), seed=options["seed"]), **options)
+    for line in report.lines():
+        print(line)
+    print(f"{'PASS' if report.passed else 'FAIL'} worst {report.worst:.3e}")
+    return 0 if report.passed else 1
 
 
 def main(argv=None) -> int:
     try:
-        return _run(_build_parser().parse_args(argv))
+        return _run(**vars(_build_parser().parse_args(argv)))
     except (VideoseqError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

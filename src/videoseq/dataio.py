@@ -47,7 +47,7 @@ class VideoRecord:
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float32)
-        self.labels = [int(x) for x in self.labels]
+        self.labels = [check_int(f"record {self.id!r} label", x, 0) for x in self.labels]
 
 
 def _validate_record(record: VideoRecord, header: DatasetHeader) -> None:

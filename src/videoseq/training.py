@@ -353,14 +353,11 @@ def ensemble_average(input_paths, out_path: str, weights=None, full_scores: bool
     if weights is None:
         weights = [1.0] * len(input_paths)
     else:
-        weights = [float(w) for w in weights]
+        weights = [check_real("ensemble weight", w, positive=False) for w in weights]
         if len(weights) != len(input_paths):
             raise InputError(
                 f"{len(weights)} weights for {len(input_paths)} input files"
             )
-        for w in weights:
-            if not 0.0 <= w < np.inf:
-                raise InputError(f"ensemble weight {w} must be finite and >= 0")
     wsum = sum(weights)
     if wsum <= 0:
         raise InputError("weights must sum to a positive value")

@@ -1,3 +1,4 @@
+import inspect
 import subprocess
 import sys
 
@@ -5,7 +6,10 @@ import pytest
 
 from videoseq import ModelSpec, build_model, save_checkpoint
 from videoseq.cli import _build_parser, main, parse_train_config
+from videoseq.dataio import generate_synthetic
+from videoseq.gradcheck import grad_check, toy_spec
 from videoseq.models import MODEL_KINDS
+from videoseq.training import TrainConfig, ensemble_average, evaluate, predict
 
 
 @pytest.fixture()
@@ -247,11 +251,67 @@ def test_argument_parsing_error_is_a_one_line_error(tmp_path, monkeypatch, capsy
     assert list(tmp_path.iterdir()) == []
 
 
-def test_help_still_exits_zero(capsys):
+@pytest.mark.parametrize("command", ["gen-data", "train", "predict", "eval", "ensemble", "gradcheck"])
+def test_help_still_exits_zero(capsys, command):
     with pytest.raises(SystemExit) as exit_info:
-        main(["gen-data", "--help"])
+        main([command, "--help"])
     assert exit_info.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: videoseq gen-data")
+    assert capsys.readouterr().out.startswith(f"usage: videoseq {command}")
+
+
+# every option of each command, then only its required ones
+_COMMAND_LINES = {
+    "gen-data": (["--vocab", "4", "--videos", "5", "--seed", "1", "--noise", "0.1", "--out", "d.bin",
+                  "--max-frames", "8", "--visual-dim", "3", "--audio-dim", "2", "--video-seed", "2"],
+                 ["--out", "d.bin"]),
+    "train": (["--config", "t.cfg", "--data", "d.bin", "--val", "v.bin", "--out", "m.ckpt"],
+              ["--config", "t.cfg"]),
+    "predict": (["--checkpoint", "m.ckpt", "--data", "d.bin", "--out", "p.txt", "--k", "3",
+                 "--full-scores", "--batch-size", "4"],
+                ["--checkpoint", "m.ckpt", "--data", "d.bin", "--out", "p.txt"]),
+    "eval": (["--predictions", "p.txt", "--data", "d.bin"], ["--predictions", "p.txt", "--data", "d.bin"]),
+    "ensemble": (["--inputs", "a.txt", "b.txt", "--weights", "1", "2", "--out", "e.txt", "--full-scores"],
+                 ["--inputs", "a.txt", "b.txt", "--out", "e.txt"]),
+    "gradcheck": (["--model", "video_level", "--tolerance", "1e-3", "--seed", "1", "--samples", "2"],
+                  ["--model", "video_level"]),
+}
+_CLI_DEFAULTS = {  # the only defaults the parser states; every other one is the library's
+    "gen-data": {"vocab_size": 25, "video_count": 2000, "seed": 0, "noise_sigma": 0.5},
+    "gradcheck": {"seed": 0},
+}
+
+
+def _bind_to_library(command, options):
+    """Bind ``options`` to the calls ``cli._run`` makes; a name they do not take raises TypeError."""
+    options = dict(options)
+    if command == "train":
+        inspect.signature(parse_train_config).bind(options.pop("path"))
+        inspect.signature(TrainConfig).bind(model=None, **options)
+    elif command == "gradcheck":
+        inspect.signature(toy_spec).bind(options.pop("kind"), seed=options["seed"])
+        inspect.signature(grad_check).bind(None, **options)
+    else:
+        call = {"gen-data": generate_synthetic, "predict": predict, "eval": evaluate,
+                "ensemble": ensemble_average}[command]
+        inspect.signature(call).bind(**options)
+
+
+@pytest.mark.parametrize("command", _COMMAND_LINES)
+def test_every_option_passes_to_the_library_keyword_it_names(command):
+    # a dest that is not the keyword would escape main() as a TypeError traceback
+    parser = _build_parser()
+    every, required = _COMMAND_LINES[command]
+    subparser = next(a for a in parser._actions if a.choices).choices[command]
+    options = vars(parser.parse_args([command, *every]))
+    assert options.pop("command") == command
+    assert set(options) == {a.dest for a in subparser._actions} - {"help"}
+    _bind_to_library(command, options)
+
+    options = vars(parser.parse_args([command, *required]))
+    del options["command"]
+    required_dests = {a.dest for a in subparser._actions if a.required}
+    assert {k: v for k, v in options.items() if k not in required_dests} == _CLI_DEFAULTS.get(command, {})
+    _bind_to_library(command, options)
 
 
 def test_no_option_parses_with_bare_int():

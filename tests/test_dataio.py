@@ -76,6 +76,21 @@ class TestRecordFile:
         with pytest.raises(ValidationError):
             write_records(tmp_path / "n.bin", header, [bad])
 
+    @pytest.mark.parametrize("labels, message", [
+        ([0.5, 2.9], "label must be an integer, got 0.5"),
+        (["2"], "label must be an integer, got '2'"),
+        ([1, -1], "label must be >= 0, got -1"),
+    ], ids=["float", "string", "negative"])
+    def test_non_integer_label_refused_before_write(self, tmp_path, labels, message):
+        # int(x) used to truncate: labels [0.5, 2.9] were written and read back as [0, 2]
+        header = small_header(video_count=2)
+        frames = np.zeros((2, header.feature_dim), dtype=np.float32)
+        path = tmp_path / "labels.bin"
+        records = (VideoRecord(video_id, frames, ls) for video_id, ls in (("b", [1]), ("a", labels)))
+        with pytest.raises(ConfigurationError, match=f"^record 'a' {re.escape(message)}$"):
+            write_records(path, header, records)
+        assert not path.exists()
+
     def test_duplicate_ids_rejected_before_write(self, tmp_path):
         header = small_header(video_count=2)
         frames = np.zeros((2, header.feature_dim), dtype=np.float32)

@@ -565,13 +565,20 @@ class TestEnsemble:
             ensemble_average([str(src)], str(out), full_scores=True)
         assert not out.exists()
 
-    @pytest.mark.parametrize("weight", ["nan", "inf", "-1"])
-    def test_non_finite_or_negative_weight_rejected(self, tmp_path, weight):
-        # nan was written as "a 0:nan 1:nan"; -1 pushed the mean outside [0, 1]
+    @pytest.mark.parametrize("weight, message", [
+        (np.nan, "must be finite and >= 0, got nan"),
+        (np.inf, "must be finite and >= 0, got inf"),
+        (-1.0, "must be finite and >= 0, got -1.0"),
+        (None, "must be a real number, got None"),
+        ("x", "must be a real number, got 'x'"),
+    ], ids=["nan", "inf", "-1", "None", "x"])
+    def test_non_finite_or_negative_weight_rejected(self, tmp_path, weight, message):
+        # nan was written as "a 0:nan 1:nan"; -1 pushed the mean outside [0, 1];
+        # None and "x" escaped as a bare TypeError and ValueError
         src_a = self._write(tmp_path / "a.txt", [("a", [(0, 0.9), (1, 0.2)])])
         src_b = self._write(tmp_path / "b.txt", [("a", [(1, 0.7), (0, 0.1)])])
         out = tmp_path / "out.txt"
-        with pytest.raises(InputError, match=f"weight {float(weight)} must be finite and >= 0"):
+        with pytest.raises(ConfigurationError, match=f"^ensemble weight {message}$"):
             ensemble_average([src_a, src_b], str(out), weights=[3.0, weight])
         assert not out.exists()
 
