@@ -37,6 +37,7 @@ from .errors import (
     StateError,
     check_each,
     check_int,
+    check_shape,
 )
 
 __all__ = [
@@ -226,9 +227,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w.T + b`` as one node, for x [n x i], w [o x i], b [o]; w's gradient is
     built as ``g.T @ x``, in w's layout."""
     x, w, b = _const(x), _const(w), _const(b)
-    xs, ws, bs = x.data.shape, w.data.shape, b.data.shape
-    if len(xs) != 2 or len(ws) != 2 or bs != ws[:1] or xs[1] != ws[1]:
-        raise DimensionError(f"linear shapes incompatible: x {xs}, w {ws}, b {bs}")
+    o, i = check_shape("linear w", w.data.shape, (None, None))
+    check_shape("linear x", x.data.shape, (None, i))
+    check_shape("linear b", b.data.shape, (o,))
     data = x.data @ w.data.T
     data += b.data
 
@@ -244,16 +245,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def concat(xs, axis: int) -> Tensor:
-    """Join tensors along ``axis``; every other dim must agree."""
+    """Join tensors along ``axis``; every other dim must agree with the first input's."""
     xs = [_const(x) for x in xs]
     if not xs:
         raise DimensionError("concat of an empty list")
-    try:
-        data = np.concatenate([x.data for x in xs], axis=axis)
-    except ValueError:
-        raise DimensionError(
-            f"concat along axis {axis}: the other dims differ, {[x.shape for x in xs]}"
-        ) from None
+    first = xs[0].data.shape
+    axis = check_int("concat axis", axis, 0, len(first) - 1)
+    for i, x in enumerate(xs[1:], 1):
+        check_shape(f"concat input {i}", x.data.shape, first[:axis] + (None,) + first[axis + 1 :])
+    data = np.concatenate([x.data for x in xs], axis=axis)
     sizes = [x.data.shape[axis] for x in xs]
     offsets = np.cumsum([0] + sizes)
 
@@ -317,10 +317,7 @@ class TimeMask:
         if lengths.dtype.kind not in "iu":  # a float, bool, object or string array
             raise ConfigurationError(f"TimeMask valid_lengths must be integers, got dtype {lengths.dtype}")
         object.__setattr__(self, "valid_lengths", lengths.astype(np.int64))
-        if lengths.shape != (self.batch,):
-            raise DimensionError(
-                f"valid_lengths shape {lengths.shape} does not match batch {self.batch}"
-            )
+        check_shape("TimeMask valid_lengths", lengths.shape, (self.batch,))
         bad = np.flatnonzero((lengths < 1) | (lengths > self.max_time))
         if bad.size:
             raise PreconditionError(
@@ -350,13 +347,10 @@ class TimeMask:
         valid = self.bool_matrix()
         return np.where(valid, self.valid_lengths[:, None] - 1 - t, 0), valid
 
-    def check(self, x, name: str) -> None:
-        """Raise DimensionError naming ``name`` unless x (Tensor or array) is [batch x c x max_time]."""
-        if len(x.shape) != 3 or x.shape[0] != self.batch or x.shape[2] != self.max_time:
-            raise DimensionError(
-                f"{name}: input shape {x.shape} is not [batch {self.batch} x channels "
-                f"x time {self.max_time}]"
-            )
+    def check(self, x, name: str, channels: int | None = None) -> tuple:
+        """x's shape (x a Tensor or an array), or a DimensionError naming ``name`` unless it is
+        [batch x channels x max_time]; ``channels`` None matches any width."""
+        return check_shape(name, x.shape, (self.batch, channels, self.max_time))
 
 
 def masked_mean_time(x: Tensor, mask: TimeMask) -> Tensor:
@@ -394,23 +388,11 @@ def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     recompute trade of Chen et al. 2016, arXiv:1604.06174).
     """
     x, kernels, bias = _const(x), _const(kernels), _const(bias)
-    if x.data.ndim != 3 or kernels.data.ndim != 3:
-        raise DimensionError(
-            f"conv1d_same expects 3-D input and kernels, got {x.data.shape} and "
-            f"{kernels.data.shape}"
-        )
-    b, ci, t = x.data.shape
-    co, kci, w = kernels.data.shape
+    b, ci, t = check_shape("conv1d_same x", x.data.shape, (None, None, None))
+    co, _, w = check_shape("conv1d_same kernels", kernels.data.shape, (None, ci, None))
     if w % 2 == 0:
         raise ConfigurationError(f"kernel width must be odd, got {w}")
-    if kci != ci:
-        raise DimensionError(
-            f"conv1d_same: input has {ci} channels but kernels expect {kci}"
-        )
-    if bias.data.shape != (co,):
-        raise DimensionError(
-            f"conv1d_same: bias shape {bias.data.shape} does not match {co} filters"
-        )
+    check_shape("conv1d_same bias", bias.data.shape, (co,))
     p = (w - 1) // 2
     # (j, lo, src, n): tap j pairs output frames [lo, lo + n) with input frames [src, src + n)
     taps = [(j, max(p - j, 0), max(j - p, 0), t - abs(j - p)) for j in range(w) if abs(j - p) < t]
@@ -470,13 +452,9 @@ def batchnorm_time(t: dict, prefix: str, x: Tensor, mask: TimeMask, train: bool)
         t[f"{prefix}.{f}"] for f in ("gamma", "beta", "running_mean", "running_var", "initialized")
     )
     x = _const(x)
-    mask.check(x, "batchnorm_time")
-    c = x.data.shape[1]
-    if gamma.data.shape != (c,) or beta.data.shape != (c,):
-        raise DimensionError(
-            f"batchnorm_time: gamma/beta must have shape ({c},), got "
-            f"{gamma.data.shape} and {beta.data.shape}"
-        )
+    _, c, _ = mask.check(x, "batchnorm_time")
+    check_shape(f"{prefix}.gamma", gamma.data.shape, (c,))
+    check_shape(f"{prefix}.beta", beta.data.shape, (c,))
     m = mask.channel_mask()
     g3, b3 = gamma.data.reshape(1, c, 1), beta.data.reshape(1, c, 1)
 

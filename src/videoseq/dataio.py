@@ -12,7 +12,7 @@ version, strings, bounded reads, atomic writes) lives in ``container``.
 from __future__ import annotations
 
 import struct
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -33,6 +33,11 @@ class DatasetHeader:
     audio_dim: int = 128
     max_frames: int = 300
     video_count: int = 0
+
+    def __post_init__(self):  # each field in the unsigned range _HEADER_STRUCT packs it in
+        for f, code in zip(fields(self), _HEADER_STRUCT.format[1:]):
+            most = 2 ** (8 * struct.calcsize("<" + code)) - 1
+            setattr(self, f.name, check_int(f"header {f.name}", getattr(self, f.name), 0, most))
 
     @property
     def feature_dim(self) -> int:

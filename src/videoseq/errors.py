@@ -1,5 +1,6 @@
-"""Exception types shared across the library, and its three value rules: ``check_int`` for
-integer settings, ``check_real`` for float settings and ``check_each`` for array values.
+"""Exception types shared across the library, and its four rules: ``check_int`` for
+integer settings, ``check_real`` for float settings, ``check_each`` for array values and
+``check_shape`` for array shapes.
 
 Each class maps to one failure category so callers can distinguish bad
 shapes from bad files from bad training state without string matching.
@@ -56,7 +57,7 @@ class TrainingError(VideoseqError, RuntimeError):
 
 def check_int(name: str, value, least: int, most: float = float("inf")) -> int:
     """``value`` as an int in [least, most], or a ConfigurationError naming ``name``."""
-    if not isinstance(value, numbers.Integral):  # a float, a string or None
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):  # True is an Integral
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
     if not least <= value <= most:
         bound = f">= {least}" if value < least else f"<= {most}"
@@ -66,7 +67,7 @@ def check_int(name: str, value, least: int, most: float = float("inf")) -> int:
 
 def check_real(name: str, value, positive: bool) -> float:
     """``value`` as a finite float, > 0 if ``positive`` else >= 0, or a ConfigurationError."""
-    if not isinstance(value, numbers.Real):  # a string or None
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):  # True is a Real
         raise ConfigurationError(f"{name} must be a real number, got {value!r}")
     try:
         value = float(value)
@@ -86,3 +87,13 @@ def check_each(rule: str, ok, values, error=ValidationError) -> None:
         first = tuple(int(i) for i in bad[0])
         raise error(f"{rule}: {len(bad)} of {values.size} are not, "
                     f"the first {values[first]} at index {first}")
+
+
+def check_shape(what: str, shape, expected: tuple) -> tuple:
+    """``shape`` as a tuple, or a DimensionError naming ``what`` unless it has the rank of
+    ``expected`` and each size ``expected`` gives (``None`` matches any) is the same there."""
+    shape = tuple(shape)
+    if len(shape) != len(expected) or any(e is not None and e != s for s, e in zip(shape, expected)):
+        sizes = " x ".join("*" if e is None else str(e) for e in expected)
+        raise DimensionError(f"{what} has shape {shape}, expected [{sizes}]")
+    return shape

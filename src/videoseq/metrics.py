@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import atomic_write, text_lines
-from .errors import ConfigurationError, FormatError, PreconditionError, ValidationError, check_int
+from .errors import FormatError, PreconditionError, ValidationError, check_int, check_shape
 
 TOP_K = 20
 
@@ -83,15 +83,9 @@ def topk_predictions(probabilities, k: int, video_ids) -> list:
     """[(video_id, [(class, score), ...])]: the top-k classes per video by
     probability, ties to the lower class index."""
     probs = np.asarray(getattr(probabilities, "data", probabilities), dtype=np.float64)
-    if probs.ndim != 2:
-        raise ConfigurationError(f"probabilities must be 2-D, got shape {probs.shape}")
-    vocab = probs.shape[1]
-    k = check_int("k", k, 1, vocab)
     video_ids = list(video_ids)
-    if len(video_ids) != probs.shape[0]:
-        raise ConfigurationError(
-            f"{len(video_ids)} video ids for {probs.shape[0]} probability rows"
-        )
+    _, vocab = check_shape("probabilities (a row per video id)", probs.shape, (len(video_ids), None))
+    k = check_int("k", k, 1, vocab)
     predictions = []
     classes = np.arange(vocab)
     for vid, row in zip(video_ids, probs):

@@ -48,7 +48,7 @@ import numpy as np
 from . import autodiff as ad
 from . import container
 from .autodiff import Tensor, TimeMask
-from .errors import ConfigurationError, DimensionError, FormatError, check_int
+from .errors import ConfigurationError, FormatError, check_int, check_shape
 from .recurrent import (ONES, ZEROS, Init, attention_pool, attention_table, cell_table, draw_table,
                         run_bidirectional)
 from .vlad import Codebook, vlad_encode
@@ -205,12 +205,9 @@ class VideoLevelModel:
 
     def forward(self, visual: Tensor, audio: Tensor, mask: TimeMask, train: bool = False) -> Tensor:
         """Per-class probabilities [batch x vocab], every value strictly in (0, 1), once each
-        stream passes ``mask.check``, then its ``visual_dim``/``audio_dim`` width check."""
-        streams = (("visual", visual, self.spec.visual_dim), ("audio", audio, self.spec.audio_dim))
-        for name, x, width in streams:
-            mask.check(x, f"forward ({name})")
-            if x.shape[1] != width:
-                raise DimensionError(f"{name} input {x.shape} does not match {name}_dim {width}")
+        stream passes ``mask.check`` with its width, ``visual_dim`` or ``audio_dim``."""
+        mask.check(visual, "forward (visual)", self.spec.visual_dim)
+        mask.check(audio, "forward (audio)", self.spec.audio_dim)
         return _mlp_head(self.tensors, self._pool(visual, audio, mask, train))
 
 
@@ -229,10 +226,7 @@ class VladMlpModel(VideoLevelModel):
 
     def set_codebook(self, codebook: Codebook):
         centers = self.tensors["codebook.centers"]
-        if codebook.centers.shape != centers.shape:
-            raise DimensionError(
-                f"codebook shape {codebook.centers.shape} does not match spec {centers.shape}"
-            )
+        check_shape("codebook centers", codebook.centers.shape, centers.shape)
         centers.data = codebook.centers
 
     def _pool(self, visual, audio, mask, train):

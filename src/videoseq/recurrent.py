@@ -29,7 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, TimeMask
-from .errors import DimensionError, PreconditionError
+from .errors import DimensionError, PreconditionError, check_shape
 
 LSTM_GATES = ("input", "forget", "output", "candidate")
 GRU_GATES = ("update", "reset", "candidate")
@@ -73,8 +73,7 @@ def _cell(t: dict, prefix: str, x: Tensor) -> tuple:
     width of x [batch x input (x time)] fits its ``w_candidate``; kind is "lstm" or
     "gru", and only an LSTM has a forget gate."""
     hidden, width = t[f"{prefix}.w_candidate"].shape
-    if x.shape[1] != width - hidden:
-        raise DimensionError(f"cell {prefix!r} expects input {width - hidden}, got x {x.shape}")
+    check_shape(f"{prefix} input", x.shape, (None, width - hidden) + (None,) * (len(x.shape) - 2))
     return ("lstm" if f"{prefix}.w_forget" in t else "gru"), hidden
 
 
@@ -195,11 +194,10 @@ def run_bidirectional(t: dict, prefix: str, x: Tensor, mask: TimeMask) -> Tensor
     prefix. The node's backward is a hand-written BPTT loop, after which the
     input and weight gradients are one GEMM or sum each over all frames.
     """
-    mask.check(x, "run_bidirectional")
+    batch, d, steps = mask.check(x, "run_bidirectional")
     kind, hidden = _cell(t, f"{prefix}.fwd", x)
     if _cell(t, f"{prefix}.bwd", x) != (kind, hidden):
         raise DimensionError(f"run_bidirectional: {prefix}.fwd and {prefix}.bwd differ in kind or width")
-    batch, d, steps = x.shape
     gates = LSTM_GATES if kind == "lstm" else GRU_GATES
     n, h = len(gates), hidden
     cells = [[(t[f"{prefix}.{side}.w_{g}"], t[f"{prefix}.{side}.b_{g}"]) for g in gates]
@@ -264,16 +262,8 @@ def attention_pool(t: dict, prefix: str, h: Tensor, mask: TimeMask) -> Tensor:
     """
     weight, bias, score = (t[f"{prefix}.{f}"] for f in ("proj_weight", "proj_bias", "score_vector"))
     attn, channels = weight.shape
-    mask.check(h, "attention_pool")
-    if h.shape[1] != channels:
-        raise DimensionError(
-            f"attention_pool: input {h.shape} does not match projection width {channels}"
-        )
-    if score.shape != (attn,):
-        raise DimensionError(
-            f"attention_pool: score vector {score.shape} does not match projection rows {attn}"
-        )
-    batch, _, steps = h.shape
+    batch, _, steps = mask.check(h, "attention_pool", channels)
+    check_shape(f"{prefix}.score_vector", score.shape, (attn,))
     v = score.data[:, None]
 
     def frames():  # [b·t x c] frame-major copy of h

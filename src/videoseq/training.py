@@ -18,13 +18,13 @@ from .container import atomic_write
 from .dataio import DatasetHeader, load_records, pad_batch
 from .errors import (
     ConfigurationError,
-    DimensionError,
     InputError,
     PreconditionError,
     TrainingError,
     check_each,
     check_int,
     check_real,
+    check_shape,
 )
 from .metrics import (
     TOP_K,
@@ -81,10 +81,7 @@ def bce_loss(probabilities: Tensor, targets) -> Tensor:
     The forward is ``-(sum(log(p)·y + log(1 - p)·(1 - y)) · 1/count)``; the backward
     is its chain rule, passed only where the probabilities were not clamped."""
     y = targets.data if isinstance(targets, Tensor) else np.asarray(targets, dtype=np.float64)
-    if probabilities.shape != y.shape:
-        raise DimensionError(
-            f"probabilities {probabilities.shape} and targets {y.shape} disagree"
-        )
+    check_shape("targets", y.shape, probabilities.shape)
     check_each("targets must be multi-hot (0/1)", (y == 0.0) | (y == 1.0), y, PreconditionError)
     p = np.clip(probabilities.data, 1e-7, 1.0 - 1e-7)
     passthrough = (probabilities.data >= 1e-7) & (probabilities.data <= 1.0 - 1e-7)

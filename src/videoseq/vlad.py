@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import container
-from .errors import DimensionError, PreconditionError, check_each, check_int
+from .errors import PreconditionError, check_each, check_int, check_shape
 
 _CODEBOOK_MAGIC = b"FLCB"
 _CODEBOOK_VERSION = 1
@@ -34,8 +34,7 @@ class Codebook:
 
     def __post_init__(self):
         centers = np.asarray(self.centers, dtype=np.float64)
-        if centers.ndim != 2:
-            raise DimensionError(f"centers must be 2-D, got shape {centers.shape}")
+        check_shape("codebook centers", centers.shape, (None, None))
         check_each("codebook centers must be finite", np.isfinite(centers), centers)
         self.centers = centers
 
@@ -99,9 +98,7 @@ def kmeans_fit(
     k, max_iter = check_int("k", k, 1), check_int("max_iter", max_iter, 1)
     seed = check_int("seed", seed, 0)
     samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 2:
-        raise DimensionError(f"samples must be 2-D, got shape {samples.shape}")
-    n = samples.shape[0]
+    n, _ = check_shape("kmeans_fit samples", samples.shape, (None, None))
     if n < k:
         raise PreconditionError(f"need at least k={k} samples, got {n}")
     rng = np.random.default_rng(seed)
@@ -133,12 +130,8 @@ def vlad_encode(codebook: Codebook, frames: np.ndarray) -> np.ndarray:
     """Aggregate per-center residual sums of a [t x d] frame matrix into a
     length k*d vector of unit L2 norm, or all zeros (see the module docstring)."""
     frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[1] != codebook.d:
-        raise DimensionError(
-            f"frames shape {frames.shape} does not match codebook dimension "
-            f"{codebook.d}"
-        )
-    if frames.shape[0] < 1:
+    t, _ = check_shape("vlad_encode frames", frames.shape, (None, codebook.d))
+    if t < 1:
         raise PreconditionError("need at least one frame to encode")
     assignments = _squared_distances(frames, codebook.centers).argmin(axis=1)
     residuals = np.zeros_like(codebook.centers)

@@ -74,10 +74,14 @@ class TestLinear:
             assert np.array_equal(got, want), name
 
     def test_shape_mismatch_names_all_three(self):
-        with pytest.raises(DimensionError, match=r"x \(2, 3\), w \(4, 2\), b \(4,\)"):
-            linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(4)))
-        with pytest.raises(DimensionError, match=r"b \(3,\)"):
-            linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 3))), Tensor(np.zeros(3)))
+        for shapes, message in [
+            (((2, 3), (4, 2), (4,)), "linear x has shape (2, 3), expected [* x 2]"),
+            (((2, 3), (4, 3, 1), (4,)), "linear w has shape (4, 3, 1), expected [* x *]"),
+            (((2, 3), (4, 3), (3,)), "linear b has shape (3,), expected [4]"),
+        ]:
+            with pytest.raises(DimensionError) as exc:
+                linear(*(Tensor(np.zeros(shape)) for shape in shapes))
+            assert str(exc.value) == message
 
 
 class TestConv1dSame:
@@ -262,6 +266,15 @@ class TestConcatChannels:
     def test_mismatch(self):
         with pytest.raises(DimensionError):
             concat([Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((2, 2, 3)))], axis=1)
+
+    def test_axis_out_of_range_and_a_mismatched_input_are_named(self):
+        a = Tensor(np.ones((2, 3)))
+        with pytest.raises(ConfigurationError) as exc:
+            concat([a, a], axis=5)
+        assert str(exc.value) == "concat axis must be <= 1, got 5"
+        with pytest.raises(DimensionError) as exc:
+            concat([a, Tensor(np.ones((3, 3)))], axis=1)
+        assert str(exc.value) == "concat input 1 has shape (3, 3), expected [2 x *]"
 
     def test_gradient_splits_by_slice(self):
         rng = np.random.default_rng(21)
