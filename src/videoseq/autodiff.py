@@ -318,12 +318,8 @@ class TimeMask:
             raise ConfigurationError(f"TimeMask valid_lengths must be integers, got dtype {lengths.dtype}")
         object.__setattr__(self, "valid_lengths", lengths.astype(np.int64))
         check_shape("TimeMask valid_lengths", lengths.shape, (self.batch,))
-        bad = np.flatnonzero((lengths < 1) | (lengths > self.max_time))
-        if bad.size:
-            raise PreconditionError(
-                f"every item needs between 1 and max_time {self.max_time} valid frames; "
-                f"item {bad[0]} has {lengths[bad[0]]}"
-            )
+        check_each(f"TimeMask valid_lengths must lie in [1, max_time {self.max_time}]",
+                   (lengths >= 1) & (lengths <= self.max_time), lengths, PreconditionError)
 
     @classmethod
     def full(cls, batch: int, time: int) -> "TimeMask":

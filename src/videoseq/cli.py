@@ -5,12 +5,15 @@ Exit code 0 on success; on failure a single machine-parsable line
 Each option's ``dest`` is the keyword of the library call it feeds; an option left out
 is not passed on, so the library's own default applies. The parser keeps only defaults
 the library lacks (gen-data's --vocab, --videos, --seed, --noise) and gradcheck's --seed.
-A train config's ``model.*`` keys are the names in ``models.SPEC_FIELDS``.
+A train config's ``model.*`` keys are the names in ``models.SPEC_FIELDS``. Every number
+given as an option or a config value passes through ``_number`` and is checked by the library,
+so a bad one reads the same either way; a config adds its file name and the ``model.`` prefix.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import re
 import sys
@@ -26,20 +29,22 @@ from .training import TrainConfig, ensemble_average, evaluate, predict, train
 CONFIG_VERSION = 1
 _SPEC_NAME = re.compile(rf"\b({'|'.join(['kind', *SPEC_FIELDS])})\b")
 
-_TRAIN_FIELDS = {  # each TrainConfig key but these two, cast to its type (str for str | None)
-    name: (*typing.get_args(hint), hint)[0] for name, hint in typing.get_type_hints(TrainConfig).items()
-    if name not in ("model", "clip_norm")
+
+def _number(text: str):
+    """``int(text)``, or else ``float(text)``, or else the text itself, which the library's
+    rules (``errors.check_int``, ``errors.check_real``) then refuse in one named line."""
+    for cast in (int, float):
+        try:
+            return cast(text)
+        except ValueError:
+            pass
+    return text
+
+
+_TRAIN_FIELDS = {  # each TrainConfig key but these two: a number's text goes through _number
+    name: _number if hint in (int, float) else str
+    for name, hint in typing.get_type_hints(TrainConfig).items() if name not in ("model", "clip_norm")
 }
-
-
-def _cast(path: str, key: str, value: str, cast):
-    """``cast(value)``, or a ConfigurationError naming the file, the key and the value."""
-    try:
-        return cast(value)
-    except ValueError:
-        raise ConfigurationError(
-            f"{path}: {key} = {value!r} is not a valid {cast.__name__}"
-        ) from None
 
 
 def parse_train_config(path: str) -> TrainConfig:
@@ -62,24 +67,18 @@ def parse_train_config(path: str) -> TrainConfig:
     version = entries.pop("config_version", None)
     if version is None:
         raise FormatError(f"{path}: missing config_version")
-    if _cast(path, "config_version", version, int) != CONFIG_VERSION:
+    if _number(version) != CONFIG_VERSION:
         raise FormatError(f"{path}: unsupported config_version {version}")
     if "model.kind" not in entries or "model.vocab_size" not in entries:
         raise ConfigurationError(f"{path}: model.kind and model.vocab_size are required")
 
-    spec_kwargs = {"kind": entries.pop("model.kind")}
-    for name in SPEC_FIELDS:
-        key = f"model.{name}"
-        if key in entries:
-            values = tuple(_cast(path, key, v, int) for v in entries.pop(key).split(","))
-            spec_kwargs[name] = values if len(values) > 1 else values[0]
-    config_kwargs = {}
+    spec_kwargs = {name: [_number(v) for v in entries.pop(f"model.{name}").split(",")]
+                   for name in SPEC_FIELDS if f"model.{name}" in entries}  # _field_value counts them
+    spec_kwargs["kind"] = entries.pop("model.kind")
+    config_kwargs = {key: cast(entries.pop(key)) for key, cast in _TRAIN_FIELDS.items() if key in entries}
     raw = entries.pop("clip_norm", "none")
     if raw.lower() != "none":
-        config_kwargs["clip_norm"] = _cast(path, "clip_norm", raw, float)
-    for name, cast in _TRAIN_FIELDS.items():
-        if name in entries:
-            config_kwargs[name] = _cast(path, name, entries.pop(name), cast)
+        config_kwargs["clip_norm"] = _number(raw)
     if entries:
         raise ConfigurationError(f"{path}: unknown keys {sorted(entries)}")
     try:
@@ -92,15 +91,6 @@ def parse_train_config(path: str) -> TrainConfig:
         return TrainConfig(model=spec, **config_kwargs)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from None
-
-
-def _integer(text: str):
-    """An integer option's value: ``int(text)``, or else the text itself, which the
-    library's one integer rule (``errors.check_int``) then refuses in one named line."""
-    try:
-        return int(text)
-    except ValueError:
-        return text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,15 +110,15 @@ def _build_parser() -> argparse.ArgumentParser:
     add = functools.partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
     gen = add("gen-data", help="write a seeded synthetic record file")
-    gen.add_argument("--vocab", dest="vocab_size", type=_integer, default=25)
-    gen.add_argument("--videos", dest="video_count", type=_integer, default=2000)
-    gen.add_argument("--seed", type=_integer, default=0)
-    gen.add_argument("--noise", dest="noise_sigma", type=float, default=0.5)
+    gen.add_argument("--vocab", dest="vocab_size", type=_number, default=25)
+    gen.add_argument("--videos", dest="video_count", type=_number, default=2000)
+    gen.add_argument("--seed", type=_number, default=0)
+    gen.add_argument("--noise", dest="noise_sigma", type=_number, default=0.5)
     gen.add_argument("--out", dest="path", required=True)
-    gen.add_argument("--max-frames", type=_integer)
-    gen.add_argument("--visual-dim", type=_integer)
-    gen.add_argument("--audio-dim", type=_integer)
-    gen.add_argument("--video-seed", type=_integer,
+    gen.add_argument("--max-frames", type=_number)
+    gen.add_argument("--visual-dim", type=_number)
+    gen.add_argument("--audio-dim", type=_number)
+    gen.add_argument("--video-seed", type=_number,
                      help="separate stream for per-video draws; same --seed "
                      "plus a different --video-seed yields a matched "
                      "validation split (shared class prototypes)")
@@ -143,10 +133,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--checkpoint", dest="checkpoint_path", required=True)
     pr.add_argument("--data", dest="data_path", required=True)
     pr.add_argument("--out", dest="out_path", required=True)
-    pr.add_argument("--k", type=_integer)
+    pr.add_argument("--k", type=_number)
     pr.add_argument("--full-scores", action="store_true",
                     help="emit every class score (input format for ensembling)")
-    pr.add_argument("--batch-size", type=_integer)
+    pr.add_argument("--batch-size", type=_number)
 
     ev = add("eval", help="GAP@20 of a prediction file against a record file")
     ev.add_argument("--predictions", dest="prediction_path", required=True)
@@ -154,15 +144,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     en = add("ensemble", help="weighted average of full-score prediction files")
     en.add_argument("--inputs", dest="input_paths", nargs="+", required=True)
-    en.add_argument("--weights", nargs="+", type=float)
+    en.add_argument("--weights", nargs="+", type=_number)
     en.add_argument("--out", dest="out_path", required=True)
     en.add_argument("--full-scores", action="store_true")
 
     gc = add("gradcheck", help="finite-difference check of a model kind")
     gc.add_argument("--model", dest="kind", required=True, choices=MODEL_KINDS)
-    gc.add_argument("--tolerance", type=float)
-    gc.add_argument("--seed", type=_integer, default=0)  # seeds both the toy spec and the check
-    gc.add_argument("--samples", dest="sample_count", type=_integer)
+    gc.add_argument("--tolerance", type=_number)
+    gc.add_argument("--seed", type=_number, default=0)  # seeds both the toy spec and the check
+    gc.add_argument("--samples", dest="sample_count", type=_number)
 
     return parser
 
@@ -178,15 +168,14 @@ def _run(command: str, **options) -> int:
 
     if command == "train":
         config = parse_train_config(options.pop("path"))
-        for name, value in options.items():
-            if value:  # an empty --data, --val or --out keeps the config's value
-                setattr(config, name, value)
+        # an empty --data, --val or --out keeps the config's value
+        config = dataclasses.replace(config, **{name: value for name, value in options.items() if value})
         if not config.train_data:
             raise ConfigurationError("no training data given (config train_data or --data)")
         if not config.checkpoint_path:
             raise ConfigurationError("no checkpoint path given (config checkpoint_path or --out)")
-        config.log_path = config.log_path or config.checkpoint_path + ".log"
-        result = train(config)
+        log_path = config.log_path or config.checkpoint_path + ".log"
+        result = train(dataclasses.replace(config, log_path=log_path))
         for line in result.log_lines:
             print(line)
         print(f"best gap {result.best_gap:.6f} at epoch {result.best_epoch}")

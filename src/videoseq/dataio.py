@@ -26,7 +26,7 @@ VERSION = 1
 _HEADER_STRUCT = struct.Struct("<IIIIQ")  # the DatasetHeader fields, in order
 
 
-@dataclass
+@dataclass(frozen=True)
 class DatasetHeader:
     vocab_size: int
     visual_dim: int = 1024
@@ -37,7 +37,7 @@ class DatasetHeader:
     def __post_init__(self):  # each field in the unsigned range _HEADER_STRUCT packs it in
         for f, code in zip(fields(self), _HEADER_STRUCT.format[1:]):
             most = 2 ** (8 * struct.calcsize("<" + code)) - 1
-            setattr(self, f.name, check_int(f"header {f.name}", getattr(self, f.name), 0, most))
+            object.__setattr__(self, f.name, check_int(f"header {f.name}", getattr(self, f.name), 0, most))
 
     @property
     def feature_dim(self) -> int:
@@ -57,12 +57,12 @@ class VideoRecord:
 
 def _validate_record(record: VideoRecord, header: DatasetHeader) -> None:
     check_video_id(record.id)
-    t = record.frames.shape[0]
     if record.frames.ndim != 2 or record.frames.shape[1] != header.feature_dim:
         raise ValidationError(
             f"record {record.id!r}: frames shape {record.frames.shape} does not "
             f"match feature dim {header.feature_dim}"
         )
+    t = record.frames.shape[0]
     if not 1 <= t <= header.max_frames:
         raise ValidationError(
             f"record {record.id!r}: {t} frames outside [1, {header.max_frames}]"

@@ -77,7 +77,7 @@ def _field_value(name: str, value):
     return values if count > 1 else values[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelSpec:
     """Declarative description of one classifier; unused fields are ignored but validated."""
 
@@ -100,7 +100,7 @@ class ModelSpec:
             value = getattr(self, name)
             if name == "fc_sizes" and value is None:
                 value = (512, self.vocab_size)
-            setattr(self, name, _field_value(name, value))
+            object.__setattr__(self, name, _field_value(name, value))
         check_int("visual_dim + audio_dim", self.feature_dim, 1)
         if self.fc_sizes[1] != self.vocab_size:
             vocab, got = self.vocab_size, self.fc_sizes[1]
@@ -407,18 +407,20 @@ def load_checkpoint(path: str) -> VideoLevelModel:
         (count,) = reader.unpack("<I", "tensor count")
         tensors = {}
         for name, shape, init in tensor_table(spec):
+            at = f"at byte {reader.offset}"  # where this tensor's record starts, or would start
             if len(tensors) == count:
-                raise FormatError(f"{path}: checkpoint is missing tensor {name!r}")
+                raise FormatError(f"{path}: checkpoint is missing tensor {name!r} {at}")
             found = reader.string("tensor name")
             (ndim,) = reader.unpack("<B", f"tensor {found!r} rank")
             dims = reader.unpack(f"<{ndim}I", f"tensor {found!r} shape")
             arr = reader.tensor(dims, f"tensor {found!r}")
             if found != name:
-                raise FormatError(f"{path}: found tensor {found!r} where {name!r} belongs")
+                raise FormatError(f"{path}: found tensor {found!r} where {name!r} belongs {at}")
             if arr.shape != shape:
-                raise FormatError(f"{path}: tensor {name!r} has shape {arr.shape}, expected {shape}")
+                raise FormatError(f"{path}: tensor {name!r} has shape {arr.shape}, expected {shape} {at}")
             tensors[name] = Tensor(arr, requires_grad=init.trainable)
         if count > len(tensors):
-            raise FormatError(f"{path}: unexpected tensor {reader.string('tensor name')!r}")
+            at = f"at byte {reader.offset}"
+            raise FormatError(f"{path}: unexpected tensor {reader.string('tensor name')!r} {at}")
         reader.finish()
     return _BUILDERS[spec.kind](spec, tensors)

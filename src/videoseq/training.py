@@ -46,7 +46,7 @@ ADAM_EPSILON = 1e-8
 ADAM_BLOCK = 1 << 15  # values per block of the update: two scratch buffers of 256 KiB
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     model: ModelSpec
     learning_rate: float = 1e-3
@@ -60,11 +60,12 @@ class TrainConfig:
     log_path: str | None = None
 
     def __post_init__(self):
-        self.learning_rate = check_real("learning_rate", self.learning_rate, positive=True)
+        rate = check_real("learning_rate", self.learning_rate, positive=True)
+        object.__setattr__(self, "learning_rate", rate)
         if self.clip_norm is not None:  # 0 turns clipping off
-            self.clip_norm = check_real("clip_norm", self.clip_norm, positive=False)
+            object.__setattr__(self, "clip_norm", check_real("clip_norm", self.clip_norm, positive=False))
         for name, least in (("batch_size", 1), ("epochs", 1), ("seed", 0)):
-            setattr(self, name, check_int(name, getattr(self, name), least))
+            object.__setattr__(self, name, check_int(name, getattr(self, name), least))
 
     def resolved_clip_norm(self) -> float | None:
         """Deep recurrent stacks get a default global-norm clip of 5.0."""

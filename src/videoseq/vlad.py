@@ -12,7 +12,7 @@ row-major f64 centers; their framing lives in ``container``.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,12 +25,12 @@ _DEGENERATE_NORM = 1e-12
 KMEANS_BLOCK_ROWS = 256  # rows per block of a k-means++ distance pass
 
 
-@dataclass
+@dataclass(eq=False)  # == compares identity: an array has no one truth value
 class Codebook:
     """k cluster centers in feature space, row per center."""
 
     centers: np.ndarray
-    inertia_history: list | None = field(default=None, compare=False)
+    inertia_history: list | None = None
 
     def __post_init__(self):
         centers = np.asarray(self.centers, dtype=np.float64)

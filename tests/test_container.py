@@ -229,6 +229,28 @@ class TestExplicitFaults:
             load_checkpoint(tmp_path / "m.flck")
 
 
+    @pytest.mark.parametrize("change, message, after_head_b2", [
+        (lambda t: t.pop("head.b2"), "checkpoint is missing tensor 'head.b2'", False),
+        (lambda t: t.update(extra=Tensor(np.zeros(1))), "unexpected tensor 'extra'", True),
+        (lambda t: t.update({"head.b2": Tensor(np.zeros((5, 1)))}),
+         "tensor 'head.b2' has shape (5, 1), expected (5,)", False),
+        (lambda t: t.update({"head.x2": t.pop("head.b2")}), "found tensor 'head.x2' where 'head.b2' belongs",
+         False),
+    ], ids=["missing", "unexpected", "shape", "name"])
+    def test_table_error_names_the_byte_its_tensor_record_starts_at(self, tmp_path, change, message,
+                                                                     after_head_b2):
+        model = build_model(tiny_spec("video_level"))
+        save_checkpoint(tmp_path / "m.flck", model)
+        end = os.path.getsize(tmp_path / "m.flck")
+        head_b2 = 2 + 7 + 1 + 4 + 5 * 8  # the last record: name length and bytes, rank, shape, 5 float64s
+        change(model.tensors)
+        save_checkpoint(tmp_path / "m.flck", model)
+        at = end if after_head_b2 else end - head_b2
+        with pytest.raises(FormatError) as exc:
+            load_checkpoint(tmp_path / "m.flck")
+        assert str(exc.value) == f"{tmp_path / 'm.flck'}: {message} at byte {at}"
+
+
 class TestFuzz:
     """Truncate, overwrite one byte, or extend: each read loads or raises a library error."""
 

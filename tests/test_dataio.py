@@ -70,6 +70,15 @@ class TestRecordFile:
             write_records(path, header, [bad])
         assert not path.exists()
 
+    def test_frames_without_a_time_axis_rejected_before_write(self, tmp_path):
+        # the frame count was read before the rank: 0-d frames escaped as an IndexError
+        path = tmp_path / "never.bin"
+        header = small_header(visual_dim=1, audio_dim=0, video_count=1)
+        with pytest.raises(ValidationError) as exc:
+            write_records(path, header, [VideoRecord("a", 5.0, [])])
+        assert str(exc.value) == "record 'a': frames shape () does not match feature dim 1"
+        assert not path.exists()
+
     def test_non_increasing_labels_rejected(self, tmp_path):
         header = small_header(video_count=1)
         bad = VideoRecord("x", np.zeros((2, header.feature_dim), dtype=np.float32), [3, 3])

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +159,19 @@ def test_check_int_returns_a_plain_int_at_either_bound():
     assert check_int("n", 5, 3, 5) == 5
     config = TrainConfig(model=ModelSpec(**_SPEC), batch_size=np.int64(4), epochs=np.int32(2))
     assert (type(config.batch_size), type(config.epochs)) == (int, int)
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: DatasetHeader(vocab_size=3), "vocab_size"),
+    (lambda: ModelSpec(**_SPEC), "hidden_size"),
+    (lambda: TrainConfig(model=ModelSpec(**_SPEC)), "batch_size"),
+], ids=["DatasetHeader", "ModelSpec", "TrainConfig"])
+def test_a_checked_settings_object_cannot_be_changed_past_its_checks(make, name):
+    # an assigned -1 or 0 would skip the rules and reach struct.pack or the training loop
+    settings = make()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(settings, name, 0)
+    assert getattr(settings, name) != 0
 
 
 def test_no_module_but_errors_formats_an_integer_bound():

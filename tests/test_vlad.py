@@ -95,6 +95,13 @@ class TestKmeansFit:
         assert np.array_equal(a.centers, b.centers)
 
 
+def test_codebooks_compare_by_identity_as_a_bool():
+    # a generated __eq__ would compare the centers arrays and raise on their truth value
+    centers = np.eye(3)
+    codebook = Codebook(centers)
+    assert (codebook == Codebook(centers)) is False and (codebook == codebook) is True
+
+
 class TestVladEncode:
     def test_frames_equal_to_centers_give_zeros(self):
         cb = Codebook(np.array([[1.0, 2.0], [-3.0, 0.5]]))
