@@ -7,7 +7,7 @@ is built from the handful of primitives shown here.
 
 import numpy as np
 
-from videoseq import Tape, Tensor, TimeMask, backward, conv1d_same, linear, masked_mean_time
+from videoseq import Tape, Tensor, TimeMask, backward, conv1d_same, linear, masked_mean_time, sigmoid
 from videoseq.gradcheck import numerical_gradient
 
 # --- tensors and the tape ---------------------------------------------------
@@ -20,7 +20,8 @@ from videoseq.gradcheck import numerical_gradient
 # linear(x, w, b) is a fully-connected layer, x @ w.T + b, as one tape node:
 # x is [batch x inputs], w is [outputs x inputs] and b is [outputs]. A layer
 # with one output, weights of ones and no bias sums its inputs, so it turns
-# y * y into the scalar loss sum(y²), as a [1 x 1] tensor.
+# sigmoid(y) into the scalar loss sum(sigmoid(y)), as a [1 x 1] tensor. There
+# is no `+` or `*` on tensors: every step of a graph is one of the engine's ops.
 
 w = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
 x = Tensor(np.array([[0.5, -1.0]]))
@@ -29,7 +30,7 @@ ones, zero = Tensor(np.ones((1, 2))), Tensor(np.zeros(1))
 
 with Tape() as tape:
     y = linear(x, w, b)       # [1x2]
-    loss = linear(y * y, ones, zero)  # [1x1]
+    loss = linear(sigmoid(y), ones, zero)  # [1x1]
     print("tape nodes    :", len(tape.nodes))
     backward(loss)
 print("after backward:", len(tape.nodes), "nodes")
@@ -45,7 +46,7 @@ w2 = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
 
 def f():
     y2 = linear(x, w2, b)
-    return linear(y2 * y2, ones, zero).data[0, 0]
+    return linear(sigmoid(y2), ones, zero).data[0, 0]
 
 
 numeric = numerical_gradient(f, w2, step=1e-6)

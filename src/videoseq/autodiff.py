@@ -9,11 +9,12 @@ has run: its gradient and closure are dropped, and the tape is closed and
 emptied when the walk ends. Leaving the block closes the tape too, so a
 forward without a backward keeps nothing alive.
 
-Only the primitives the sequence models need are provided: broadcasting
-``+`` and ``*``, ``linear`` (one node for a fully-connected layer,
-``x @ w.T + b``), concatenation, same-length temporal convolution, masked
-batch normalization, the masked mean over time as one fused node, and the
-ReLU and sigmoid activations.
+Only the primitives the sequence models need are provided: ``linear`` (one
+node for a fully-connected layer, ``x @ w.T + b``), concatenation,
+same-length temporal convolution, masked batch normalization, the masked
+mean over time as one fused node, and the ReLU and sigmoid activations.
+There is no broadcasting arithmetic: ``relu`` takes the residual sum, so
+``relu(x, y)`` is a residual block's ``ReLU(x + y)`` as one node.
 Batch norm reads its parameters and running statistics by prefix from a
 {name: Tensor} dict, such as a model's ``tensors``, and is one fused node
 that keeps only x̂ and 1/σ for its closed-form backward. A fused op
@@ -155,18 +156,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    # -- arithmetic --
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
 
 def _const(x) -> Tensor:
     if isinstance(x, Tensor):
@@ -181,46 +170,6 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad = np.add(g, 0.0, order="C")
     else:
         t.grad += g
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a broadcast gradient back down to `shape`."""
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
-# ---------------------------------------------------------------------------
-# arithmetic primitives
-# ---------------------------------------------------------------------------
-
-
-def add(a, b) -> Tensor:
-    a, b = _const(a), _const(b)
-    data = a.data + b.data
-
-    def bw(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
-
-    return Tensor._op(data, (a, b), bw)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _const(a), _const(b)
-    data = a.data * b.data
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return Tensor._op(data, (a, b), bw)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -271,14 +220,20 @@ def concat(xs, axis: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def relu(a: Tensor) -> Tensor:
-    a = _const(a)
-    data = np.maximum(a.data, 0.0)
+def relu(first: Tensor, *rest: Tensor) -> Tensor:
+    """ReLU of the sum of one or more terms of the first's shape, as one node; each term
+    gets ``g`` where the output is positive."""
+    terms = tuple(map(_const, (first, *rest)))
+    for i, a in enumerate(terms[1:], 1):
+        check_shape(f"relu term {i}", a.data.shape, terms[0].data.shape)
+    data = np.maximum(sum((a.data for a in terms[1:]), terms[0].data), 0.0)
 
     def bw(g):
-        _accumulate(a, g * (a.data > 0.0))
+        g = g * (data > 0.0)
+        for a in terms:
+            _accumulate(a, g)
 
-    return Tensor._op(data, (a,), bw)
+    return Tensor._op(data, terms, bw)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -317,6 +272,7 @@ class TimeMask:
         if lengths.dtype.kind not in "iu":  # a float, bool, object or string array
             raise ConfigurationError(f"TimeMask valid_lengths must be integers, got dtype {lengths.dtype}")
         object.__setattr__(self, "valid_lengths", lengths.astype(np.int64))
+        self.valid_lengths.setflags(write=False)  # a later write would bypass the checks below
         check_shape("TimeMask valid_lengths", lengths.shape, (self.batch,))
         check_each(f"TimeMask valid_lengths must lie in [1, max_time {self.max_time}]",
                    (lengths >= 1) & (lengths <= self.max_time), lengths, PreconditionError)

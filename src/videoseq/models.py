@@ -27,9 +27,10 @@ fast-forwarded) -> attention" helper, which hands ``tensors`` itself to
 prefix in the table. ``temporal_resnet`` hands it to ``batchnorm_time`` the
 same way, which reads each batch norm by prefix and, in train mode, writes
 its running statistics back into the table. Every model ends in a
-per-class sigmoid and masks its raw inputs before anything reads them
-(``video_level`` inside each stream's masked mean), so values stored at
-padded frame positions can never influence the output. ``build_model``
+per-class sigmoid and masks its raw inputs before anything reads them, with
+the one masking node ``_masked_features`` (``video_level`` inside each
+stream's masked mean), so values stored at padded frame positions can never
+influence the output. ``build_model``
 draws the table in order from the spec-seeded generator;
 ``load_checkpoint`` (end of this module) walks it beside the file's tensors
 and adopts them, drawing nothing. Checkpoint framing (magic, version,
@@ -143,20 +144,20 @@ def _birnn_attention_table(spec: ModelSpec, prefixes, in_dim: int, attn_prefix: 
     yield from attention_table(attn_prefix, 2 * h, h)
 
 
-def _masked_features(visual: Tensor, audio: Tensor, mask: TimeMask) -> Tensor:
-    """[visual; audio] zeroed at padded frames, as one node: both products go into
-    one buffer, and the backward is ``g * m`` split by channel."""
-    m, v = mask.channel_mask(), visual.shape[1]
-    out = np.empty((mask.batch, v + audio.shape[1], mask.max_time))
-    np.multiply(visual.data, m, out=out[:, :v])
-    np.multiply(audio.data, m, out=out[:, v:])
+def _masked_features(streams, mask: TimeMask) -> Tensor:
+    """The [b x c_i x t] streams joined by channel and zeroed at padded frames, as one node:
+    every product goes into one buffer, and the backward is ``g * m`` split by channel."""
+    m, ends = mask.channel_mask(), np.cumsum([0] + [x.shape[1] for x in streams])
+    out = np.empty((mask.batch, ends[-1], mask.max_time))
+    for x, lo, hi in zip(streams, ends, ends[1:]):
+        np.multiply(x.data, m, out=out[:, lo:hi])
 
     def bw(g):
-        for x, g_x in ((visual, g[:, :v]), (audio, g[:, v:])):
+        for x, lo, hi in zip(streams, ends, ends[1:]):
             if x.requires_grad:
-                ad._accumulate(x, g_x * m)
+                ad._accumulate(x, g[:, lo:hi] * m)
 
-    return Tensor._op(out, (visual, audio), bw)
+    return Tensor._op(out, tuple(streams), bw)
 
 
 def _mlp_head(t: dict, x: Tensor) -> Tensor:
@@ -251,11 +252,8 @@ class TwoStreamModel(VideoLevelModel):
         yield from _head_table(spec, 4 * spec.hidden_size)
 
     def _pool(self, visual, audio, mask, train):
-        m = mask.channel_mask()
-        pooled = [
-            _birnn_attention(self.tensors, [name], f"{name}.attn", x * m, mask)
-            for name, x in (("visual", visual), ("audio", audio))
-        ]
+        pooled = [_birnn_attention(self.tensors, [name], f"{name}.attn", _masked_features([x], mask), mask)
+                  for name, x in (("visual", visual), ("audio", audio))]
         return ad.concat(pooled, axis=1)
 
 
@@ -278,7 +276,7 @@ class FastForwardModel(VideoLevelModel):
         yield from _head_table(spec, 2 * spec.hidden_size)
 
     def _pool(self, visual, audio, mask, train):
-        features = _masked_features(visual, audio, mask)
+        features = _masked_features([visual, audio], mask)
         layers = (f"layer{i}" for i in range(self.spec.depth))
         return _birnn_attention(self.tensors, layers, "attn", features, mask)
 
@@ -292,11 +290,11 @@ class StackedModel(FastForwardModel):
 class TemporalResnetModel(VideoLevelModel):
     """Stack of temporal residual blocks, then a bidirectional LSTM head.
 
-    Each block is conv3 -> BN -> ReLU -> conv3 -> BN, an additive shortcut,
-    and a final ReLU. The width-1 projection's output is re-masked to zero at
-    padded frames (its bias makes them nonzero); a block needs no mask of its
-    own, since batch norm zeroes its output there and the shortcut is zero
-    there already.
+    Each block is conv3 -> BN -> ReLU -> conv3 -> BN, then the shortcut sum
+    and the final ReLU as one ``relu(x, y)`` node. The width-1 projection's
+    output is re-masked to zero at padded frames by ``_masked_features`` (its
+    bias makes them nonzero); a block needs no mask of its own, since batch
+    norm zeroes its output there and the shortcut is zero there already.
     """
 
     @classmethod
@@ -322,12 +320,12 @@ class TemporalResnetModel(VideoLevelModel):
         return ad.batchnorm_time(t, f"{block}.bn{j}", y, mask, train)
 
     def _pool(self, visual, audio, mask, train):
-        t, m = self.tensors, mask.channel_mask()
-        x = ad.conv1d_same(_masked_features(visual, audio, mask), t["proj.weight"], t["proj.bias"]) * m
+        t = self.tensors
+        x = ad.conv1d_same(_masked_features([visual, audio], mask), t["proj.weight"], t["proj.bias"])
+        x = _masked_features([x], mask)
         for i in range(self.spec.trb_count):
             y = ad.relu(self._conv_bn(x, f"block{i}", 1, mask, train))
-            y = self._conv_bn(y, f"block{i}", 2, mask, train)
-            x = ad.relu(x + y)
+            x = ad.relu(x, self._conv_bn(y, f"block{i}", 2, mask, train))
         return _birnn_attention(self.tensors, ["lstm"], "attn", x, mask)
 
 

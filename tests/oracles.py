@@ -56,13 +56,48 @@ def vlad_encode_oracle(codebook: Codebook, frames: np.ndarray) -> np.ndarray:
     return np.zeros_like(flat) if norm < _DEGENERATE_NORM else flat / norm
 
 
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum a broadcast gradient back down to `shape`."""
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g
+
+
+def add(a, b) -> Tensor:
+    """Broadcasting a + b as an autodiff op."""
+    a, b = ad._const(a), ad._const(b)
+
+    def bw(g):
+        ad._accumulate(a, _unbroadcast(g, a.data.shape))
+        ad._accumulate(b, _unbroadcast(g, b.data.shape))
+
+    return Tensor._op(a.data + b.data, (a, b), bw)
+
+
+def mul(a, b) -> Tensor:
+    """Broadcasting a * b as an autodiff op."""
+    a, b = ad._const(a), ad._const(b)
+
+    def bw(g):
+        if a.requires_grad:
+            ad._accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            ad._accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+
+    return Tensor._op(a.data * b.data, (a, b), bw)
+
+
 def sub(a, b) -> Tensor:
     """Broadcasting a - b as an autodiff op."""
     a, b = ad._const(a), ad._const(b)
 
     def bw(g):
-        ad._accumulate(a, ad._unbroadcast(g, a.data.shape))
-        ad._accumulate(b, ad._unbroadcast(-g, b.data.shape))
+        ad._accumulate(a, _unbroadcast(g, a.data.shape))
+        ad._accumulate(b, _unbroadcast(-g, b.data.shape))
 
     return Tensor._op(a.data - b.data, (a, b), bw)
 
@@ -81,7 +116,7 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def tensor_mean(a: Tensor) -> Tensor:
     """Mean over every element as two autodiff ops: the sum, then times 1/size."""
-    return ad.mul(tensor_sum(a), 1.0 / a.data.size)
+    return mul(tensor_sum(a), 1.0 / a.data.size)
 
 
 def log(a: Tensor) -> Tensor:
@@ -108,15 +143,15 @@ def composed_bce_loss(probabilities: Tensor, targets) -> Tensor:
     sum, the mean as a sum and a scale, and the negation as a product with -1."""
     y = np.asarray(targets, dtype=np.float64)
     p = clip(probabilities, 1e-7, 1.0 - 1e-7)
-    loss = log(p) * y + log(sub(1.0, p)) * (1.0 - y)
-    return tensor_mean(loss) * -1.0
+    loss = add(mul(log(p), y), mul(log(sub(1.0, p)), 1.0 - y))
+    return mul(tensor_mean(loss), -1.0)
 
 
 def composed_masked_mean_time(x: Tensor, mask: TimeMask) -> Tensor:
     """``masked_mean_time`` as three tape nodes: x times the mask, the sum over time,
     then times 1/len."""
-    s = tensor_sum(ad.mul(x, mask.channel_mask()), axis=2)
-    return ad.mul(s, 1.0 / mask.valid_lengths.astype(np.float64)[:, None])
+    s = tensor_sum(mul(x, mask.channel_mask()), axis=2)
+    return mul(s, 1.0 / mask.valid_lengths.astype(np.float64)[:, None])
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -145,9 +180,9 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            ad._accumulate(a, ad._unbroadcast(g / b.data, a.data.shape))
+            ad._accumulate(a, _unbroadcast(g / b.data, a.data.shape))
         if b.requires_grad:
-            ad._accumulate(b, ad._unbroadcast(-g * data / b.data, b.data.shape))
+            ad._accumulate(b, _unbroadcast(-g * data / b.data, b.data.shape))
 
     return Tensor._op(data, (a, b), bw)
 
@@ -179,8 +214,8 @@ def lstm_step(t: dict, prefix: str, x_t: Tensor, h_prev: Tensor, c_prev: Tensor)
     gate = _gates(t, prefix, "lstm", x_t, h_prev)
     xh = ad.concat([x_t, h_prev], axis=1)
     i, f, o = (ad.sigmoid(gate(g, xh)) for g in ("input", "forget", "output"))
-    c_t = f * c_prev + i * tanh(gate("candidate", xh))
-    return o * tanh(c_t), c_t
+    c_t = add(mul(f, c_prev), mul(i, tanh(gate("candidate", xh))))
+    return mul(o, tanh(c_t)), c_t
 
 
 def gru_step(t: dict, prefix: str, x_t: Tensor, h_prev: Tensor) -> Tensor:
@@ -188,8 +223,8 @@ def gru_step(t: dict, prefix: str, x_t: Tensor, h_prev: Tensor) -> Tensor:
     gate = _gates(t, prefix, "gru", x_t, h_prev)
     xh = ad.concat([x_t, h_prev], axis=1)
     z, r = (ad.sigmoid(gate(g, xh)) for g in ("update", "reset"))
-    h_bar = tanh(gate("candidate", ad.concat([x_t, r * h_prev], axis=1)))
-    return sub(1.0, z) * h_prev + z * h_bar
+    h_bar = tanh(gate("candidate", ad.concat([x_t, mul(r, h_prev)], axis=1)))
+    return add(mul(sub(1.0, z), h_prev), mul(z, h_bar))
 
 
 def time_step(x: Tensor, s: int) -> Tensor:
@@ -243,7 +278,7 @@ def composed_bidirectional(t: dict, prefix: str, x: Tensor, mask: TimeMask) -> T
 
     fwd = direction(f"{prefix}.fwd", x)
     bwd = reverse_valid_time(direction(f"{prefix}.bwd", reverse_valid_time(x, mask)), mask)
-    return ad.concat([fwd, bwd], axis=1) * mask.channel_mask()
+    return mul(ad.concat([fwd, bwd], axis=1), mask.channel_mask())
 
 
 def _gate_major_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -401,15 +436,15 @@ def composed_batchnorm_time(t: dict, prefix: str, x: Tensor, mask: TimeMask, tra
     if not train:
         rm = running_mean.data.reshape(1, c, 1)
         rstd = np.sqrt(running_var.data + ad.BN_EPS).reshape(1, c, 1)
-        xhat = ad.mul(sub(x, rm), 1.0 / rstd)
-        return ad.mul(ad.add(ad.mul(xhat, gamma3), beta3), m)
+        xhat = mul(sub(x, rm), 1.0 / rstd)
+        return mul(add(mul(xhat, gamma3), beta3), m)
 
     n = float(mask.total_valid())
-    mean = ad.mul(tensor_sum(ad.mul(x, m), axis=(0, 2), keepdims=True), 1.0 / n)
-    centered = ad.mul(sub(x, mean), m)
-    var = ad.mul(tensor_sum(ad.mul(centered, centered), axis=(0, 2), keepdims=True), 1.0 / n)
-    xhat = div(centered, sqrt(ad.add(var, ad.BN_EPS)))
-    out = ad.mul(ad.add(ad.mul(xhat, gamma3), beta3), m)
+    mean = mul(tensor_sum(mul(x, m), axis=(0, 2), keepdims=True), 1.0 / n)
+    centered = mul(sub(x, mean), m)
+    var = mul(tensor_sum(mul(centered, centered), axis=(0, 2), keepdims=True), 1.0 / n)
+    xhat = div(centered, sqrt(add(var, ad.BN_EPS)))
+    out = mul(add(mul(xhat, gamma3), beta3), m)
 
     batch_mean = mean.data.reshape(c).copy()
     batch_var = var.data.reshape(c).copy()
@@ -429,7 +464,7 @@ def composed_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         ad._accumulate(x, g @ w.data)
         ad._accumulate(w, (x.data.T @ g).T)
 
-    return Tensor._op(x.data @ w.data.T, (x, w), bw) + b
+    return add(Tensor._op(x.data @ w.data.T, (x, w), bw), b)
 
 
 def composed_conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
@@ -470,7 +505,7 @@ def softmax_masked(scores: Tensor, mask: TimeMask) -> Tensor:
     weigh exactly 0."""
     m = mask.bool_matrix().astype(np.float64)
     shift = np.where(mask.bool_matrix(), scores.data, -np.inf).max(axis=1, keepdims=True)
-    e = exp(sub(scores, shift) * m) * m
+    e = mul(exp(mul(sub(scores, shift), m)), m)
     return div(e, tensor_sum(e, axis=1, keepdims=True))
 
 
@@ -481,21 +516,22 @@ def composed_attention_pool(t: dict, prefix: str, h: Tensor, mask: TimeMask) -> 
     weight, bias, score = (t[f"{prefix}.{f}"] for f in ("proj_weight", "proj_bias", "score_vector"))
     attn, channels = weight.shape
     u = tanh(composed_conv1d_same(h, reshape(weight, (attn, channels, 1)), bias))
-    scores = tensor_sum(u * reshape(score, (1, attn, 1)), axis=1)
+    scores = tensor_sum(mul(u, reshape(score, (1, attn, 1))), axis=1)
     alpha = softmax_masked(scores, mask)
-    return tensor_sum(h * reshape(alpha, (mask.batch, 1, mask.max_time)), axis=2)
+    return tensor_sum(mul(h, reshape(alpha, (mask.batch, 1, mask.max_time))), axis=2)
 
 
-def composed_masked_features(visual: Tensor, audio: Tensor, mask: TimeMask) -> Tensor:
-    """``models._masked_features`` as three tape nodes: each stream times the mask, then concat."""
+def composed_masked_features(streams, mask: TimeMask) -> Tensor:
+    """``models._masked_features`` as one tape node per stream, each stream times the mask,
+    then the concat."""
     m = mask.channel_mask()
-    return ad.concat([visual * m, audio * m], axis=1)
+    return ad.concat([mul(x, m) for x in streams], axis=1)
 
 
-def composed_video_level_pool(visual: Tensor, audio: Tensor, mask: TimeMask) -> Tensor:
+def composed_video_level_pool(streams, mask: TimeMask) -> Tensor:
     """``video_level``'s pool as ``composed_masked_mean_time`` over the masked, concatenated
     streams."""
-    return composed_masked_mean_time(composed_masked_features(visual, audio, mask), mask)
+    return composed_masked_mean_time(composed_masked_features(streams, mask), mask)
 
 
 class WholeArrayAdam(Adam):

@@ -27,8 +27,8 @@ from videoseq import (
 from videoseq import autodiff
 from videoseq.autodiff import _accumulate
 
-from oracles import (check_gradients, composed_batchnorm_time, composed_conv1d_same, composed_linear,
-                     composed_masked_mean_time, reverse_valid_time, tanh, tensor_sum)
+from oracles import (add, check_gradients, composed_batchnorm_time, composed_conv1d_same, composed_linear,
+                     composed_masked_mean_time, mul, reverse_valid_time, tanh, tensor_sum)
 
 
 def conv1d_naive(x, kernels, bias):
@@ -65,7 +65,7 @@ class TestLinear:
             with Tape() as tape:
                 out = op(x, w, b)
                 nodes = len(tape.nodes)
-                backward(tensor_sum(out * upstream))
+                backward(tensor_sum(mul(out, upstream)))
             results.append((nodes, out.data, x.grad, w.grad, b.grad))
         (nodes, *fused), (composed_nodes, *composed) = results
         assert (nodes, composed_nodes) == (1, 2)
@@ -146,7 +146,7 @@ class TestConv1dSame:
             out = op(*inputs)
             nodes = len(tape.nodes)
             if any(grads):
-                backward(tensor_sum(out * rng.normal(size=out.shape)))
+                backward(tensor_sum(mul(out, rng.normal(size=out.shape))))
         return nodes, out.data, *(x.grad for x in inputs)
 
     # (batch, c_in, c_out, width, time): desk width at each odd width; the paper's
@@ -194,6 +194,45 @@ class TestActivations:
 
     def test_relu(self):
         assert np.array_equal(relu(Tensor([-1.0, 2.0])).data, [0.0, 2.0])
+
+    def test_relu_gradient_is_zero_where_the_sum_is_not_positive(self):
+        x, y = Tensor([-1.0, 0.5, 2.0], requires_grad=True), Tensor([0.5, -0.5, 1.0], requires_grad=True)
+        with Tape():
+            backward(tensor_sum(relu(x, y)))
+        assert x.grad.tolist() == y.grad.tolist() == [0.0, 0.0, 1.0]
+
+    # [b x c x t]: desk widths, and the paper's 1024 filters over 300 frames
+    @pytest.mark.parametrize("shape", [(2, 8, 6), (16, 16, 40), (2, 1024, 300)])
+    @pytest.mark.parametrize("grads", [(True, True), (True, False), (False, True)])
+    def test_residual_relu_has_the_bits_of_relu_of_add(self, shape, grads):
+        """``relu(x, y)``, one node, against ``relu(add(x, y))``: the output and both
+        gradients by value and zero sign, with sums of exactly 0 and -0.0 in the upstream."""
+        rng = np.random.default_rng(shape[1])
+        x, y, upstream = (rng.normal(size=shape) for _ in range(3))
+        y.reshape(-1)[::7] = -x.reshape(-1)[::7]
+        x[..., 0] = y[..., 0] = -0.0
+        upstream.reshape(-1)[::5] = -0.0
+        results = []
+        for op in (relu, lambda a, b: relu(add(a, b))):
+            a, b = (Tensor(v, requires_grad=r) for v, r in zip((x, y), grads))
+            with Tape() as tape:
+                out = op(a, b)
+                nodes = len(tape.nodes)
+                backward(tensor_sum(mul(out, upstream)))
+            results.append((nodes, out.data, a.grad, b.grad))
+        (nodes, *fused), (composed_nodes, *composed) = results
+        assert (nodes, composed_nodes) == (1, 2)
+        for name, got, want, wanted in zip(["out", "x", "y"], fused, composed, (True, *grads)):
+            assert (got is not None) == wanted, name
+            if wanted:
+                assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), name
+
+    # (2, 3, 1) and (5,) would broadcast against (2, 3, 5)
+    @pytest.mark.parametrize("shape", [(2, 3, 1), (5,), (2, 4, 5)])
+    def test_residual_relu_refuses_a_term_of_another_shape(self, shape):
+        with pytest.raises(DimensionError) as exc:
+            relu(Tensor(np.ones((2, 3, 5))), Tensor(np.ones(shape)))
+        assert str(exc.value) == f"relu term 1 has shape {shape}, expected [2 x 3 x 5]"
 
     def test_tanh_gradient_at_random_points(self):
         rng = np.random.default_rng(5)
@@ -246,7 +285,7 @@ class TestMaskedMeanTime:
             with Tape() as tape:
                 out = op(x, mask)
                 nodes = len(tape.nodes)
-                backward(tensor_sum(out * upstream))
+                backward(tensor_sum(mul(out, upstream)))
             results.append((nodes, out.data.tobytes(), x.grad.tobytes()))
         (nodes, *fused), (composed_nodes, *composed) = results
         assert (nodes, composed_nodes) == (1, 3)
@@ -283,7 +322,7 @@ class TestConcatChannels:
         coef = rng.normal(size=(2, 5, 4))
 
         def f():
-            return tensor_sum(concat([a, b], axis=1) * coef)
+            return tensor_sum(mul(concat([a, b], axis=1), coef))
 
         worst = check_gradients(f, [("a", a), ("b", b)], step=1e-5)
         assert max(worst.values()) < 1e-7
@@ -330,7 +369,7 @@ class TestBatchnormTime:
 
         def f():
             out = batchnorm_time(bn_table(gamma, beta), "bn", x, mask, True)
-            return tensor_sum(out * coef)
+            return tensor_sum(mul(out, coef))
 
         worst = check_gradients(f, [("x", x), ("gamma", gamma), ("beta", beta)], step=1e-4)
         assert max(worst.values()) < 1e-5
@@ -375,7 +414,7 @@ class TestBatchnormTime:
         with Tape() as tape:
             out = batchnorm_time(table, "bn", x, mask, train)
             assert tape.nodes == [out]
-            backward(tensor_sum(out * rng.normal(size=out.shape)))
+            backward(tensor_sum(mul(out, rng.normal(size=out.shape))))
         for p in (x, gamma, beta):
             assert p.grad is not None and p.grad.shape == p.shape
         for f in ("running_mean", "running_var", "initialized"):
@@ -397,7 +436,7 @@ class TestBatchnormTime:
             x = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
             with Tape():
                 out = bn(table, "bn", x, mask, train)
-                backward(tensor_sum(out * rng.normal(size=out.shape)))
+                backward(tensor_sum(mul(out, rng.normal(size=out.shape))))
             return (out.data, x.grad, gamma.grad, beta.grad,
                     table["bn.running_mean"].data, table["bn.running_var"].data)
 
@@ -415,13 +454,13 @@ class TestBackward:
     def test_elementwise_square(self):
         w = Tensor([1.0, 2.0], requires_grad=True)
         with Tape():
-            backward(tensor_sum(w * w))
+            backward(tensor_sum(mul(w, w)))
         assert np.array_equal(w.grad, [2.0, 4.0])
 
     def test_gradients_sum_over_uses(self):
         w = Tensor([3.0], requires_grad=True)
         with Tape():
-            backward(tensor_sum(w + w))
+            backward(tensor_sum(relu(w, w)))
         assert np.array_equal(w.grad, [2.0])
 
     @pytest.mark.parametrize("case", ["transposed", "broadcast", "negative_zero"])
@@ -443,12 +482,12 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         w = Tensor([1.0, 2.0], requires_grad=True)
         with Tape(), pytest.raises(ContractError):
-            backward(w * w)
+            backward(mul(w, w))
 
     def test_repeated_backward_rejected(self):
         w = Tensor([1.0], requires_grad=True)
         with Tape():
-            loss = tensor_sum(w * w)
+            loss = tensor_sum(mul(w, w))
             backward(loss)
             with pytest.raises(StateError):
                 backward(loss)
@@ -500,6 +539,15 @@ class TestValidation:
         assert str(exc.value) == (f"tensor values must be finite: {count} of {size} are not, "
                                   f"the first {first} at index {index}")
 
+    def test_time_mask_lengths_are_read_only_and_the_callers_array_is_not(self):
+        """A write after the checks would slip past them: a length of 0 made the masked mean nan."""
+        lengths = np.array([2])
+        mask = TimeMask(1, 3, lengths)
+        with pytest.raises(ValueError, match="read-only"):
+            mask.valid_lengths[0] = 0
+        lengths[0] = 0
+        assert lengths.flags.writeable and mask.valid_lengths.tolist() == [2]
+
     def test_item_reads_any_one_element_tensor(self):
         assert Tensor(2.5).item() == 2.5 and type(Tensor(2.5).item()) is float
         assert Tensor([[-1.5]]).item() == -1.5  # the [1 x 1] loss a one-output linear makes
@@ -532,7 +580,7 @@ class TestTimePlumbing:
         coef = rng.normal(size=(2, 2, 4))
 
         def f():
-            return tensor_sum(reverse_valid_time(x, mask) * coef)
+            return tensor_sum(mul(reverse_valid_time(x, mask), coef))
 
         worst = check_gradients(f, [("x", x)], step=1e-5)
         assert worst["x"] < 1e-7
@@ -579,9 +627,9 @@ def toy_batch(spec, batch, time, seed):
 class TestTape:
     def test_ops_record_only_inside_a_tape(self):
         w = Tensor([1.0], requires_grad=True)
-        assert not (w * w).requires_grad
+        assert not mul(w, w).requires_grad
         with Tape() as tape:
-            y = w * w
+            y = mul(w, w)
             assert y.requires_grad and tape.nodes == [y]
 
     def test_nested_tape_rejected(self):
@@ -612,7 +660,7 @@ class TestTape:
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         w = Tensor(np.ones((2, 3)), requires_grad=True)
         with Tape() as tape:
-            loss = tensor_sum(tanh(linear(x, w, Tensor(np.zeros(2)))) * 2.0)
+            loss = tensor_sum(mul(tanh(linear(x, w, Tensor(np.zeros(2)))), 2.0))
             walked = list(tape.nodes)
             backward(loss)
             assert tape.closed and tape.nodes == []
@@ -623,9 +671,9 @@ class TestTape:
             with pytest.raises(StateError):
                 backward(loss)
             with pytest.raises(StateError):
-                loss * 2.0
+                mul(loss, 2.0)
         with Tape(), pytest.raises(StateError):
-            walked[0] + 1.0
+            add(walked[0], 1.0)
 
     def test_step_holds_no_more_than_the_parameter_gradients(self):
         import gc
@@ -687,3 +735,14 @@ def test_every_exported_op_is_called_by_the_library():
                   if isinstance(node, ast.ImportFrom) and node.module == "autodiff"
                   for alias in node.names}
     assert reexported and sorted(reexported - set(autodiff.__all__)) == []
+
+
+def test_the_engine_has_no_broadcasting_arithmetic():
+    """``relu`` takes the residual sum and ``models._masked_features`` masks, so the engine
+    has no ``add``, ``mul`` or Tensor operator through which numpy broadcasting could enter."""
+    assert [name for name in ("add", "mul", "_unbroadcast") if hasattr(autodiff, name)] == []
+    assert [name for name in ("__add__", "__radd__", "__mul__", "__rmul__") if hasattr(Tensor, name)] == []
+    with pytest.raises(TypeError):
+        Tensor([1.0]) * Tensor([2.0])
+    with pytest.raises(TypeError):
+        2.0 + Tensor([1.0])

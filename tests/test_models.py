@@ -25,7 +25,7 @@ from videoseq.autodiff import batchnorm_time, masked_mean_time
 from videoseq.models import _masked_features, _mlp_head, _spec_from_reader, tensor_table
 from videoseq.recurrent import attention_pool, attention_table, cell_table, draw_table, run_bidirectional
 
-from oracles import composed_masked_features, composed_video_level_pool, tensor_sum
+from oracles import composed_masked_features, composed_video_level_pool, mul, tensor_sum
 
 ALL_KINDS = (
     "video_level",
@@ -250,9 +250,17 @@ class TestVideoLevel:
         assert not np.allclose(base, shuffled, atol=1e-9)
 
 
-def video_level_pool(visual, audio, mask):
+def video_level_pool(streams, mask):
+    visual, audio = streams
     spec = tiny_spec("video_level", visual_dim=visual.shape[1], audio_dim=audio.shape[1])
     return build_model(spec)._pool(visual, audio, mask, False)
+
+
+def masked_by_mul(streams, mask):
+    """One stream times the mask as the oracle ``mul``: the composed form of the
+    ``_masked_features([x], mask)`` that two-stream and the resnet projection call."""
+    (x,) = streams
+    return mul(x, mask.channel_mask())
 
 
 class TestMaskedInput:
@@ -260,20 +268,27 @@ class TestMaskedInput:
     their composed forms, with garbage stored at every padded frame."""
 
     @staticmethod
-    def run(op, v, a, lengths, grads):
-        rng = np.random.default_rng(v + a)
+    def run(op, widths, lengths, grads):
+        rng = np.random.default_rng(sum(widths))
         mask = TimeMask(len(lengths), max(lengths), np.array(lengths))
-        streams = [rng.normal(size=(mask.batch, c, mask.max_time)) for c in (v, a)]
+        arrays = [rng.normal(size=(mask.batch, c, mask.max_time)) for c in widths]
         padded = ~mask.bool_matrix()
-        for x in streams:
+        for x in arrays:
             x.transpose(0, 2, 1)[padded] = rng.normal(scale=1e6, size=(padded.sum(), x.shape[1]))
-        visual, audio = (Tensor(x, requires_grad=r) for x, r in zip(streams, grads))
+        streams = [Tensor(x, requires_grad=r) for x, r in zip(arrays, grads)]
         with Tape() as tape:
-            out = op(visual, audio, mask)
+            out = op(streams, mask)
             nodes = len(tape.nodes)
             if any(grads):
-                backward(tensor_sum(out * rng.normal(size=out.shape)))
-        return nodes, out.data, visual.grad, audio.grad
+                backward(tensor_sum(mul(out, rng.normal(size=out.shape))))
+        return nodes, out.data, *(x.grad for x in streams)
+
+    @staticmethod
+    def assert_same_bits(fused, composed, wanted):
+        for i, (got, want, w) in enumerate(zip(fused, composed, wanted)):
+            assert (got is not None) == w, i
+            if w:
+                assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), i
 
     @pytest.mark.parametrize("fused_op, composed_op", [(_masked_features, composed_masked_features),
                                                        (video_level_pool, composed_video_level_pool)],
@@ -282,16 +297,22 @@ class TestMaskedInput:
     @pytest.mark.parametrize("v, a, lengths", [(24, 8, (40, 17, 1)), (1024, 128, (300, 120, 1))])
     @pytest.mark.parametrize("grads", [(True, True), (True, False), (False, True), (False, False)])
     def test_matches_composed_bitwise(self, fused_op, composed_op, v, a, lengths, grads):
-        nodes, *fused = self.run(fused_op, v, a, lengths, grads)
-        _, *composed = self.run(composed_op, v, a, lengths, grads)
+        nodes, *fused = self.run(fused_op, (v, a), lengths, grads)
+        _, *composed = self.run(composed_op, (v, a), lengths, grads)
         if fused_op is _masked_features:
             assert nodes == (1 if any(grads) else 0)
         else:  # one masked mean per stream that needs a gradient, then the concat
             assert nodes == sum(grads) + any(grads)
-        for name, got, want, wanted in zip(["out", "visual", "audio"], fused, composed, (True, *grads)):
-            assert (got is not None) == wanted, name
-            if wanted:
-                assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), name
+        self.assert_same_bits(fused, composed, (True, *grads))
+
+    # (channels, valid lengths): a desk stream, and the paper's 1024 channels x 300 frames
+    @pytest.mark.parametrize("c, lengths", [(24, (40, 17, 1)), (1024, (300, 120, 1))])
+    @pytest.mark.parametrize("grad", [True, False])
+    def test_one_stream_has_the_bits_of_mul_by_the_mask(self, c, lengths, grad):
+        nodes, *fused = self.run(_masked_features, (c,), lengths, (grad,))
+        composed_nodes, *composed = self.run(masked_by_mul, (c,), lengths, (grad,))
+        assert nodes == composed_nodes == int(grad)
+        self.assert_same_bits(fused, composed, (True, grad))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -424,7 +445,7 @@ class TestTemporalResnet:
         t = model.tensors
         y = ad.relu(ad.batchnorm_time(t, "block0.bn1", ad.conv1d_same(x, k1, b1), mask, True))
         y = ad.batchnorm_time(t, "block0.bn2", ad.conv1d_same(y, k2, b2), mask, True)
-        out = ad.relu(x + y)
+        out = ad.relu(x, y)
         assert np.array_equal(out.data, x.data)
 
     def test_gradients_at_toy_size(self):
@@ -458,7 +479,8 @@ class TestTemporalResnet:
         Attention pooling is one node, not 15 (projection, tanh, scores, a six-node masked
         softmax and the weighted sum): 46 became 32. The loss is one node, not 10 (clip, two
         logs, ``1 - p``, two products, their sum, the mean's sum and scale, the negation):
-        32 became 23."""
+        32 became 23. Each block's shortcut sum and final ReLU are one ``relu(x, y)`` node, not
+        an add and a ReLU: at ``trb_count`` 2, 23 became 21."""
         from videoseq import Tape
         from videoseq.training import bce_loss
 
@@ -466,7 +488,7 @@ class TestTemporalResnet:
         visual, audio, mask = random_batch(spec, 2, 6, seed=30)
         with Tape() as tape:
             bce_loss(build_model(spec).forward(visual, audio, mask, train=True), np.eye(5)[[0, 1]])
-            assert len(tape.nodes) == 23
+            assert len(tape.nodes) == 21
 
     def test_eval_mode_requires_training_first(self):
         from videoseq import StateError

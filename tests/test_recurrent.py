@@ -7,8 +7,8 @@ from videoseq import DimensionError, PreconditionError, Tape, Tensor, TimeMask, 
 from videoseq.autodiff import masked_mean_time
 from videoseq.recurrent import attention_pool, attention_table, cell_table, draw_table, run_bidirectional
 
-from oracles import (check_gradients, composed_attention_pool, composed_bidirectional, gate_major_bidirectional,
-                     gru_step, lstm_step, reverse_valid_time, tensor_sum)
+from oracles import (add, check_gradients, composed_attention_pool, composed_bidirectional,
+                     gate_major_bidirectional, gru_step, lstm_step, mul, reverse_valid_time, tensor_sum)
 
 
 def zeroed(params):
@@ -60,7 +60,7 @@ class TestLstmStep:
 
         def f():
             h, c = lstm_step(cell, "cell", x, h0, c0)
-            return tensor_sum(h * h + c)
+            return tensor_sum(add(mul(h, h), c))
 
         worst = check_gradients(f, list(cell.items()), step=1e-5)
         assert max(worst.values()) < 1e-5
@@ -86,7 +86,7 @@ class TestGruStep:
 
         def f():
             h = gru_step(cell, "cell", x, h0)
-            return tensor_sum(h * h)
+            return tensor_sum(mul(h, h))
 
         worst = check_gradients(f, list(cell.items()), step=1e-5)
         assert max(worst.values()) < 1e-5
@@ -194,7 +194,7 @@ class TestRunBidirectional:
 
         def f():
             out = run_bidirectional(pair(fwd, bwd), "bi", x, mask)
-            return tensor_sum(out * out)
+            return tensor_sum(mul(out, out))
 
         params = list(pair(fwd, bwd).items())
         return check_gradients(f, params, step=1e-5, samples_per_block=6)
@@ -219,7 +219,7 @@ class TestRunBidirectional:
                 tensor.zero_grad()
             with Tape():
                 out = runner(cells, "bi", x, mask)
-                backward(tensor_sum(out * coef))
+                backward(tensor_sum(mul(out, coef)))
             results.append({"out": out.data, "x": x.grad.copy(), **{n: p.grad.copy() for n, p in cells.items()}})
         fused, composed = results
         for name in fused:
@@ -240,7 +240,7 @@ class TestRunBidirectional:
                 tensor.zero_grad()
             with Tape():
                 out = runner(cells, "bi", x, mask)
-                backward(tensor_sum(out * coef))
+                backward(tensor_sum(mul(out, coef)))
             results.append({"out": out.data, "x": x.grad, **{n: p.grad for n, p in cells.items()}})
         return cells, x, results
 
@@ -351,7 +351,7 @@ class TestAttentionPool:
             h = Tensor(x, requires_grad=True)
             with Tape():
                 out = attention_pool(params, "attn", h, mask)
-                backward(tensor_sum(out * out))
+                backward(tensor_sum(mul(out, out)))
             outs.append(out.data)
             grads.append(h.grad)
         assert outs[0].tobytes() == outs[1].tobytes()
@@ -366,7 +366,7 @@ class TestAttentionPool:
 
         def f():
             out = attention_pool(params, "attn", h, mask)
-            return tensor_sum(out * out)
+            return tensor_sum(mul(out, out))
 
         worst = check_gradients(f, [("h", h), *params.items()], step=1e-5)
         assert max(worst.values()) < 1e-5
@@ -388,7 +388,7 @@ class TestAttentionPool:
             out = op(params, "attn", inputs[0], mask)
             nodes = len(tape.nodes)
             if any(grads):
-                backward(tensor_sum(out * rng.normal(size=out.shape)))
+                backward(tensor_sum(mul(out, rng.normal(size=out.shape))))
         return nodes, out.data, *(x.grad for x in inputs)
 
     # (channels, attention size, valid lengths): desk width, one item, and the paper's

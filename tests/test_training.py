@@ -30,7 +30,7 @@ from videoseq.training import (
 )
 from videoseq.vlad import kmeans_fit
 
-from oracles import WholeArrayAdam, check_gradients, composed_bce_loss, gap_oracle, tensor_sum
+from oracles import WholeArrayAdam, check_gradients, composed_bce_loss, gap_oracle, mul, tensor_sum
 
 
 def spec_for(kind, vocab=6, **overrides):
@@ -233,7 +233,7 @@ class TestAdam:
         for _ in range(200):
             opt.zero_grad()
             with Tape():
-                loss = tensor_sum(p * p)
+                loss = tensor_sum(mul(p, p))
                 backward(loss)
             opt.step()
         assert abs(p.data[0]) < 1e-2
