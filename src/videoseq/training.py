@@ -100,6 +100,20 @@ def bce_loss(probabilities: Tensor, targets) -> Tensor:
     return Tensor._op(-(loss.sum() * scale), (probabilities,), bw)
 
 
+def _sum_of_squares(flat: np.ndarray, scratch: np.ndarray):
+    """``(flat * flat).sum()`` with its bits, squaring ``ADAM_BLOCK`` values at a time.
+
+    numpy sums an array in memory order over a pairwise tree: a node of more than 128
+    values splits at ``n // 2 - (n // 2) % 8``. Each node of at most ``ADAM_BLOCK`` values
+    is one sum over ``scratch``, and the nodes above them are added here as numpy adds
+    them. Pass ``g.ravel(order="K")`` for the bits of ``(g * g).sum()``."""
+    size = flat.size
+    if size <= ADAM_BLOCK:
+        return np.multiply(flat, flat, out=scratch[:size]).sum()
+    half = size // 2 - (size // 2) % 8
+    return _sum_of_squares(flat[:half], scratch) + _sum_of_squares(flat[half:], scratch)
+
+
 class Adam:
     """Adam (Kingma & Ba 2015) with the ``ADAM_*`` constants; one pair of moment buffers per
     parameter block. The elementwise update runs over flat blocks of ``ADAM_BLOCK`` values."""
@@ -122,7 +136,7 @@ class Adam:
         grads, squares = {}, []
         for name, p in self.named_params:
             g = p.grad if p.grad is not None else np.zeros(p.data.shape)
-            squares.append(float((g * g).sum()))
+            squares.append(float(_sum_of_squares(g.ravel(order="K"), self._scratch[0])))
             # a finite sum rules out inf and nan; huge finite values can overflow it
             if not np.isfinite(squares[-1]):
                 check_each(f"gradient of parameter block {name!r} must be finite", np.isfinite(g), g,

@@ -22,7 +22,10 @@ from .errors import PreconditionError, check_each, check_int, check_shape
 _CODEBOOK_MAGIC = b"FLCB"
 _CODEBOOK_VERSION = 1
 _DEGENERATE_NORM = 1e-12
-KMEANS_BLOCK_ROWS = 256  # rows per block of a k-means++ distance pass
+KMEANS_BLOCK_ROWS = 32  # rows per block of a row-distance pass: 288 KiB at 1152 dims stays in L2
+# k-means++ seeding skips a row where |owner - new center|^2 > _PRUNE_SCALE * closest + _PRUNE_FLOOR
+_PRUNE_SCALE = 4.0 * (1.0 + 1e-6)
+_PRUNE_FLOOR = np.finfo(np.float64).tiny
 
 
 @dataclass(eq=False)  # == compares identity: an array has no one truth value
@@ -47,31 +50,57 @@ class Codebook:
         return self.centers.shape[1]
 
 
-def _squared_distances(samples: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """[n x k] squared euclidean distances, clipped at zero."""
-    d2 = (
-        (samples * samples).sum(axis=1)[:, None]
-        - 2.0 * samples @ centers.T
-        + (centers * centers).sum(axis=1)[None, :]
-    )
+def _squared_distances(samples: np.ndarray, centers: np.ndarray, prepared=None) -> np.ndarray:
+    """[n x k] squared euclidean distances, clipped at zero. ``prepared`` is
+    ``_prepared(samples)``, passed by callers that reuse the samples."""
+    sample_sq, twice = prepared or _prepared(samples)
+    d2 = sample_sq - twice @ centers.T + (centers * centers).sum(axis=1)[None, :]
     return np.maximum(d2, 0.0)
 
 
-def _row_sq_dists(samples: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """``((samples - c) ** 2).sum(axis=1)``, computed ``KMEANS_BLOCK_ROWS`` rows at a time."""
-    out = np.empty(samples.shape[0])
-    for start in range(0, len(out), KMEANS_BLOCK_ROWS):
-        rows = slice(start, start + KMEANS_BLOCK_ROWS)
-        diff = samples[rows] - c
-        np.square(diff, out=diff).sum(axis=1, out=out[rows])
+def _prepared(samples: np.ndarray):
+    """The two terms of ``_squared_distances`` that depend only on the samples."""
+    return (samples * samples).sum(axis=1)[:, None], 2.0 * samples
+
+
+def _row_sq_dists(samples: np.ndarray, centers: np.ndarray, rows=None, owner=None) -> np.ndarray:
+    """``((samples[rows] - c) ** 2).sum(axis=1)`` over all rows when ``rows`` is None, where
+    ``c`` is the one center ``centers`` [d], or row j's ``centers[owner[j]]`` when ``owner``
+    is given. Each block of ``KMEANS_BLOCK_ROWS`` rows is gathered into one scratch block:
+    the per-row sums have the bits of the whole-array expression."""
+    count = len(samples) if rows is None else len(rows)
+    out = np.empty(count)
+    scratch = np.empty((min(count, KMEANS_BLOCK_ROWS), samples.shape[1]))
+    for start in range(0, count, KMEANS_BLOCK_ROWS):
+        part = slice(start, start + KMEANS_BLOCK_ROWS)
+        diff = scratch[: len(out[part])]
+        if rows is None:
+            x = samples[part]
+        else:  # rows are in range; mode "clip" gathers straight into diff, "raise" buffers
+            x = np.take(samples, rows[part], axis=0, out=diff, mode="clip")
+        np.subtract(x, centers if owner is None else centers[owner[part]], out=diff)
+        np.square(diff, out=diff).sum(axis=1, out=out[part])
     return out
 
 
 def _kmeanspp_init(samples: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding (Arthur & Vassilvitskii 2007), with the bits of the loop that
+    measures every row against each new center and keeps the minimum.
+
+    Each row keeps its ``owner``, the center its ``closest`` squared distance was measured
+    to. A new center ``c`` can be nearer to row ``x`` only if ``|owner - c|^2 <= 4 * closest``
+    (``|x - c| >= |owner - c| - |x - owner|``, the bound of Elkan 2003), so only those rows
+    are measured again. The rule keeps a margin, ``_PRUNE_SCALE`` = 4 * (1 + 1e-6) and
+    ``_PRUNE_FLOOR`` = tiny: a skipped row's true new distance exceeds the old by a relative
+    1e-6, far above the rounding of either sum (about 1e-14 relative, plus the absolute
+    rounding of subnormal squares, which ``tiny`` covers). So its computed distance is
+    never below ``closest``, and the minimum would have kept ``closest``. A row whose test
+    reads NaN is measured again.
+    """
     n = samples.shape[0]
     centers = np.empty((k, samples.shape[1]))
     centers[0] = samples[rng.integers(n)]
-    closest = _row_sq_dists(samples, centers[0])
+    closest, owner = _row_sq_dists(samples, centers[0]), np.zeros(n, dtype=np.intp)
     for i in range(1, k):
         total = closest.sum()
         if total <= 0.0:
@@ -80,7 +109,13 @@ def _kmeanspp_init(samples: np.ndarray, k: int, rng: np.random.Generator) -> np.
         else:
             idx = rng.choice(n, p=closest / total)
         centers[i] = samples[idx]
-        np.minimum(closest, _row_sq_dists(samples, centers[i]), out=closest)
+        if i == k - 1:
+            break  # the last center's distances are never read
+        reach = _row_sq_dists(centers[:i], centers[i])[owner]
+        rows = np.flatnonzero(~(reach > _PRUNE_SCALE * closest + _PRUNE_FLOOR))
+        old, new = closest[rows], _row_sq_dists(samples, centers[i], rows)
+        owner[rows[new < old]] = i
+        closest[rows] = np.minimum(old, new)
     return centers
 
 
@@ -93,7 +128,9 @@ def kmeans_fit(
     cluster is re-seeded to the sample currently farthest from its own
     center, which cannot increase the recorded objective. The within-cluster
     sum of squares after each assignment step lands in
-    ``Codebook.inertia_history``.
+    ``Codebook.inertia_history``. The seeding measures only the distances
+    that can change its draws (see ``_kmeanspp_init``), and the samples'
+    squared norms are computed once per fit, not once per iteration.
     """
     k, max_iter = check_int("k", k, 1), check_int("max_iter", max_iter, 1)
     seed = check_int("seed", seed, 0)
@@ -103,10 +140,11 @@ def kmeans_fit(
         raise PreconditionError(f"need at least k={k} samples, got {n}")
     rng = np.random.default_rng(seed)
     centers = _kmeanspp_init(samples, k, rng)
+    prepared = _prepared(samples)
     history: list[float] = []
     assignments = None
     for _ in range(max_iter):
-        d2 = _squared_distances(samples, centers)
+        d2 = _squared_distances(samples, centers, prepared)
         new_assignments = d2.argmin(axis=1)  # argmin takes the lowest index on ties
         history.append(float(d2[np.arange(n), new_assignments].sum()))
         if assignments is not None and np.array_equal(new_assignments, assignments):
@@ -119,7 +157,7 @@ def kmeans_fit(
                 centers[c] = samples[members].mean(axis=0)
         empty = np.flatnonzero(counts == 0)
         if len(empty):
-            own_d2 = ((samples - centers[assignments]) ** 2).sum(axis=1)
+            own_d2 = _row_sq_dists(samples, centers, owner=assignments)
             order = np.argsort(-own_d2, kind="stable")
             for c, idx in zip(empty, order):
                 centers[c] = samples[idx]

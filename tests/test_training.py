@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from videoseq.training import (
     ADAM_BLOCK,
     Adam,
     TrainConfig,
+    _sum_of_squares,
     bce_loss,
     ensemble_average,
     evaluate,
@@ -171,9 +174,12 @@ class TestAdam:
 
     @staticmethod
     def _twin_params(rng):
-        """Three blocks, the same values twice: one of over two ``ADAM_BLOCK``s, one
-        smaller than a block and not C-ordered, and one that never gets a gradient."""
-        shapes = {"big": (2, ADAM_BLOCK + 3), "small": (5, 7), "unused": (4,)}
+        """Five blocks, the same values twice: one of over two ``ADAM_BLOCK``s, one
+        smaller than a block and not C-ordered, one of odd size over three blocks, one of
+        over two blocks whose gradients are Fortran-ordered, and one that never gets a
+        gradient."""
+        shapes = {"big": (2, ADAM_BLOCK + 3), "small": (5, 7), "odd": (3 * ADAM_BLOCK + 1,),
+                  "wide": (5, ADAM_BLOCK // 2 + 3), "unused": (4,)}
         values = {name: rng.normal(size=shape) for name, shape in shapes.items()}
         values["small"] = np.asfortranarray(values["small"])
         return [[(name, Tensor(v.copy(order="K"), requires_grad=True)) for name, v in values.items()]
@@ -186,11 +192,12 @@ class TestAdam:
         blocked = Adam(blocked_params, learning_rate=0.01, clip_norm=clip_norm)
         whole = WholeArrayAdam(whole_params, learning_rate=0.01, clip_norm=clip_norm)
         for _ in range(3):
-            grads = {name: rng.normal(size=p.shape) for name, p in blocked_params[:2]}
-            grads["small"] = np.asfortranarray(grads["small"])  # the update reads any layout
+            grads = {name: rng.normal(size=p.shape) for name, p in blocked_params[:-1]}
+            for name in ("small", "wide"):  # the update and the norm read any layout
+                grads[name] = np.asfortranarray(grads[name])
             for params in (blocked_params, whole_params):
-                for name, p in params[:2]:
-                    p.grad = grads[name].copy()
+                for name, p in params[:-1]:
+                    p.grad = grads[name].copy(order="K")
             norm = blocked.step()
             assert norm == whole.step()
             if clip_norm is not None:
@@ -220,12 +227,34 @@ class TestAdam:
         blocked = Adam(blocked_params, learning_rate=0.1, clip_norm=clip_norm)
         whole = WholeArrayAdam(whole_params, learning_rate=0.1, clip_norm=clip_norm)
         for params in (blocked_params, whole_params):
-            for _, p in params[:2]:
+            for _, p in params[:-1]:
                 p.grad = np.full(p.shape, 1e200)
         with np.errstate(over="ignore"):
             assert blocked.step() == whole.step() == np.inf
         for (_, b), (_, w) in zip(blocked_params, whole_params):
             assert np.array_equal(b.data, w.data)
+
+    @pytest.mark.parametrize("shape", [(2, ADAM_BLOCK + 3), (3 * ADAM_BLOCK + 1,), (5, ADAM_BLOCK + 13)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_gradient_norm_has_the_bits_of_the_whole_array_sum(self, shape, order):
+        # magnitudes 2**20 apart, so a sum added in another tree shows in the last bits
+        g = np.random.default_rng(15).normal(size=shape)
+        g.reshape(-1)[::5] *= 2.0**20
+        g = np.asarray(g, order=order)
+        assert _sum_of_squares(g.ravel(order="K"), np.empty(ADAM_BLOCK)) == (g * g).sum()
+
+    def test_gradient_norm_allocates_no_whole_array(self):
+        # the norm squares ADAM_BLOCK values at a time: no [16 x ADAM_BLOCK] g * g
+        p = Tensor(np.zeros((16, ADAM_BLOCK)), requires_grad=True)
+        opt = Adam([("p", p)], learning_rate=0.1, clip_norm=1.0)
+        p.grad = np.random.default_rng(14).normal(size=p.shape)
+        tracemalloc.start()
+        try:
+            opt.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * ADAM_BLOCK  # one block's bytes; g * g would be 16 of them
 
     def test_descends_on_quadratic(self):
         p = Tensor(np.array([5.0]), requires_grad=True)

@@ -14,9 +14,9 @@ from videoseq import (
     vlad_encode,
 )
 
-from videoseq import vlad
+from videoseq import dataio, vlad
 
-from oracles import kmeans_oracle, vlad_encode_oracle
+from oracles import kmeans_oracle, vlad_encode_oracle, whole_array_kmeanspp_init
 
 
 class TestKmeansFit:
@@ -93,6 +93,83 @@ class TestKmeansFit:
         a = kmeans_fit(samples, k=5, seed=9)
         b = kmeans_fit(samples, k=5, seed=9)
         assert np.array_equal(a.centers, b.centers)
+
+
+@pytest.fixture(scope="module")
+def bench_like_frames(tmp_path_factory):
+    """Frames of eight synthetic videos at the paper's 1024+128 feature width, as float64:
+    clustered around label prototypes, as the codebook's training frames are."""
+    path = str(tmp_path_factory.mktemp("frames") / "train.bin")
+    dataio.generate_synthetic(path, vocab_size=25, video_count=8, seed=1, noise_sigma=0.3,
+                              max_frames=60, video_seed=101)
+    _, records = dataio.load_records(path)
+    return np.concatenate([r.frames for r in records]).astype(np.float64)
+
+
+def _seeding_cases():
+    rng = np.random.default_rng(21)
+    return [
+        pytest.param(np.repeat(rng.normal(size=(6, 5)), 7, axis=0), 10, id="duplicate rows"),
+        pytest.param(np.full((40, 3), 2.5), 6, id="all rows equal"),  # total 0: the uniform fallback
+        pytest.param(rng.normal(size=(37, 4)), 37, id="k equals n"),
+        pytest.param(rng.normal(size=(300, 1)), 24, id="one dimension"),
+        pytest.param(rng.normal(size=(200, 6)) * 1e150, 16, id="magnitude 1e150"),
+        pytest.param(rng.normal(size=(200, 6)) * 1e-150, 16, id="magnitude 1e-150"),
+        pytest.param(rng.normal(size=(200, 6)) * 1e-160, 16, id="magnitude 1e-160"),  # subnormal squares
+    ]
+
+
+class TestKmeansppSeeding:
+    """The seeding that skips rows by the triangle inequality, against the one that
+    measures every row for every center, bit for bit."""
+
+    @staticmethod
+    def _both(samples, k, seed):
+        got = vlad._kmeanspp_init(samples, k, np.random.default_rng(seed))
+        return got.tobytes(), whole_array_kmeanspp_init(samples, k, np.random.default_rng(seed)).tobytes()
+
+    @pytest.mark.parametrize("samples, k", _seeding_cases())
+    def test_matches_whole_array_seeding(self, samples, k):
+        for seed in range(4):
+            got, want = self._both(samples, k, seed)
+            assert got == want, seed
+
+    def test_matches_whole_array_seeding_on_clustered_frames(self, bench_like_frames):
+        for seed in range(3):
+            got, want = self._both(bench_like_frames, 32, seed)
+            assert got == want, seed
+
+    def test_matches_whole_array_seeding_where_squares_are_subnormal(self):
+        # x near the bisector of centers o and c, with squares of a few subnormal units:
+        # rounding makes |o - c|^2 exceed 4 * (1 + 1e-6) * |x - o|^2 while |x - c|^2 is
+        # below |x - o|^2, so without the floor term the seeding would keep a stale
+        # distance for x and draw with other odds
+        rng, cases = np.random.default_rng(31), []
+        while len(cases) < 8:
+            d = int(rng.integers(2, 64))
+            o, c = rng.normal(size=(2, d)) * 2e-162
+            x = (o + c) / 2 + rng.normal(size=d) * 2e-164
+            a, e, b = (vlad._row_sq_dists(p[None], q)[0] for p, q in ((x, o), (o, c), (x, c)))
+            if e > vlad._PRUNE_SCALE * a and b < 0.75 * a:
+                cases.append(np.stack([o, c, x, o + 1.1 * (x - o)]))
+        for samples in cases:
+            for seed in range(32):
+                got, want = self._both(samples, 4, seed)
+                assert got == want, seed
+
+    def test_skips_most_rows_on_clustered_frames(self, monkeypatch, bench_like_frames):
+        measured, row_sq_dists = [], vlad._row_sq_dists
+
+        def counting(samples, centers, rows=None, owner=None):
+            if samples is bench_like_frames:
+                measured.append(len(samples) if rows is None else len(rows))
+            return row_sq_dists(samples, centers, rows, owner)
+
+        monkeypatch.setattr(vlad, "_row_sq_dists", counting)
+        vlad._kmeanspp_init(bench_like_frames, 32, np.random.default_rng(0))
+        n = len(bench_like_frames)
+        assert measured[0] == n and len(measured) == 31  # a full first pass; none for the last center
+        assert sum(measured[1:]) < 0.5 * 30 * n
 
 
 def test_codebooks_compare_by_identity_as_a_bool():
