@@ -10,11 +10,13 @@ emptied when the walk ends. Leaving the block closes the tape too, so a
 forward without a backward keeps nothing alive.
 
 Only the primitives the sequence models need are provided: ``linear`` (one
-node for a fully-connected layer, ``x @ w.T + b``), concatenation,
+node for a fully-connected layer, ``x @ w.T + b``), ``concat`` (the one
+channel join, which given a ``TimeMask`` also zeroes padded frames),
 same-length temporal convolution, masked batch normalization, the masked
 mean over time as one fused node, and the ReLU and sigmoid activations.
 There is no broadcasting arithmetic: ``relu`` takes the residual sum, so
-``relu(x, y)`` is a residual block's ``ReLU(x + y)`` as one node.
+``relu(x, y)`` is a residual block's ``ReLU(x + y)`` as one node, and
+``concat(xs, mask)`` masks.
 Batch norm reads its parameters and running statistics by prefix from a
 {name: Tensor} dict, such as a model's ``tensors``, and is one fused node
 that keeps only x̂ and 1/σ for its closed-form backward. A fused op
@@ -193,24 +195,30 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return Tensor._op(data, (x, w, b), bw)
 
 
-def concat(xs, axis: int) -> Tensor:
-    """Join tensors along ``axis``; every other dim must agree with the first input's."""
+def concat(xs, mask: TimeMask | None = None) -> Tensor:
+    """Join [batch x c_i x ...] tensors along channels (axis 1) as one node; every other dim
+    must agree with the first input's. With ``mask``, each input is [batch x c_i x time] and is
+    zeroed at padded frames: every product goes into one buffer, and the backward is ``g * m``
+    split by channel."""
     xs = [_const(x) for x in xs]
     if not xs:
         raise DimensionError("concat of an empty list")
-    first = xs[0].data.shape
-    axis = check_int("concat axis", axis, 0, len(first) - 1)
+    first = (check_shape("concat input 0", xs[0].data.shape, (None,) * max(xs[0].data.ndim, 2))
+             if mask is None else mask.check(xs[0], "concat input 0"))
     for i, x in enumerate(xs[1:], 1):
-        check_shape(f"concat input {i}", x.data.shape, first[:axis] + (None,) + first[axis + 1 :])
-    data = np.concatenate([x.data for x in xs], axis=axis)
-    sizes = [x.data.shape[axis] for x in xs]
-    offsets = np.cumsum([0] + sizes)
+        check_shape(f"concat input {i}", x.data.shape, (first[0], None, *first[2:]))
+    ends = np.cumsum([0] + [x.data.shape[1] for x in xs])
+    if mask is None:
+        m, data = None, np.concatenate([x.data for x in xs], axis=1)
+    else:
+        m, data = mask.channel_mask(), np.empty((mask.batch, ends[-1], mask.max_time))
+        for x, lo, hi in zip(xs, ends, ends[1:]):
+            np.multiply(x.data, m, out=data[:, lo:hi])
 
     def bw(g):
-        for x, lo, hi in zip(xs, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            _accumulate(x, g[tuple(sl)])
+        for x, lo, hi in zip(xs, ends, ends[1:]):
+            if x.requires_grad:
+                _accumulate(x, g[:, lo:hi] if m is None else g[:, lo:hi] * m)
 
     return Tensor._op(data, tuple(xs), bw)
 

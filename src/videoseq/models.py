@@ -28,9 +28,9 @@ prefix in the table. ``temporal_resnet`` hands it to ``batchnorm_time`` the
 same way, which reads each batch norm by prefix and, in train mode, writes
 its running statistics back into the table. Every model ends in a
 per-class sigmoid and masks its raw inputs before anything reads them, with
-the one masking node ``_masked_features`` (``video_level`` inside each
-stream's masked mean), so values stored at padded frame positions can never
-influence the output. ``build_model``
+the one join-and-mask node ``autodiff.concat(streams, mask)`` (``video_level``
+inside each stream's masked mean), so values stored at padded frame positions
+can never influence the output. ``build_model``
 draws the table in order from the spec-seeded generator;
 ``load_checkpoint`` (end of this module) walks it beside the file's tensors
 and adopts them, drawing nothing. Checkpoint framing (magic, version,
@@ -144,22 +144,6 @@ def _birnn_attention_table(spec: ModelSpec, prefixes, in_dim: int, attn_prefix: 
     yield from attention_table(attn_prefix, 2 * h, h)
 
 
-def _masked_features(streams, mask: TimeMask) -> Tensor:
-    """The [b x c_i x t] streams joined by channel and zeroed at padded frames, as one node:
-    every product goes into one buffer, and the backward is ``g * m`` split by channel."""
-    m, ends = mask.channel_mask(), np.cumsum([0] + [x.shape[1] for x in streams])
-    out = np.empty((mask.batch, ends[-1], mask.max_time))
-    for x, lo, hi in zip(streams, ends, ends[1:]):
-        np.multiply(x.data, m, out=out[:, lo:hi])
-
-    def bw(g):
-        for x, lo, hi in zip(streams, ends, ends[1:]):
-            if x.requires_grad:
-                ad._accumulate(x, g[:, lo:hi] * m)
-
-    return Tensor._op(out, tuple(streams), bw)
-
-
 def _mlp_head(t: dict, x: Tensor) -> Tensor:
     """Two fully-connected layers (``head.*``) with a ReLU between and a sigmoid on top."""
     h = ad.relu(ad.linear(x, t["head.w1"], t["head.b1"]))
@@ -178,7 +162,7 @@ def _birnn_attention(t: dict, prefixes, attn_prefix: str, x: Tensor, mask: TimeM
         if ff_k is None:
             x = states
         else:
-            x = ad.relu(ad.conv1d_same(ad.concat([x, states], axis=1), ff_k, t[f"{prefix}.ff_bias"]))
+            x = ad.relu(ad.conv1d_same(ad.concat([x, states]), ff_k, t[f"{prefix}.ff_bias"]))
     return attention_pool(t, attn_prefix, x, mask)
 
 
@@ -199,7 +183,7 @@ class VideoLevelModel:
         return _head_table(spec, spec.feature_dim)
 
     def _pool(self, visual: Tensor, audio: Tensor, mask: TimeMask, train: bool) -> Tensor:
-        return ad.concat([ad.masked_mean_time(visual, mask), ad.masked_mean_time(audio, mask)], axis=1)
+        return ad.concat([ad.masked_mean_time(visual, mask), ad.masked_mean_time(audio, mask)])
 
     def named_parameters(self):
         return [(name, t) for name, t in self.tensors.items() if t.requires_grad]
@@ -252,9 +236,9 @@ class TwoStreamModel(VideoLevelModel):
         yield from _head_table(spec, 4 * spec.hidden_size)
 
     def _pool(self, visual, audio, mask, train):
-        pooled = [_birnn_attention(self.tensors, [name], f"{name}.attn", _masked_features([x], mask), mask)
+        pooled = [_birnn_attention(self.tensors, [name], f"{name}.attn", ad.concat([x], mask), mask)
                   for name, x in (("visual", visual), ("audio", audio))]
-        return ad.concat(pooled, axis=1)
+        return ad.concat(pooled)
 
 
 class FastForwardModel(VideoLevelModel):
@@ -276,7 +260,7 @@ class FastForwardModel(VideoLevelModel):
         yield from _head_table(spec, 2 * spec.hidden_size)
 
     def _pool(self, visual, audio, mask, train):
-        features = _masked_features([visual, audio], mask)
+        features = ad.concat([visual, audio], mask)
         layers = (f"layer{i}" for i in range(self.spec.depth))
         return _birnn_attention(self.tensors, layers, "attn", features, mask)
 
@@ -291,8 +275,9 @@ class TemporalResnetModel(VideoLevelModel):
     """Stack of temporal residual blocks, then a bidirectional LSTM head.
 
     Each block is conv3 -> BN -> ReLU -> conv3 -> BN, then the shortcut sum
-    and the final ReLU as one ``relu(x, y)`` node. The width-1 projection's
-    output is re-masked to zero at padded frames by ``_masked_features`` (its
+    and the final ReLU as one ``relu(x, y)`` node. The raw streams enter as
+    one ``autodiff.concat([visual, audio], mask)``, and the width-1 projection's
+    output is re-masked to zero at padded frames by ``concat([x], mask)`` (its
     bias makes them nonzero); a block needs no mask of its own, since batch
     norm zeroes its output there and the shortcut is zero there already.
     """
@@ -321,8 +306,8 @@ class TemporalResnetModel(VideoLevelModel):
 
     def _pool(self, visual, audio, mask, train):
         t = self.tensors
-        x = ad.conv1d_same(_masked_features([visual, audio], mask), t["proj.weight"], t["proj.bias"])
-        x = _masked_features([x], mask)
+        x = ad.conv1d_same(ad.concat([visual, audio], mask), t["proj.weight"], t["proj.bias"])
+        x = ad.concat([x], mask)
         for i in range(self.spec.trb_count):
             y = ad.relu(self._conv_bn(x, f"block{i}", 1, mask, train))
             x = ad.relu(x, self._conv_bn(y, f"block{i}", 2, mask, train))

@@ -173,17 +173,10 @@ class Adam:
 
 
 def _check_data_matches_spec(header: DatasetHeader, spec: ModelSpec, path: str):
-    problems = []
-    if header.vocab_size != spec.vocab_size:
-        problems.append(f"vocab {header.vocab_size} vs {spec.vocab_size}")
-    if header.visual_dim != spec.visual_dim:
-        problems.append(f"visual_dim {header.visual_dim} vs {spec.visual_dim}")
-    if header.audio_dim != spec.audio_dim:
-        problems.append(f"audio_dim {header.audio_dim} vs {spec.audio_dim}")
+    problems = [f"{f} {getattr(header, f)} vs {getattr(spec, f)}"
+                for f in ("vocab_size", "visual_dim", "audio_dim") if getattr(header, f) != getattr(spec, f)]
     if problems:
-        raise ConfigurationError(
-            f"{path} does not match model spec: " + "; ".join(problems)
-        )
+        raise ConfigurationError(f"{path} does not match model spec: " + "; ".join(problems))
 
 
 def fit_vlad_codebook(records, spec: ModelSpec, seed: int):

@@ -136,6 +136,7 @@ def kmeans_fit(
     seed = check_int("seed", seed, 0)
     samples = np.asarray(samples, dtype=np.float64)
     n, _ = check_shape("kmeans_fit samples", samples.shape, (None, None))
+    check_each("kmeans_fit samples must be finite", np.isfinite(samples), samples)
     if n < k:
         raise PreconditionError(f"need at least k={k} samples, got {n}")
     rng = np.random.default_rng(seed)

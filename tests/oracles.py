@@ -212,7 +212,7 @@ def _gates(t: dict, prefix: str, kind: str, x_t: Tensor, h_prev: Tensor):
 def lstm_step(t: dict, prefix: str, x_t: Tensor, h_prev: Tensor, c_prev: Tensor):
     """One step of the LSTM ``prefix`` in ``t``, composed of autodiff ops: returns (h_t, c_t)."""
     gate = _gates(t, prefix, "lstm", x_t, h_prev)
-    xh = ad.concat([x_t, h_prev], axis=1)
+    xh = ad.concat([x_t, h_prev])
     i, f, o = (ad.sigmoid(gate(g, xh)) for g in ("input", "forget", "output"))
     c_t = add(mul(f, c_prev), mul(i, tanh(gate("candidate", xh))))
     return mul(o, tanh(c_t)), c_t
@@ -221,9 +221,9 @@ def lstm_step(t: dict, prefix: str, x_t: Tensor, h_prev: Tensor, c_prev: Tensor)
 def gru_step(t: dict, prefix: str, x_t: Tensor, h_prev: Tensor) -> Tensor:
     """One step of the GRU ``prefix`` in ``t``, composed of autodiff ops: returns h_t."""
     gate = _gates(t, prefix, "gru", x_t, h_prev)
-    xh = ad.concat([x_t, h_prev], axis=1)
+    xh = ad.concat([x_t, h_prev])
     z, r = (ad.sigmoid(gate(g, xh)) for g in ("update", "reset"))
-    h_bar = tanh(gate("candidate", ad.concat([x_t, mul(r, h_prev)], axis=1)))
+    h_bar = tanh(gate("candidate", ad.concat([x_t, mul(r, h_prev)])))
     return add(mul(sub(1.0, z), h_prev), mul(z, h_bar))
 
 
@@ -236,6 +236,16 @@ def time_step(x: Tensor, s: int) -> Tensor:
         ad._accumulate(x, full)
 
     return Tensor._op(x.data[:, :, s], (x,), bw)
+
+
+def concat_time(steps) -> Tensor:
+    """[batch x d x 1] steps stacked along time as one op: [batch x d x len(steps)]."""
+
+    def bw(g):
+        for s, step in enumerate(steps):
+            ad._accumulate(step, g[:, :, s : s + 1])
+
+    return Tensor._op(np.concatenate([step.data for step in steps], axis=2), tuple(steps), bw)
 
 
 def reverse_valid_time(x: Tensor, mask: TimeMask) -> Tensor:
@@ -274,11 +284,11 @@ def composed_bidirectional(t: dict, prefix: str, x: Tensor, mask: TimeMask) -> T
             else:
                 h = gru_step(t, prefix, time_step(x, s), h)
             outputs.append(reshape(h, (batch, hidden, 1)))
-        return ad.concat(outputs, axis=2)
+        return concat_time(outputs)
 
     fwd = direction(f"{prefix}.fwd", x)
     bwd = reverse_valid_time(direction(f"{prefix}.bwd", reverse_valid_time(x, mask)), mask)
-    return mul(ad.concat([fwd, bwd], axis=1), mask.channel_mask())
+    return mul(ad.concat([fwd, bwd]), mask.channel_mask())
 
 
 def _gate_major_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -522,10 +532,10 @@ def composed_attention_pool(t: dict, prefix: str, h: Tensor, mask: TimeMask) -> 
 
 
 def composed_masked_features(streams, mask: TimeMask) -> Tensor:
-    """``models._masked_features`` as one tape node per stream, each stream times the mask,
-    then the concat."""
+    """``autodiff.concat(streams, mask)`` as one tape node per stream, each stream times the
+    mask, then the unmasked concat."""
     m = mask.channel_mask()
-    return ad.concat([mul(x, m) for x in streams], axis=1)
+    return ad.concat([mul(x, m) for x in streams])
 
 
 def composed_video_level_pool(streams, mask: TimeMask) -> Tensor:

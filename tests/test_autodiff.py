@@ -1,4 +1,5 @@
 import ast
+import inspect
 import warnings
 from pathlib import Path
 
@@ -296,24 +297,43 @@ class TestConcatChannels:
     def test_visual_audio_widths(self):
         v = Tensor(np.zeros((1, 1024, 2)))
         a = Tensor(np.zeros((1, 128, 2)))
-        assert concat([v, a], axis=1).data.shape == (1, 1152, 2)
+        assert concat([v, a]).data.shape == (1, 1152, 2)
 
     def test_single_tensor(self):
         x = Tensor(np.arange(6.0).reshape(1, 2, 3))
-        assert np.array_equal(concat([x], axis=1).data, x.data)
+        assert np.array_equal(concat([x]).data, x.data)
 
     def test_mismatch(self):
         with pytest.raises(DimensionError):
-            concat([Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((2, 2, 3)))], axis=1)
+            concat([Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((2, 2, 3)))])
 
-    def test_axis_out_of_range_and_a_mismatched_input_are_named(self):
+    def test_a_mismatched_input_is_named(self):
         a = Tensor(np.ones((2, 3)))
-        with pytest.raises(ConfigurationError) as exc:
-            concat([a, a], axis=5)
-        assert str(exc.value) == "concat axis must be <= 1, got 5"
         with pytest.raises(DimensionError) as exc:
-            concat([a, Tensor(np.ones((3, 3)))], axis=1)
+            concat([a, Tensor(np.ones((3, 3)))])
         assert str(exc.value) == "concat input 1 has shape (3, 3), expected [2 x *]"
+
+    def test_it_always_joins_channels(self):
+        assert list(inspect.signature(concat).parameters) == ["xs", "mask"]  # no axis
+
+    @pytest.mark.parametrize("shape", [(), (3,)])
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    def test_an_input_without_channels_is_named(self, shape, masked):
+        mask = TimeMask(3, 3, np.array([3, 2, 1])) if masked else None
+        with pytest.raises(DimensionError) as exc:
+            concat([Tensor(np.ones(shape))], mask)
+        expected = "[3 x * x 3]" if masked else "[* x *]"
+        assert str(exc.value) == f"concat input 0 has shape {shape}, expected {expected}"
+
+    @pytest.mark.parametrize("i", [0, 1])
+    @pytest.mark.parametrize("shape", [(1, 2, 3), (3, 2, 4), (3, 2)], ids=["batch", "time", "rank"])
+    def test_with_a_mask_a_stream_that_misfits_it_is_named(self, i, shape):
+        """Before the mask folded into concat, a batch-1 stream broadcast to the mask's batch 3."""
+        streams = [Tensor(np.ones((3, 1, 3))), Tensor(np.ones((3, 1, 3)))]
+        streams[i] = Tensor(np.ones(shape))
+        with pytest.raises(DimensionError) as exc:
+            concat(streams, TimeMask(3, 3, np.array([3, 2, 1])))
+        assert str(exc.value) == f"concat input {i} has shape {shape}, expected [3 x * x 3]"
 
     def test_gradient_splits_by_slice(self):
         rng = np.random.default_rng(21)
@@ -322,7 +342,7 @@ class TestConcatChannels:
         coef = rng.normal(size=(2, 5, 4))
 
         def f():
-            return tensor_sum(mul(concat([a, b], axis=1), coef))
+            return tensor_sum(mul(concat([a, b]), coef))
 
         worst = check_gradients(f, [("a", a), ("b", b)], step=1e-5)
         assert max(worst.values()) < 1e-7
@@ -738,11 +758,18 @@ def test_every_exported_op_is_called_by_the_library():
 
 
 def test_the_engine_has_no_broadcasting_arithmetic():
-    """``relu`` takes the residual sum and ``models._masked_features`` masks, so the engine
-    has no ``add``, ``mul`` or Tensor operator through which numpy broadcasting could enter."""
+    """``relu`` takes the residual sum and ``concat(xs, mask)`` masks, so the engine has no
+    ``add``, ``mul`` or Tensor operator through which numpy broadcasting could enter."""
     assert [name for name in ("add", "mul", "_unbroadcast") if hasattr(autodiff, name)] == []
     assert [name for name in ("__add__", "__radd__", "__mul__", "__rmul__") if hasattr(Tensor, name)] == []
     with pytest.raises(TypeError):
         Tensor([1.0]) * Tensor([2.0])
     with pytest.raises(TypeError):
         2.0 + Tensor([1.0])
+
+
+def test_models_make_no_tape_node_of_their_own():
+    """Every model masks through ``autodiff.concat(xs, mask)``: ``models`` records no node
+    by hand and reads no channel mask."""
+    text = (Path(autodiff.__file__).parent / "models.py").read_text()
+    assert [name for name in ("Tensor._op", "channel_mask") if name in text] == []

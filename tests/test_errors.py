@@ -234,7 +234,7 @@ _VLAD = ModelSpec(**{**_SPEC, "kind": "vlad_mlp", "vlad_clusters": 2})
 # test id -> (a call with one malformed operand, the DimensionError it raises)
 _SHAPE_SURFACES = {
     "linear": (lambda: linear(_zeros(2, 3), _zeros(4, 3), _zeros(3)), "linear b has shape (3,), expected [4]"),
-    "concat": (lambda: concat([_zeros(1, 2, 3), _zeros(2, 2, 3)], axis=1),
+    "concat": (lambda: concat([_zeros(1, 2, 3), _zeros(2, 2, 3)]),
                "concat input 1 has shape (2, 2, 3), expected [1 x * x 3]"),
     "TimeMask.valid_lengths": (lambda: TimeMask(2, 4, np.array([1, 2, 3])),
                                "TimeMask valid_lengths has shape (3,), expected [2]"),

@@ -22,7 +22,7 @@ from videoseq.gradcheck import grad_check, toy_spec
 from videoseq import container
 from videoseq import autodiff as ad
 from videoseq.autodiff import batchnorm_time, masked_mean_time
-from videoseq.models import _masked_features, _mlp_head, _spec_from_reader, tensor_table
+from videoseq.models import _mlp_head, _spec_from_reader, tensor_table
 from videoseq.recurrent import attention_pool, attention_table, cell_table, draw_table, run_bidirectional
 
 from oracles import composed_masked_features, composed_video_level_pool, mul, tensor_sum
@@ -258,7 +258,7 @@ def video_level_pool(streams, mask):
 
 def masked_by_mul(streams, mask):
     """One stream times the mask as the oracle ``mul``: the composed form of the
-    ``_masked_features([x], mask)`` that two-stream and the resnet projection call."""
+    ``autodiff.concat([x], mask)`` that two-stream and the resnet projection call."""
     (x,) = streams
     return mul(x, mask.channel_mask())
 
@@ -290,7 +290,7 @@ class TestMaskedInput:
             if w:
                 assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), i
 
-    @pytest.mark.parametrize("fused_op, composed_op", [(_masked_features, composed_masked_features),
+    @pytest.mark.parametrize("fused_op, composed_op", [(ad.concat, composed_masked_features),
                                                        (video_level_pool, composed_video_level_pool)],
                              ids=["masked_features", "video_level_pool"])
     # (visual_dim, audio_dim, valid lengths): desk width, and the paper's 1024+128 x 300 frames
@@ -299,7 +299,7 @@ class TestMaskedInput:
     def test_matches_composed_bitwise(self, fused_op, composed_op, v, a, lengths, grads):
         nodes, *fused = self.run(fused_op, (v, a), lengths, grads)
         _, *composed = self.run(composed_op, (v, a), lengths, grads)
-        if fused_op is _masked_features:
+        if fused_op is ad.concat:
             assert nodes == (1 if any(grads) else 0)
         else:  # one masked mean per stream that needs a gradient, then the concat
             assert nodes == sum(grads) + any(grads)
@@ -309,7 +309,7 @@ class TestMaskedInput:
     @pytest.mark.parametrize("c, lengths", [(24, (40, 17, 1)), (1024, (300, 120, 1))])
     @pytest.mark.parametrize("grad", [True, False])
     def test_one_stream_has_the_bits_of_mul_by_the_mask(self, c, lengths, grad):
-        nodes, *fused = self.run(_masked_features, (c,), lengths, (grad,))
+        nodes, *fused = self.run(ad.concat, (c,), lengths, (grad,))
         composed_nodes, *composed = self.run(masked_by_mul, (c,), lengths, (grad,))
         assert nodes == composed_nodes == int(grad)
         self.assert_same_bits(fused, composed, (True, grad))

@@ -338,6 +338,13 @@ class TestTrain:
         with pytest.raises(ConfigurationError):
             train(config)
 
+    def test_spec_mismatch_names_every_field_that_differs(self, dataset, tmp_path):
+        spec = spec_for("video_level", vocab=10, audio_dim=3)
+        config = TrainConfig(model=spec, train_data=dataset, checkpoint_path=str(tmp_path / "x.ckpt"))
+        with pytest.raises(ConfigurationError) as exc:
+            train(config)
+        assert str(exc.value) == f"{dataset} does not match model spec: vocab_size 6 vs 10; audio_dim 4 vs 3"
+
     def test_deep_stack_clip_rule(self):
         assert TrainConfig(model=spec_for("ff_lstm", depth=4)).resolved_clip_norm() == 5.0
         assert TrainConfig(model=spec_for("ff_lstm", depth=2)).resolved_clip_norm() is None

@@ -8,6 +8,7 @@ from videoseq import (
     ConfigurationError,
     DimensionError,
     PreconditionError,
+    ValidationError,
     kmeans_fit,
     load_codebook,
     save_codebook,
@@ -46,6 +47,14 @@ class TestKmeansFit:
             cb = kmeans_fit(samples, k=int(rng.integers(1, 6)), max_iter=30, seed=trial)
             hist = cb.inertia_history
             assert all(b <= a + 1e-9 for a, b in zip(hist, hist[1:]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_non_finite_samples_are_named(self, bad, k):
+        samples = np.array([[0.0], [bad], [1.0], [bad]])
+        with pytest.raises(ValidationError) as exc:
+            kmeans_fit(samples, k)
+        assert str(exc.value) == f"kmeans_fit samples must be finite: 2 of 4 are not, the first {bad} at index (1, 0)"
 
     def test_fewer_samples_than_clusters(self):
         with pytest.raises(PreconditionError):
