@@ -165,13 +165,22 @@ def _const(x) -> Tensor:
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+    """Add ``g`` into ``t.grad``; a first gradient gets the bits of ``zeros + g`` (-0.0 becomes 0.0).
+
+    A first gradient is a C-order copy of ``g``, unless ``fresh`` says the op made ``g``
+    for ``t`` alone and keeps no other reference to it: a C-contiguous ``g`` is then
+    adopted, the ``+ 0.0`` pass running in place. ``relu``'s shared ``g`` and unmasked
+    ``concat``'s views are copied. ``training.train`` drops every parameter gradient
+    right after ``Adam.step``."""
     if not t.requires_grad:
         return
-    if t.grad is None:  # one C-order pass, the bits of ``zeros + g`` (-0.0 becomes 0.0)
-        t.grad = np.add(g, 0.0, order="C")
-    else:
+    if t.grad is not None:
         t.grad += g
+    elif fresh and g.flags.c_contiguous:
+        t.grad = np.add(g, 0.0, out=g)
+    else:
+        t.grad = np.add(g, 0.0, order="C")
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -186,11 +195,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         if x.requires_grad:
-            _accumulate(x, g @ w.data)
+            _accumulate(x, g @ w.data, fresh=True)
         if w.requires_grad:
-            _accumulate(w, g.T @ x.data)
+            _accumulate(w, g.T @ x.data, fresh=True)
         if b.requires_grad:
-            _accumulate(b, g.sum(axis=0))
+            _accumulate(b, g.sum(axis=0), fresh=True)
 
     return Tensor._op(data, (x, w, b), bw)
 
@@ -218,7 +227,7 @@ def concat(xs, mask: TimeMask | None = None) -> Tensor:
     def bw(g):
         for x, lo, hi in zip(xs, ends, ends[1:]):
             if x.requires_grad:
-                _accumulate(x, g[:, lo:hi] if m is None else g[:, lo:hi] * m)
+                _accumulate(x, g[:, lo:hi] if m is None else g[:, lo:hi] * m, fresh=m is not None)
 
     return Tensor._op(data, tuple(xs), bw)
 
@@ -255,7 +264,7 @@ def sigmoid(a: Tensor) -> Tensor:
     data = _sigmoid(a.data)
 
     def bw(g):
-        _accumulate(a, g * data * (1.0 - data))
+        _accumulate(a, g * data * (1.0 - data), fresh=True)
 
     return Tensor._op(data, (a,), bw)
 
@@ -322,7 +331,7 @@ def masked_mean_time(x: Tensor, mask: TimeMask) -> Tensor:
     scale = 1.0 / mask.valid_lengths.astype(np.float64)[:, None]
 
     def bw(g):
-        _accumulate(x, (g * scale)[:, :, None] * m)
+        _accumulate(x, (g * scale)[:, :, None] * m, fresh=True)
 
     return Tensor._op((x.data * m).sum(axis=2) * scale, (x,), bw)
 
@@ -370,9 +379,9 @@ def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     def bw(g):
         gmat = g.transpose(0, 2, 1).reshape(b * t, co)
         if kernels.requires_grad:
-            _accumulate(kernels, (gmat.T @ im2col().T).reshape(co, ci, w))
+            _accumulate(kernels, (gmat.T @ im2col().T).reshape(co, ci, w), fresh=True)
         if bias.requires_grad:
-            _accumulate(bias, gmat.sum(axis=0))
+            _accumulate(bias, gmat.sum(axis=0), fresh=True)
         if x.requires_grad:
             gcols = (gmat @ kmat).reshape(b, t, ci, w)
             gx = np.zeros((b, t, ci))
@@ -431,13 +440,13 @@ def batchnorm_time(t: dict, prefix: str, x: Tensor, mask: TimeMask, train: bool)
 
         def bw_eval(g):
             gm = g * m
-            _accumulate(beta, gm.sum(axis=(0, 2)))
+            _accumulate(beta, gm.sum(axis=(0, 2)), fresh=True)
             if gamma.requires_grad:
-                _accumulate(gamma, (gm * ((x.data - rm) * inv_std)).sum(axis=(0, 2)))
+                _accumulate(gamma, (gm * ((x.data - rm) * inv_std)).sum(axis=(0, 2)), fresh=True)
             if x.requires_grad:
                 gm *= g3
                 gm *= inv_std
-                _accumulate(x, gm)
+                _accumulate(x, gm, fresh=True)
 
         return Tensor._op(out, (x, gamma, beta), bw_eval)
 
@@ -460,15 +469,15 @@ def batchnorm_time(t: dict, prefix: str, x: Tensor, mask: TimeMask, train: bool)
         d_beta = gm.sum(axis=(0, 2), keepdims=True)
         scratch = gm * xhat
         d_gamma = scratch.sum(axis=(0, 2), keepdims=True)
-        _accumulate(beta, d_beta.reshape(c))
-        _accumulate(gamma, d_gamma.reshape(c))
         if x.requires_grad:  # dx = γ/σ · (g − (Σg + x̂·Σg·x̂) / n), sums over valid frames
             np.multiply(xhat, d_gamma * (1.0 / n), out=scratch)
             scratch += d_beta * (1.0 / n)
             np.subtract(gm, scratch, out=scratch)
             scratch *= g3 * inv_std
             scratch *= m
-            _accumulate(x, scratch)
+            _accumulate(x, scratch, fresh=True)
+        _accumulate(beta, d_beta.reshape(c), fresh=True)  # after dx, which reads both sums
+        _accumulate(gamma, d_gamma.reshape(c), fresh=True)
 
     batch_mean, batch_var = mean.reshape(c), var.reshape(c)
     if seen.data[0]:

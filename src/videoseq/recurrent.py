@@ -235,8 +235,8 @@ def run_bidirectional(t: dict, prefix: str, x: Tensor, mask: TimeMask) -> Tensor
         d_b = d_flat.sum(axis=0).reshape(2, n, h)
         for k, cell in enumerate(cells):
             for j, (wt, bt) in enumerate(cell):
-                ad._accumulate(wt, d_w[k, j])
-                ad._accumulate(bt, d_b[k, j])
+                ad._accumulate(wt, d_w[k, j], fresh=True)
+                ad._accumulate(bt, d_b[k, j], fresh=True)
 
     out = states.transpose(2, 1, 3, 0).reshape(batch, 2 * h, steps)
     return Tensor._op(out, (x, *(p for cell in cells for pair in cell for p in pair)), bw)
@@ -282,19 +282,19 @@ def attention_pool(t: dict, prefix: str, h: Tensor, mask: TimeMask) -> Tensor:
     def bw(g):
         g = g[:, :, None]
         if h.requires_grad:
-            ad._accumulate(h, g * alpha[:, None, :])
+            ad._accumulate(h, g * alpha[:, None, :], fresh=True)
         g_alpha = (g * h.data).sum(axis=1)
         g_e = g_alpha / denom
         g_e += (-g_alpha * alpha / denom).sum(axis=1, keepdims=True)
         g_scores = (g_e * e)[:, None, :]  # through exp and both masks: e is exp(z)·m, m 0 or 1
         if score.requires_grad:
-            ad._accumulate(score, (g_scores * u).sum(axis=(0, 2)))
+            ad._accumulate(score, (g_scores * u).sum(axis=(0, 2)), fresh=True)
         g_pre = (g_scores * v) * (1.0 - u * u)
         g_pre = g_pre.transpose(0, 2, 1).reshape(batch * steps, attn)
         if weight.requires_grad:
-            ad._accumulate(weight, g_pre.T @ frames())
+            ad._accumulate(weight, g_pre.T @ frames(), fresh=True)
         if bias.requires_grad:
-            ad._accumulate(bias, g_pre.sum(axis=0))
+            ad._accumulate(bias, g_pre.sum(axis=0), fresh=True)
         if h.requires_grad:
             ad._accumulate(h, (g_pre @ weight.data).reshape(batch, steps, channels).transpose(0, 2, 1))
 

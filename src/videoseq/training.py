@@ -95,7 +95,7 @@ def bce_loss(probabilities: Tensor, targets) -> Tensor:
         g = -g * scale
         dp = -(g * not_y / q)
         dp += g * y / p
-        ad._accumulate(probabilities, dp * passthrough)
+        ad._accumulate(probabilities, dp * passthrough, fresh=True)
 
     return Tensor._op(-(loss.sum() * scale), (probabilities,), bw)
 
@@ -255,11 +255,11 @@ def train(config: TrainConfig) -> TrainResult:
         total_loss, total_items = 0.0, 0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            optimizer.zero_grad()
             with Tape():
                 loss = _batch_loss(model, [records[i] for i in idx], header)
                 ad.backward(loss)
             grad_norms.append(optimizer.step())
+            optimizer.zero_grad()  # no gradient outlives its update: not into validation or the save
             total_loss += loss.item() * len(idx)
             total_items += len(idx)
         epoch_loss = total_loss / total_items

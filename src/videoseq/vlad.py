@@ -50,17 +50,19 @@ class Codebook:
         return self.centers.shape[1]
 
 
-def _squared_distances(samples: np.ndarray, centers: np.ndarray, prepared=None) -> np.ndarray:
-    """[n x k] squared euclidean distances, clipped at zero. ``prepared`` is
-    ``_prepared(samples)``, passed by callers that reuse the samples."""
-    sample_sq, twice = prepared or _prepared(samples)
-    d2 = sample_sq - twice @ centers.T + (centers * centers).sum(axis=1)[None, :]
+def _squared_distances(samples: np.ndarray, centers: np.ndarray, sample_sq=None) -> np.ndarray:
+    """[n x k] squared euclidean distances, clipped at zero. ``sample_sq`` is
+    ``_sample_sq(samples)``, passed by callers that reuse the samples. The cross term doubles
+    the [k x d] centers, not the [n x d] samples: scaling by 2 is exact, so the bits are
+    those of ``(2.0 * samples) @ centers.T``."""
+    sample_sq = _sample_sq(samples) if sample_sq is None else sample_sq
+    d2 = sample_sq - samples @ (2.0 * centers).T + (centers * centers).sum(axis=1)[None, :]
     return np.maximum(d2, 0.0)
 
 
-def _prepared(samples: np.ndarray):
-    """The two terms of ``_squared_distances`` that depend only on the samples."""
-    return (samples * samples).sum(axis=1)[:, None], 2.0 * samples
+def _sample_sq(samples: np.ndarray) -> np.ndarray:
+    """[n x 1] squared norms, the one term of ``_squared_distances`` that depends only on the samples."""
+    return (samples * samples).sum(axis=1)[:, None]
 
 
 def _row_sq_dists(samples: np.ndarray, centers: np.ndarray, rows=None, owner=None) -> np.ndarray:
@@ -141,11 +143,11 @@ def kmeans_fit(
         raise PreconditionError(f"need at least k={k} samples, got {n}")
     rng = np.random.default_rng(seed)
     centers = _kmeanspp_init(samples, k, rng)
-    prepared = _prepared(samples)
+    sample_sq = _sample_sq(samples)
     history: list[float] = []
     assignments = None
     for _ in range(max_iter):
-        d2 = _squared_distances(samples, centers, prepared)
+        d2 = _squared_distances(samples, centers, sample_sq)
         new_assignments = d2.argmin(axis=1)  # argmin takes the lowest index on ties
         history.append(float(d2[np.arange(n), new_assignments].sum()))
         if assignments is not None and np.array_equal(new_assignments, assignments):

@@ -1,5 +1,7 @@
 """Slow reference implementations the library's fast paths are tested against."""
 
+import tracemalloc
+
 import numpy as np
 
 from videoseq import autodiff as ad
@@ -9,7 +11,23 @@ from videoseq.gradcheck import _worst_errors
 from videoseq.metrics import TOP_K, GapResult, PredictionSet, _pooled_pairs
 from videoseq.recurrent import GRU_GATES, LSTM_GATES, _cell
 from videoseq.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, Adam, TrainingError
-from videoseq.vlad import _DEGENERATE_NORM, Codebook, _squared_distances
+from videoseq.vlad import _DEGENERATE_NORM, Codebook
+
+
+def traced_peak(fn, *args) -> int:
+    """tracemalloc's peak over one ``fn(*args)``: the most bytes the call held at once."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def doubled_squared_distances(samples: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """[n x k] squared distances with the cross term of a doubled [n x d] sample copy."""
+    d2 = (samples * samples).sum(axis=1)[:, None] - (2.0 * samples) @ centers.T
+    return np.maximum(d2 + (centers * centers).sum(axis=1)[None, :], 0.0)
 
 
 def check_gradients(f, named_params, step: float = 1e-4, samples_per_block: int | None = None,
@@ -47,7 +65,7 @@ def gap_oracle(preds: PredictionSet, k: int = TOP_K) -> GapResult:
 def vlad_encode_oracle(codebook: Codebook, frames: np.ndarray) -> np.ndarray:
     """Reference VLAD vector: residuals accumulated frame by frame with ``np.add.at``."""
     frames = np.asarray(frames, dtype=np.float64)
-    assignments = _squared_distances(frames, codebook.centers).argmin(axis=1)
+    assignments = doubled_squared_distances(frames, codebook.centers).argmin(axis=1)
     residuals = np.zeros_like(codebook.centers)
     np.add.at(residuals, assignments, frames - codebook.centers[assignments])
     flat = residuals.reshape(-1)
@@ -598,7 +616,7 @@ def kmeans_oracle(samples: np.ndarray, k: int, max_iter: int, seed: int) -> Code
     centers = whole_array_kmeanspp_init(samples, k, np.random.default_rng(seed))
     history, assignments = [], None
     for _ in range(max_iter):
-        d2 = _squared_distances(samples, centers)
+        d2 = doubled_squared_distances(samples, centers)
         new_assignments = d2.argmin(axis=1)
         history.append(float(d2[np.arange(n), new_assignments].sum()))
         if assignments is not None and np.array_equal(new_assignments, assignments):

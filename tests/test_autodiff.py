@@ -27,9 +27,12 @@ from videoseq import (
 )
 from videoseq import autodiff
 from videoseq.autodiff import _accumulate
+from videoseq.gradcheck import toy_spec
+from videoseq.models import MODEL_KINDS, ModelSpec, build_model
+from videoseq.training import bce_loss
 
 from oracles import (add, check_gradients, composed_batchnorm_time, composed_conv1d_same, composed_linear,
-                     composed_masked_mean_time, mul, reverse_valid_time, tanh, tensor_sum)
+                     composed_masked_mean_time, mul, reverse_valid_time, tanh, tensor_sum, traced_peak)
 
 
 def conv1d_naive(x, kernels, bias):
@@ -483,8 +486,11 @@ class TestBackward:
             backward(tensor_sum(relu(w, w)))
         assert np.array_equal(w.grad, [2.0])
 
-    @pytest.mark.parametrize("case", ["transposed", "broadcast", "negative_zero"])
-    def test_first_gradient_is_a_c_order_copy_with_the_bits_of_zeros_plus_g(self, case):
+    @pytest.mark.parametrize("case, fresh", [("transposed", False), ("broadcast", False), ("negative_zero", False),
+                                             ("transposed", True), ("broadcast", True)],
+                             ids=["transposed", "broadcast", "negative_zero", "transposed-fresh", "broadcast-fresh"])
+    def test_first_gradient_is_a_c_order_copy_with_the_bits_of_zeros_plus_g(self, case, fresh):
+        """Out of C order, a fresh gradient is copied too."""
         rng = np.random.default_rng(4)
         g = {
             "transposed": rng.normal(size=(5, 3)).T,
@@ -492,12 +498,52 @@ class TestBackward:
             "negative_zero": np.array([[-0.0, 1.5, -2.0, 0.0, -0.0]] * 3),
         }[case]
         t = Tensor(np.zeros((3, 5)), requires_grad=True)
-        _accumulate(t, g)
+        _accumulate(t, g, fresh)
         want = np.zeros((3, 5)) + g
         assert t.grad.flags.c_contiguous and not np.shares_memory(t.grad, g)
         assert t.grad.tobytes() == want.tobytes()  # tobytes tells -0.0 from 0.0
         _accumulate(t, g)
         assert t.grad.tobytes() == (want + g).tobytes()
+
+    @pytest.mark.parametrize("case", ["random", "negative_zero"])
+    def test_fresh_first_gradient_is_adopted_with_the_bits_of_zeros_plus_g(self, case):
+        rng = np.random.default_rng(5)
+        g = {
+            "random": rng.normal(size=(3, 5)),
+            "negative_zero": np.array([[-0.0, 1.5, -2.0, 0.0, -0.0]] * 3),
+        }[case]
+        want = np.zeros((3, 5)) + g
+        t = Tensor(np.zeros((3, 5)), requires_grad=True)
+        _accumulate(t, g, fresh=True)
+        assert np.shares_memory(t.grad, g) and t.grad.flags.c_contiguous
+        assert t.grad.tobytes() == want.tobytes()
+        again = rng.normal(size=(3, 5))
+        _accumulate(t, again, fresh=True)  # a second gradient adds into the first
+        assert np.shares_memory(t.grad, g) and not np.shares_memory(t.grad, again)
+        assert t.grad.tobytes() == (want + again).tobytes()
+
+    def test_relu_terms_get_gradients_of_their_own(self):
+        rng = np.random.default_rng(7)
+        x, y = (Tensor(rng.normal(size=(3, 4)), requires_grad=True) for _ in range(2))
+        with Tape():
+            backward(tensor_sum(relu(x, y)))
+        assert np.array_equal(x.grad, y.grad) and not np.shares_memory(x.grad, y.grad)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_no_two_parameter_gradients_share_memory(self, kind):
+        spec = toy_spec(kind)
+        model = build_model(spec)
+        if kind == "vlad_mlp":
+            centers = model.tensors["codebook.centers"]
+            centers.data = np.random.default_rng(8).normal(size=centers.shape)
+        visual, audio, mask, targets = toy_batch(spec, 3, 6, seed=53)
+        with Tape():
+            backward(bce_loss(model.forward(visual, audio, mask, train=True), targets))
+        grads = [(name, p.grad) for name, p in model.named_parameters()]
+        assert all(g is not None for _, g in grads)
+        for i, (name, g) in enumerate(grads):
+            for other, h in grads[i + 1 :]:
+                assert not np.shares_memory(g, h), (name, other)
 
     def test_non_scalar_loss_rejected(self):
         w = Tensor([1.0, 2.0], requires_grad=True)
@@ -661,9 +707,6 @@ class TestTape:
     def test_forward_without_backward_leaves_nothing_behind(self):
         import weakref
 
-        from videoseq.gradcheck import toy_spec
-        from videoseq.models import build_model
-
         spec = toy_spec("two_stream_lstm")
         model = build_model(spec)
         visual, audio, mask, _ = toy_batch(spec, 2, 5, seed=50)
@@ -699,10 +742,6 @@ class TestTape:
         import gc
         import tracemalloc
 
-        from videoseq.gradcheck import toy_spec
-        from videoseq.models import build_model
-        from videoseq.training import bce_loss
-
         spec = toy_spec("temporal_resnet")
         model = build_model(spec)
         params = [p for _, p in model.named_parameters()]
@@ -719,15 +758,28 @@ class TestTape:
                 backward(loss)
                 return tracemalloc.get_traced_memory()[0] - before
 
-        tracemalloc.start()
-        try:
-            step()  # warm every cache the step fills once
-            held = step()
-        finally:
-            tracemalloc.stop()
+        step()  # warm every cache the step fills once
+        held = []
+        traced_peak(lambda: held.append(step()))
         grads = sum(p.grad.nbytes for p in params)
         # the whole tape of this step is about 1.5 MB
-        assert held <= grads + 64 * 1024, (held, grads)
+        assert held[0] <= grads + 64 * 1024, (held, grads)
+
+    def test_backward_peak_holds_the_head_gradient_once(self):
+        """``g.T @ x`` becomes ``head.w1``'s gradient itself: a copy beside it would add w1's bytes."""
+        spec = ModelSpec(kind="vlad_mlp", vocab_size=5, visual_dim=64, audio_dim=16, vlad_clusters=32,
+                         fc_sizes=(128, 5))
+        model = build_model(spec)
+        centers = model.tensors["codebook.centers"]
+        centers.data = np.random.default_rng(9).normal(size=centers.shape)
+        params = [p for _, p in model.named_parameters()]
+        w1 = model.tensors["head.w1"].data.nbytes
+        assert w1 > 0.9 * sum(p.data.nbytes for p in params)
+        visual, audio, mask, targets = toy_batch(spec, 4, 20, seed=54)
+        with Tape():
+            peak = traced_peak(backward, bce_loss(model.forward(visual, audio, mask, train=True), targets))
+        grads = sum(p.grad.nbytes for p in params)
+        assert peak < grads + w1 // 2, (peak, grads, w1)
 
 
 def _calls(node, inside=frozenset()):

@@ -3,7 +3,6 @@
 import os
 import re
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +30,8 @@ from videoseq import (
     write_records,
 )
 from videoseq import container, dataio, models, vlad
+
+from oracles import traced_peak
 
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -291,15 +292,13 @@ U32_SPEC_FIELDS = ("vocab_size", "visual_dim", "audio_dim", "hidden_size", "dept
 
 def load_peak(path):
     """tracemalloc's peak over one ``load_checkpoint(path)``; a library error counts as a load."""
-    tracemalloc.start()
-    try:
-        load_checkpoint(path)
-    except VideoseqError:
-        pass
-    finally:
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-    return peak
+    def load():
+        try:
+            load_checkpoint(path)
+        except VideoseqError:
+            pass
+
+    return traced_peak(load)
 
 
 @pytest.mark.parametrize("field", U32_SPEC_FIELDS)

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -33,7 +31,8 @@ from videoseq.training import (
 )
 from videoseq.vlad import kmeans_fit
 
-from oracles import WholeArrayAdam, check_gradients, composed_bce_loss, gap_oracle, mul, tensor_sum
+from oracles import (WholeArrayAdam, check_gradients, composed_bce_loss, gap_oracle, mul, tensor_sum,
+                     traced_peak)
 
 
 def spec_for(kind, vocab=6, **overrides):
@@ -248,13 +247,7 @@ class TestAdam:
         p = Tensor(np.zeros((16, ADAM_BLOCK)), requires_grad=True)
         opt = Adam([("p", p)], learning_rate=0.1, clip_norm=1.0)
         p.grad = np.random.default_rng(14).normal(size=p.shape)
-        tracemalloc.start()
-        try:
-            opt.step()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * ADAM_BLOCK  # one block's bytes; g * g would be 16 of them
+        assert traced_peak(opt.step) < 8 * ADAM_BLOCK  # one block's bytes; g * g would be 16 of them
 
     def test_descends_on_quadratic(self):
         p = Tensor(np.array([5.0]), requires_grad=True)
@@ -285,6 +278,29 @@ class TestTrain:
         a, b = run("a"), run("b")
         assert a.log_lines == b.log_lines
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+    def test_no_gradient_outlives_its_update(self, dataset, tmp_path, monkeypatch):
+        """Validation and the checkpoint save run with every parameter gradient already freed."""
+        calls, real_eval, real_save = [], training._eval_gap, training.save_checkpoint
+
+        def freed(model, call):
+            assert [n for n, p in model.named_parameters() if p.grad is not None] == []
+            calls.append(call)
+
+        def eval_gap(model, *rest):
+            freed(model, "eval")
+            return real_eval(model, *rest)
+
+        def save(path, model):
+            freed(model, "save")
+            real_save(path, model)
+
+        monkeypatch.setattr(training, "_eval_gap", eval_gap)
+        monkeypatch.setattr(training, "save_checkpoint", save)
+        config = TrainConfig(model=spec_for("temporal_resnet"), batch_size=8, epochs=2, seed=4,
+                             train_data=dataset, checkpoint_path=str(tmp_path / "m.ckpt"))
+        train(config)
+        assert calls.count("eval") == 2 and "save" in calls
 
     def test_loss_decreases(self, dataset, tmp_path):
         config = TrainConfig(

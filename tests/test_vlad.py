@@ -17,7 +17,7 @@ from videoseq import (
 
 from videoseq import dataio, vlad
 
-from oracles import kmeans_oracle, vlad_encode_oracle, whole_array_kmeanspp_init
+from oracles import doubled_squared_distances, kmeans_oracle, vlad_encode_oracle, whole_array_kmeanspp_init
 
 
 class TestKmeansFit:
@@ -113,6 +113,28 @@ def bench_like_frames(tmp_path_factory):
                               max_frames=60, video_seed=101)
     _, records = dataio.load_records(path)
     return np.concatenate([r.frames for r in records]).astype(np.float64)
+
+
+class TestDistancesDoubleTheCenters:
+    """``samples @ (2.0 * centers).T`` keeps the bits of the doubled-samples cross term."""
+
+    @pytest.mark.parametrize("n, d, k", [(1320, 1152, 32), (165, 1152, 32), (300, 24, 256), (7, 3, 5)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_distances_have_the_bytes_of_doubled_samples(self, n, d, k, order):
+        rng = np.random.default_rng(n + d + k)
+        samples, centers = np.asarray(rng.normal(size=(n, d)), order=order), rng.normal(size=(k, d))
+        assert vlad._squared_distances(samples, centers).tobytes() == \
+            doubled_squared_distances(samples, centers).tobytes()
+
+    def test_codebook_and_encodings_have_the_bytes_of_doubled_samples(self, monkeypatch, bench_like_frames):
+        got = kmeans_fit(bench_like_frames, 32, max_iter=25, seed=3)
+        want = kmeans_oracle(bench_like_frames, 32, 25, 3)
+        assert got.centers.tobytes() == want.centers.tobytes()
+        assert got.inertia_history == want.inertia_history
+        videos = np.array_split(bench_like_frames, 4)
+        encoded = [vlad_encode(got, frames).tobytes() for frames in videos]
+        monkeypatch.setattr(vlad, "_squared_distances", doubled_squared_distances)
+        assert encoded == [vlad_encode(got, frames).tobytes() for frames in videos]
 
 
 def _seeding_cases():
